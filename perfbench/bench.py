@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import gc
+import json
 import math
 import resource
 import tempfile
+from pathlib import Path
 from time import perf_counter
 
 import layers
@@ -17,25 +19,25 @@ from pipeline import (
     median,
     run_round,
     shape_record,
+    throughput,
     timed_set_up,
 )
 from tracer import Patcher, Tracer
 from workloads import WORKLOADS, Workload
 
-# name -> (unit, better)
-END_TO_END: dict[str, tuple[str, str]] = {
-    "setup_s": ("s", "lower"),
-    "pretrain_tokens_per_s": ("tokens/s", "higher"),
-    "finetune_samples_per_s": ("samples/s", "higher"),
-    "eval_windows_per_s": ("windows/s", "higher"),
-    "peak_rss_mb": ("MB", "lower"),
-    "pretrain_val_loss": ("loss", "lower"),
-}
+# units, directions and bounds of the metrics, and the workloads' rationale
+SPEC = json.loads((Path(__file__).resolve().parent.parent / "BENCHMARK.json").read_text())
 
-MIN_ROUNDS = 3  # timed rounds per untraced run, for a median
+
+def declared_units(kind: str) -> dict[str, str]:
+    """Name -> unit of the metrics BENCHMARK.json declares under ``kind``, in its order."""
+    return {m["name"]: m["unit"] for m in SPEC[kind]}
+
+
+MIN_ROUNDS = 3  # timed rounds per untraced run
 MIN_TRACE_ROUNDS = 2  # of each kind, untraced and traced, per traced run
 
-__all__ = ["WORKLOADS", "END_TO_END", "run", "summary"]
+__all__ = ["WORKLOADS", "SPEC", "run", "summary"]
 
 
 def _finite(x: float):
@@ -102,6 +104,7 @@ def run(wl: Workload, seed: int, seconds: float, trace: bool, root) -> tuple[dic
     shape_rec = shape_record(wl, shape)
     detail = {
         "workload": wl.name,
+        "why": {w["name"]: w["why"] for w in SPEC["workloads"]}[wl.name],
         "seed": seed,
         "trace": trace,
         "shape": shape_rec,
@@ -118,27 +121,24 @@ def run(wl: Workload, seed: int, seconds: float, trace: bool, root) -> tuple[dic
     complete = bool(measured) and all(r.complete for _t, r, _w in rounds)
     if trace:
         traced_rounds = [r for t, r, _w in rounds if t]
-        untraced_tps = median([r.pretrain_tokens_per_s for r in measured])
-        traced_tps = median([r.pretrain_tokens_per_s for r in traced_rounds])
-        metrics = layers.per_layer(setup_tracer, len(setup_times), tracer, counters,
-                                   max(len(traced_rounds), 1), shape_rec,
-                                   median([r.test_auroc for r in traced_rounds]),
-                                   untraced_tps, traced_tps)
+        untraced_tps = throughput(measured)["pretrain_tokens_per_s"]
+        traced_tps = throughput(traced_rounds)["pretrain_tokens_per_s"]
+        values = layers.per_layer(setup_tracer, len(setup_times), tracer, counters,
+                                  max(len(traced_rounds), 1), shape_rec,
+                                  median([r.test_auroc for r in traced_rounds]),
+                                  untraced_tps, traced_tps)
         detail["spans_by_stage"] = tracer.by_root()
         detail["span_edges"] = [[p, c, n] for (p, c), n in sorted(tracer.edges.items())]
-        detail["layer_map"] = {name: moves for name, (_u, _b, moves) in layers.PER_LAYER.items()}
+        detail["layer_map"] = layers.PER_LAYER
     else:
         values = {
             "setup_s": median(setup_times),
-            "pretrain_tokens_per_s": median([r.pretrain_tokens_per_s for r in measured]),
-            "finetune_samples_per_s": median([r.finetune_samples_per_s for r in measured]),
-            "eval_windows_per_s": median([x for r in measured for x in r.eval_windows_per_s]),
+            **throughput(measured),
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
             "pretrain_val_loss": median([r.val_loss for r in measured]),
         }
-        metrics = {name: {"value": values[name], "unit": unit} for name, (unit, _b) in END_TO_END.items()}
-    for m in metrics.values():
-        m["value"] = _finite(m["value"])
+    metrics = {name: {"value": _finite(values[name]), "unit": unit}
+               for name, unit in declared_units("per_layer" if trace else "end_to_end").items()}
     result = {
         "correct": complete and checks.failed == 0,
         "attempted": checks.attempted,
@@ -165,8 +165,8 @@ def _round_record(r: RoundResult, wall: float) -> dict:
 def _failed(wl: Workload, seed: int, checks: Checks, trace: bool) -> tuple[dict, dict]:
     detail = {"workload": wl.name, "seed": seed, "trace": trace, "attempted": checks.attempted,
               "failed": checks.failed, "failures": checks.failures}
-    names = layers.PER_LAYER if trace else END_TO_END
-    metrics = {name: {"value": None, "unit": spec[0]} for name, spec in names.items()}
+    metrics = {name: {"value": None, "unit": unit}
+               for name, unit in declared_units("per_layer" if trace else "end_to_end").items()}
     return detail, {"correct": False, "attempted": checks.attempted, "failed": checks.failed,
                     "metrics": metrics}
 

@@ -3,7 +3,8 @@
 Every ``*_s`` metric is self time in seconds per pipeline round (per set-up
 for the set-up layers): the span's duration minus the part covered by other
 wrapped calls below it. Summed over a stage's subtree, self times add up to
-the stage's wall time. Counts are per round too.
+the stage's wall time, together with ``trace.counters_s``, the time the
+benchmark spends counting at wrapped calls. Counts are per round too.
 """
 
 from __future__ import annotations
@@ -56,56 +57,58 @@ ROUND_SPANS = (
 ) + tuple((ad, op, f"autodiff.{op}") for op in AUTODIFF_OPS)
 
 
-# name -> (unit, better, the end-to-end metric it should move, on which workload)
-PER_LAYER: dict[str, tuple[str, str, str]] = {
-    "synth.generate_s": ("s", "lower", "setup_s on pretrain-dense"),
-    "ingest.parse_s": ("s", "lower", "setup_s on pretrain-dense"),
-    "ingest.splits_vocab_s": ("s", "lower", "setup_s on pretrain-dense"),
-    "ingest.registries": ("count", "higher", "workload shape; setup_s scales with it"),
-    "ingest.registries_per_stay": ("count", "higher", "workload shape"),
-    "windows.prepare_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense; ~0 on paper-width"),
-    "windows.build_samples_s": ("s", "lower", "finetune_samples_per_s on finetune-sparse"),
-    "windows.segment_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense"),
-    "windows.segment_calls": ("count", "lower", "finetune_samples_per_s on finetune-sparse (window caching)"),
-    "windows.count": ("count", "higher", "workload shape"),
-    "windows.per_stay": ("count", "higher", "workload shape"),
-    "windows.real_tokens": ("count", "higher", "workload shape"),
-    "windows.pad_frac": ("fraction", "lower", "workload shape: dynamic padding helps finetune-sparse only"),
-    "windows.truncated_frac": ("fraction", "lower", "workload shape"),
-    "masking.plan_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense"),
-    "masking.apply_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense"),
-    "masking.slots": ("count", "higher", "work done by masking"),
-    "textvec.embed_calls": ("count", "lower", "pretrain_tokens_per_s on paper-width (index-based embedding)"),
-    "textvec.distinct_texts": ("count", "higher", "workload shape: size of an index-based text table"),
-    "textvec.embed_s": ("s", "lower", "pretrain_tokens_per_s on paper-width"),
-    "embedder.encode_batch_s": ("s", "lower", "pretrain_tokens_per_s on paper-width"),
-    "embedder.compose_s": ("s", "lower", "pretrain_tokens_per_s on paper-width"),
-    "embedder.batch_mb": ("MB", "lower", "peak_rss_mb on paper-width"),
-    "encoder.forward_train_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense"),
-    "encoder.forward_eval_s": ("s", "lower", "eval_windows_per_s on finetune-sparse"),
-    "encoder.heads_s": ("s", "lower", "finetune_samples_per_s on finetune-sparse"),
-    "autodiff.backward_s": ("s", "lower", "pretrain_tokens_per_s on all; finetune_samples_per_s on finetune-sparse"),
-    "autodiff.nodes_per_step": ("count", "lower", "tape size: fused ops shrink it"),
-    **{f"autodiff.{op}_s": ("s", "lower", {
+# The layer -> metric map: for each per-layer metric, the end-to-end metric it should move and
+# on which workload. Units and directions are declared in BENCHMARK.json.
+PER_LAYER: dict[str, str] = {
+    "synth.generate_s": "setup_s on pretrain-dense",
+    "ingest.parse_s": "setup_s on pretrain-dense",
+    "ingest.splits_vocab_s": "setup_s on pretrain-dense",
+    "ingest.registries": "workload shape; setup_s scales with it",
+    "ingest.registries_per_stay": "workload shape",
+    "windows.prepare_s": "pretrain_tokens_per_s on pretrain-dense; ~0 on paper-width",
+    "windows.build_samples_s": "finetune_samples_per_s on finetune-sparse",
+    "windows.segment_s": "pretrain_tokens_per_s on pretrain-dense",
+    "windows.segment_calls": "finetune_samples_per_s on finetune-sparse (window caching)",
+    "windows.count": "workload shape",
+    "windows.per_stay": "workload shape",
+    "windows.real_tokens": "workload shape",
+    "windows.pad_frac": "workload shape: dynamic padding helps finetune-sparse only",
+    "windows.truncated_frac": "workload shape",
+    "masking.plan_s": "pretrain_tokens_per_s on pretrain-dense",
+    "masking.apply_s": "pretrain_tokens_per_s on pretrain-dense",
+    "masking.slots": "work done by masking",
+    "textvec.embed_calls": "pretrain_tokens_per_s on paper-width (index-based embedding)",
+    "textvec.distinct_texts": "workload shape: size of an index-based text table",
+    "textvec.embed_s": "pretrain_tokens_per_s on paper-width",
+    "embedder.encode_batch_s": "pretrain_tokens_per_s on paper-width",
+    "embedder.compose_s": "pretrain_tokens_per_s on paper-width",
+    "embedder.batch_mb": "peak_rss_mb on paper-width",
+    "encoder.forward_train_s": "pretrain_tokens_per_s on pretrain-dense",
+    "encoder.forward_eval_s": "eval_windows_per_s on finetune-sparse",
+    "encoder.heads_s": "finetune_samples_per_s on finetune-sparse",
+    "autodiff.backward_s": "pretrain_tokens_per_s on all; finetune_samples_per_s on finetune-sparse",
+    "autodiff.nodes_per_step": "tape size: fused ops shrink it",
+    **{f"autodiff.{op}_s": {
         "matmul": "pretrain_tokens_per_s on paper-width",
         "softmax_masked": "eval_windows_per_s on finetune-sparse",
         "dropout": "finetune_samples_per_s on finetune-sparse",
-    }.get(op, "pretrain_tokens_per_s on paper-width")) for op in AUTODIFF_OPS},
-    **{f"autodiff.{op}_calls": ("count", "lower", "tape size") for op in AUTODIFF_OPS},
-    "objective.mlvm_loss_s": ("s", "lower", "pretrain_tokens_per_s on pretrain-dense"),
-    "objective.finetune_loss_s": ("s", "lower", "finetune_samples_per_s on finetune-sparse"),
-    "training.optimizer_step_s": ("s", "lower", "pretrain_tokens_per_s on paper-width"),
-    "training.clone_s": ("s", "lower", "finetune_samples_per_s on finetune-sparse"),
-    "training.predict_scores_s": ("s", "lower", "eval_windows_per_s and finetune_samples_per_s on finetune-sparse"),
-    "training.steps": ("count", "higher", "work done: optimizer steps per round"),
-    **{f"training.{stage}_self_s": ("s", "lower", f"{stage} time outside every wrapped layer")
+    }.get(op, "pretrain_tokens_per_s on paper-width") for op in AUTODIFF_OPS},
+    **{f"autodiff.{op}_calls": "tape size" for op in AUTODIFF_OPS},
+    "objective.mlvm_loss_s": "pretrain_tokens_per_s on pretrain-dense",
+    "objective.finetune_loss_s": "finetune_samples_per_s on finetune-sparse",
+    "training.optimizer_step_s": "pretrain_tokens_per_s on paper-width",
+    "training.clone_s": "finetune_samples_per_s on finetune-sparse",
+    "training.predict_scores_s": "eval_windows_per_s and finetune_samples_per_s on finetune-sparse",
+    "training.steps": "work done: optimizer steps per round",
+    **{f"training.{stage}_self_s": f"{stage} time outside every wrapped layer"
        for stage in STAGES},
-    **{f"stage.{stage}_s": ("s", "lower", f"traced wall time of training.{stage}") for stage in STAGES},
-    "metrics.score_s": ("s", "lower", "eval_windows_per_s"),
-    "metrics.test_auroc": ("auroc", "higher", "information only: 16 test stays make it swing between seeds"),
-    "trace.pretrain_tokens_per_s_untraced": ("tokens/s", "higher", "same process, tracing off"),
-    "trace.pretrain_tokens_per_s_traced": ("tokens/s", "higher", "same process, tracing on"),
-    "trace.overhead_frac": ("fraction", "lower", "1 - traced / untraced pretrain_tokens_per_s"),
+    **{f"stage.{stage}_s": f"traced wall time of training.{stage}" for stage in STAGES},
+    "metrics.score_s": "eval_windows_per_s",
+    "metrics.test_auroc": "information only: 16 test stays make it swing between seeds",
+    "trace.pretrain_tokens_per_s_untraced": "same process, tracing off",
+    "trace.pretrain_tokens_per_s_traced": "same process, tracing on",
+    "trace.overhead_frac": "1 - traced / untraced pretrain_tokens_per_s",
+    "trace.counters_s": "the benchmark's own counting at wrapped calls, kept out of every layer",
 }
 
 
@@ -202,4 +205,4 @@ def per_layer(setup_tracer: Tracer, n_setups: int, tracer: Tracer, counters: Lay
     for metric in PER_LAYER:
         if metric not in values:  # the remaining *_s metrics are plain self times
             values[metric] = tracer.self_s(metric[: -len("_s")]) / n_rounds
-    return {name: {"value": values[name], "unit": unit} for name, (unit, _b, _m) in PER_LAYER.items()}
+    return values

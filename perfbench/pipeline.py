@@ -23,6 +23,8 @@ from icuseq.types import Vocabularies
 from tracer import Patcher
 from workloads import (
     FEATURES,
+    FFN_DIM,
+    PRETRAIN_BATCH,
     SETUP_REPS,
     SIGNAL_INCIDENCE,
     UNFROZEN_LAYERS,
@@ -215,14 +217,14 @@ class Outputs:
 def model_config(wl: Workload, vocab: Vocabularies) -> training.ModelConfig:
     return training.ModelConfig(
         encoder=enc.EncoderConfig(layers=wl.layers, hidden=wl.hidden, heads=wl.heads,
-                                  ffn_dim=wl.ffn_dim, max_seq_len=wl.max_seq_len),
+                                  ffn_dim=FFN_DIM, max_seq_len=wl.max_seq_len),
         d_pre=wl.d_pre, window_minutes=WINDOW_MINUTES,
         feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
     )
 
 
 def pretrain_config(wl: Workload, seed: int) -> training.TrainConfig:
-    return training.TrainConfig(epochs=wl.pretrain_epochs, batch_size=wl.pretrain_batch,
+    return training.TrainConfig(epochs=wl.pretrain_epochs, batch_size=PRETRAIN_BATCH,
                                 lr=wl.pretrain_lr, warmup_epochs=wl.pretrain_warmup,
                                 patience=None, seed=seed)
 
@@ -250,17 +252,25 @@ class RoundResult:
     test_auroc: float = math.nan
     complete: bool = False
 
-    @property
-    def pretrain_tokens_per_s(self) -> float:
-        return self.pretrain_tokens / self.pretrain_s
 
-    @property
-    def finetune_samples_per_s(self) -> float:
-        return self.finetune_samples / self.finetune_s
+def throughput(rounds: list[RoundResult]) -> dict[str, float]:
+    """Each stage's work per second over all ``rounds``: total work over total time.
 
-    @property
-    def eval_windows_per_s(self) -> list[float]:
-        return [self.eval_windows / t for t in self.evaluate_s]
+    A rate over the whole measuring window rather than a median of per-round
+    rates: on a shared machine whose speed switches between states for seconds
+    at a time, the median of a few rounds reports whichever state held longest.
+    """
+    def rate(work: float, seconds: float) -> float:
+        return work / seconds if seconds > 0 else math.nan
+
+    return {
+        "pretrain_tokens_per_s": rate(sum(r.pretrain_tokens for r in rounds),
+                                      sum(r.pretrain_s for r in rounds)),
+        "finetune_samples_per_s": rate(sum(r.finetune_samples for r in rounds),
+                                       sum(r.finetune_s for r in rounds)),
+        "eval_windows_per_s": rate(sum(r.eval_windows * len(r.evaluate_s) for r in rounds),
+                                   sum(sum(r.evaluate_s) for r in rounds)),
+    }
 
 
 def _timed(checks: Checks, label: str, fn: Callable, *args) -> tuple[Any, float]:

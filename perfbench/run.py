@@ -7,7 +7,8 @@ Run from the repository root:
 
 The run sets up the workload's corpus several times (``setup_s`` is the
 median), runs one untimed warm-up round of pretrain -> finetune -> evaluate,
-then repeats timed rounds until ``--seconds`` have passed and reports medians.
+then repeats timed rounds until ``--seconds`` have passed and reports each
+stage's throughput over all timed rounds.
 With ``--trace 0`` it reports the end-to-end metrics; with ``--trace 1`` it
 alternates untraced and traced rounds and reports the per-layer metrics,
 including the tracing overhead. A JSON detail record (environment, workload
@@ -22,6 +23,7 @@ import argparse
 import json
 import os
 import signal
+import subprocess
 import sys
 from pathlib import Path
 
@@ -60,21 +62,15 @@ def environment(cores: int) -> dict:
 
 
 def git_sha() -> str:
-    """HEAD of the checkout read from .git, or "unknown" outside a git work tree."""
-    git = ROOT / ".git"
+    """HEAD of the checkout, or "unknown" outside a git work tree."""
+    if not (ROOT / ".git").exists():
+        return "unknown"
     try:
-        head = (git / "HEAD").read_text().strip()
-        if not head.startswith("ref: "):
-            return head
-        ref = head[len("ref: "):]
-        if (git / ref).is_file():
-            return (git / ref).read_text().strip()
-        for line in (git / "packed-refs").read_text().splitlines():
-            if line.endswith(" " + ref):
-                return line.split()[0]
-    except OSError:
-        pass
-    return "unknown"
+        out = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True, text=True,
+                             timeout=60)
+    except (OSError, subprocess.SubprocessError):
+        return "unknown"
+    return out.stdout.strip() if out.returncode == 0 else "unknown"
 
 
 def parse_args(argv=None) -> argparse.Namespace:

@@ -12,7 +12,6 @@ benchmark refuses to run without the program's sources.
 from __future__ import annotations
 
 import dataclasses
-import json
 import math
 import shutil
 import subprocess
@@ -30,19 +29,14 @@ run.cap_threads()
 sys.path.insert(0, str(ROOT / "src"))
 
 import bench  # noqa: E402
-import layers  # noqa: E402
 
 SEED = 1
-TINY = dict(patients=20, ratios=(0.4, 0.2, 0.4), hidden=16, layers=1, heads=2, ffn_dim=8,
-            d_pre=8, pretrain_epochs=1, folds=2)
+TINY = dict(patients=20, ratios=(0.4, 0.2, 0.4), hidden=16, layers=1, heads=2, d_pre=8,
+            pretrain_epochs=1, folds=2)
 
 
 def tiny(wl):
     return dataclasses.replace(wl, **TINY, max_seq_len=min(wl.max_seq_len, 64))
-
-
-def spec() -> dict:
-    return json.loads((ROOT / "BENCHMARK.json").read_text())
 
 
 class SelfTest(unittest.TestCase):
@@ -64,18 +58,9 @@ class SelfTest(unittest.TestCase):
             self.assertIsInstance(got["value"], (int, float), m["name"])
             self.assertTrue(math.isfinite(got["value"]), m["name"])
 
-    def test_declared_metrics_match_the_code(self):
-        declared = spec()
-        self.assertEqual([(m["name"], m["unit"], m["better"]) for m in declared["end_to_end"]],
-                         [(n, u, b) for n, (u, b) in bench.END_TO_END.items()])
-        self.assertEqual([(m["name"], m["unit"], m["better"]) for m in declared["per_layer"]],
-                         [(n, u, b) for n, (u, b, _moves) in layers.PER_LAYER.items()])
-        self.assertEqual([(w["name"], w["why"]) for w in declared["workloads"]],
-                         [(w.name, w.why) for w in bench.WORKLOADS.values()])
-
     def test_every_workload_emits_every_metric(self):
-        declared = spec()
-        for name in bench.WORKLOADS:
+        declared = bench.SPEC
+        for name in [w["name"] for w in declared["workloads"]]:
             with self.subTest(workload=name):
                 e2e = self.run_tiny(name, trace=False)
                 self.assert_metrics(e2e, declared["end_to_end"])

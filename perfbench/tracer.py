@@ -10,8 +10,11 @@ those are patched on ``icuseq.autodiff``.
 closes, its duration is added to its name's total, the part not covered by
 child spans to its self time, and the parent-child edge is counted, all keyed
 by the outermost open span (the root), so the self times under one root add up
-to the root's wall time. Spans are aggregated in memory as they close, so
-tracing many thousands of calls costs no more memory than tracing one.
+to the root's wall time. Work the benchmark itself does at a wrapped call (an
+``after`` callback that counts what the call returned) is timed under a span of
+its own, ``trace.counters``, so it is charged to no layer of the program.
+Spans are aggregated in memory as they close, so tracing many thousands of
+calls costs no more memory than tracing one.
 """
 
 from __future__ import annotations
@@ -20,6 +23,9 @@ import functools
 from collections import Counter
 from time import perf_counter
 from typing import Any, Callable, Optional, Union
+
+
+COUNTERS = "trace.counters"  # span name of the benchmark's own work at wrapped calls
 
 
 class Patcher:
@@ -62,10 +68,10 @@ class Tracer:
 
         ``name`` may be a function of the call's arguments (for instance to
         split encoder passes by mode). ``after(result, *args, **kwargs)``
-        runs once the span has closed, so its cost lands in the parent's
-        self time, not in the layer's.
+        runs once the span has closed, under a ``trace.counters`` span, so its
+        cost lands neither in the layer's self time nor in the parent's.
         """
-        stack, stats, edges = self._stack, self.stats, self.edges
+        stack, record = self._stack, self._record
 
         @functools.wraps(fn)
         def traced(*args, **kwargs):
@@ -78,23 +84,28 @@ class Tracer:
             finally:
                 dt = perf_counter() - t0
                 stack.pop()
-                key = (stack[0][0] if stack else label, label)
-                s = stats.get(key)
-                if s is None:
-                    s = stats[key] = LayerStats()
-                s.calls += 1
-                s.total_s += dt
-                s.self_s += dt - frame[1]
-                if stack:
-                    stack[-1][1] += dt
-                    edges[(stack[-1][0], label)] += 1
-                else:
-                    edges[("", label)] += 1
+                record(label, dt, frame[1])
             if after is not None:
+                t0 = perf_counter()
                 after(result, *args, **kwargs)
+                record(COUNTERS, perf_counter() - t0, 0.0)
             return result
 
         return traced
+
+    def _record(self, label: str, dt: float, covered: float) -> None:
+        """Add a closed span of ``dt`` seconds, ``covered`` of them by child spans."""
+        stack = self._stack
+        key = (stack[0][0] if stack else label, label)
+        s = self.stats.get(key)
+        if s is None:
+            s = self.stats[key] = LayerStats()
+        s.calls += 1
+        s.total_s += dt
+        s.self_s += dt - covered
+        if stack:
+            stack[-1][1] += dt
+        self.edges[(stack[-1][0] if stack else "", label)] += 1
 
     def _sum(self, name: str, attr: str) -> float:
         return sum(getattr(s, attr) for (_root, label), s in self.stats.items() if label == name)
