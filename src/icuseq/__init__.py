@@ -9,7 +9,7 @@ from .synth import GeneratorSpec, generate_lines, oracle_cont_target, oracle_lab
 from .textvec import FileCacheProvider, StubProvider, fill, read_cache, write_cache
 from .training import Model, ModelConfig, Task, TrainConfig, evaluate, finetune, pretrain
 from .types import Registry, Token, Vocabularies, WindowSequence, feature_text, validate_registry
-from .windows import rolling_windows, segment_windows, truncate_and_pad
+from .windows import segment_windows, truncate_and_pad
 
 __version__ = "0.1.0"
 
@@ -21,6 +21,6 @@ __all__ = [
     "build_vocabularies", "combine_losses", "evaluate", "feature_text", "fill",
     "finetune", "finetune_loss", "generate_lines", "mae", "mlvm_loss",
     "oracle_cont_target", "oracle_label", "parse_events", "plan_masking", "pretrain",
-    "read_cache", "rolling_windows", "segment_windows", "truncate_and_pad",
+    "read_cache", "segment_windows", "truncate_and_pad",
     "validate_registry", "write_cache", "write_corpus",
 ]

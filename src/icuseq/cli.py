@@ -109,7 +109,6 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "corrupt": (_floats_csv, (0.8, 0.1, 0.1), False, "mask,random,keep corruption split"),
         "seed": (int, 0, False, "training seed"),
         "metrics_out": (str, None, False, "write per-epoch CSV rows here"),
-        "threads": (int, 1, False, "cap on worker parallelism"),
     },
     "finetune": {
         **_COMMON_DATA,
@@ -129,7 +128,6 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "class_weight": (str, "auto", False, "positive-class weight (auto or a number)"),
         "seed": (int, 0, False, "training seed"),
         "results_out": (str, None, False, "write the metric report here"),
-        "threads": (int, 1, False, "cap on worker parallelism"),
     },
     "evaluate": {
         **_COMMON_DATA,

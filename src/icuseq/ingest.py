@@ -4,6 +4,11 @@ Event-line format: one JSON object per line with fields patient_id, stay_id,
 source, variable, value (number or quoted text), timestamp (ISO-8601, minute
 precision), duration_minutes (optional, default 0), static (optional boolean,
 default false).
+
+Timestamps may be timezone-naive or carry a UTC offset, but all registries of
+one stay must agree: a stay that mixes naive and offset timestamps is rejected
+at the first line that breaks the stay's convention, because its events could
+not be put in order.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .errors import EmptyTrainSplit, InvalidRatios, InvalidRegistry, ParseError
@@ -39,8 +45,9 @@ class Stay:
     dynamics: tuple[Registry, ...]
     statics: tuple[Registry, ...]
 
-    @property
+    @cached_property
     def start(self) -> datetime:
+        """Earliest dynamic timestamp (earliest static if none); computed once."""
         pool = self.dynamics or self.statics
         return min(r.timestamp for r in pool)
 
@@ -85,6 +92,7 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
     dynamics: dict[str, list[Registry]] = {}
     statics: dict[str, list[Registry]] = {}
     stay_patient: dict[str, str] = {}
+    stay_aware: dict[str, bool] = {}
     order: list[str] = []
 
     for line_no, line in enumerate(lines, start=1):
@@ -93,19 +101,23 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(line_no, f"invalid JSON: {exc.msg}") from exc
+        except ValueError as exc:  # JSONDecodeError, or an integer past the interpreter's digit limit
+            raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
         if not isinstance(record, dict):
             raise ParseError(line_no, "record is not an object")
         registry = _registry_from_record(record, line_no)
         stay = registry.stay_id
+        aware = registry.timestamp.utcoffset() is not None
         if stay not in stay_patient:
             stay_patient[stay] = registry.patient_id
+            stay_aware[stay] = aware
             order.append(stay)
             dynamics[stay] = []
             statics[stay] = []
         elif stay_patient[stay] != registry.patient_id:
             raise ParseError(line_no, f"stay {stay!r} claimed by two patients")
+        elif stay_aware[stay] != aware:
+            raise ParseError(line_no, f"stay {stay!r} mixes timezone-naive and offset timestamps")
         (statics if registry.is_static else dynamics)[stay].append(registry)
 
     stays = tuple(
@@ -129,7 +141,10 @@ def _registry_from_record(record: dict, line_no: int) -> Registry:
     raw_value = record["value"]
     if isinstance(raw_value, bool) or not isinstance(raw_value, (int, float, str)):
         raise ParseError(line_no, "value must be a number or quoted text")
-    value = float(raw_value) if isinstance(raw_value, (int, float)) else raw_value
+    try:
+        value = float(raw_value) if isinstance(raw_value, (int, float)) else raw_value
+    except OverflowError:
+        raise ParseError(line_no, "numeric value too large for a float")
 
     try:
         ts = datetime.fromisoformat(record["timestamp"])

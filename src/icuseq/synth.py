@@ -192,7 +192,10 @@ def write_task_file(path: str, spec: GeneratorSpec, kind: str, seed: int) -> Non
 
 def read_task_file(path: str) -> tuple[str, GeneratorSpec, int]:
     with open(path, "r", encoding="utf-8") as f:
-        payload = json.load(f)
+        try:
+            payload = json.load(f)
+        except ValueError as exc:  # bad JSON or bytes that are not UTF-8
+            raise InvalidSpec(f"bad task file: {exc}") from exc
     try:
         return payload["kind"], GeneratorSpec(**payload["generator_spec"]), payload["generator_seed"]
     except (KeyError, TypeError) as exc:

@@ -136,9 +136,13 @@ def read_cache(path: str) -> dict[str, np.ndarray]:
         for _ in range(count):
             (key_len,) = struct.unpack_from("<I", data, off)
             off += 4
-            key = data[off : off + key_len].decode("utf-8")
-            if len(data[off : off + key_len]) != key_len:
+            raw_key = data[off : off + key_len]
+            if len(raw_key) != key_len:
                 raise FormatError("truncated cache entry key")
+            try:
+                key = raw_key.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"cache entry key is not UTF-8: {exc.reason}") from exc
             off += key_len
             raw = data[off : off + 4 * dim]
             if len(raw) != 4 * dim:

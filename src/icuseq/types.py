@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import enum
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -12,6 +13,8 @@ from typing import Optional, Sequence, Union
 from .errors import InvalidRegistry
 
 DEFAULT_WINDOW_MINUTES = 1440
+# distinct (source, variable) pairs whose feature text is kept; an ICU database has a few thousand
+FEATURE_TEXT_CACHE_SIZE = 1 << 14
 
 CLS_TEXT = "[CLS]"
 PAD_TEXT = "[PAD]"
@@ -37,11 +40,13 @@ RegistryValue = Union[float, str]
 TokenValue = Union[float, str, Special]
 
 
+@functools.lru_cache(maxsize=FEATURE_TEXT_CACHE_SIZE)
 def feature_text(source: str, variable: str) -> str:
     """Canonical feature name: lowercase, whitespace-collapsed "<source>: <variable>".
 
     Deterministic so the same (source, variable) pair always maps to one
-    embedding-cache key and one vocabulary entry.
+    embedding-cache key and one vocabulary entry. Results are cached because
+    every token of every window asks for the name of its registry.
     """
     src = _WHITESPACE.sub(" ", source).strip().lower()
     var = _WHITESPACE.sub(" ", variable).strip().lower()

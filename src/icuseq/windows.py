@@ -1,9 +1,14 @@
-"""Segment stays into windows of quadruplet tokens; truncation, padding, rolling views."""
+"""Segment stays into windows of quadruplet tokens; truncation and padding.
+
+A stay is cut into consecutive, non-overlapping windows measured from its
+earliest dynamic timestamp. Segmentation is one pass over the stay: each dynamic
+registry's minute offset is computed once and picks its window by integer
+division.
+"""
 
 from __future__ import annotations
 
 from datetime import datetime, timedelta
-from typing import Callable, Optional, Sequence
 
 from .errors import EmptyStay, StaticsOverflow
 from .ingest import Stay
@@ -18,30 +23,10 @@ from .types import (
 )
 
 DEFAULT_MAX_SEQ_LEN = 512
-DEFAULT_ROLL_STEP_MINUTES = 360
 
 
 def _minutes_since(ts: datetime, start: datetime) -> int:
     return int((ts - start).total_seconds() // 60)
-
-
-def _static_tokens(stay: Stay) -> list[Token]:
-    return [token_from_registry(r, 0, 0) for r in stay.statics]
-
-
-def _window_tokens(stay: Stay, window_start: datetime, window_minutes: int,
-                   statics: list[Token]) -> tuple[Token, ...]:
-    """CLS, then statics, then the window's dynamics in chronological order."""
-    lo = _minutes_since(window_start, stay.start)
-    hi = lo + window_minutes
-    dynamics = []
-    for r in stay.dynamics:
-        t = _minutes_since(r.timestamp, stay.start)
-        if lo <= t < hi:
-            delta = min(r.duration_minutes, window_minutes - 1)
-            dynamics.append(token_from_registry(r, t - lo, delta))
-    dynamics.sort(key=lambda tok: tok.tau_minutes)  # stable: input order breaks ties
-    return tuple([cls_token(), *statics, *dynamics])
 
 
 def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
@@ -49,8 +34,10 @@ def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
     """Partition a stay into consecutive non-overlapping windows.
 
     Every dynamic registry lands in exactly one window by timestamp; statics
-    are replicated into each window with tau = delta = 0. Windows without any
-    dynamic event are emitted (statics only) unless ``emit_empty`` is false.
+    are replicated into each window with tau = delta = 0. Each window holds
+    CLS, then statics, then its dynamics in chronological order, input order
+    breaking ties. Windows without any dynamic event are emitted (statics
+    only) unless ``emit_empty`` is false; the first window always is.
     """
     if window_minutes < 1:
         raise EmptyStay(f"window length {window_minutes} must be >= 1 minute")
@@ -58,52 +45,22 @@ def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
         raise EmptyStay(f"stay {stay.stay_id!r} has no registries")
 
     start = stay.start
-    statics = _static_tokens(stay)
-    if stay.dynamics:
-        last = max(_minutes_since(r.timestamp, start) for r in stay.dynamics)
-        n_windows = last // window_minutes + 1
-    else:
-        n_windows = 1
+    statics = [token_from_registry(r, 0, 0) for r in stay.statics]
+    buckets: dict[int, list[Token]] = {}
+    for r in stay.dynamics:
+        j, tau = divmod(_minutes_since(r.timestamp, start), window_minutes)
+        delta = min(r.duration_minutes, window_minutes - 1)
+        buckets.setdefault(j, []).append(token_from_registry(r, tau, delta))
+    n_windows = max(buckets) + 1 if buckets else 1
 
     out = []
     for j in range(n_windows):
-        window_start = start + timedelta(minutes=j * window_minutes)
-        tokens = _window_tokens(stay, window_start, window_minutes, statics)
-        if len(tokens) == 1 + len(statics) and j > 0 and not emit_empty:
+        dynamics = buckets.get(j, [])
+        if not dynamics and j > 0 and not emit_empty:
             continue
-        out.append(WindowSequence(stay.stay_id, j, window_start, tokens))
-    return out
-
-
-def rolling_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
-                    step_minutes: int = DEFAULT_ROLL_STEP_MINUTES,
-                    label_fn: Optional[Callable[[int], object]] = None) -> list[WindowSequence]:
-    """Overlapping windows advanced by ``step_minutes`` from the stay start.
-
-    Window k covers [k*S, k*S + W) minutes; starts run while they do not pass
-    the last dynamic event, so S = W reproduces the segment_windows starts.
-    Each window's label, when a ``label_fn`` is given, is evaluated at the
-    window's end offset in minutes.
-    """
-    if step_minutes < 1:
-        raise EmptyStay(f"step {step_minutes} must be >= 1 minute")
-    if not stay.dynamics and not stay.statics:
-        raise EmptyStay(f"stay {stay.stay_id!r} has no registries")
-
-    start = stay.start
-    statics = _static_tokens(stay)
-    if stay.dynamics:
-        last = max(_minutes_since(r.timestamp, start) for r in stay.dynamics)
-        n_starts = last // step_minutes + 1
-    else:
-        n_starts = 1
-
-    out = []
-    for k in range(n_starts):
-        window_start = start + timedelta(minutes=k * step_minutes)
-        tokens = _window_tokens(stay, window_start, window_minutes, statics)
-        label = label_fn(k * step_minutes + window_minutes) if label_fn else None
-        out.append(WindowSequence(stay.stay_id, k, window_start, tokens, label=label))
+        dynamics.sort(key=lambda tok: tok.tau_minutes)  # stable: input order breaks ties
+        window_start = start + timedelta(minutes=j * window_minutes)
+        out.append(WindowSequence(stay.stay_id, j, window_start, (cls_token(), *statics, *dynamics)))
     return out
 
 

@@ -81,6 +81,16 @@ class TestInspectCache:
         assert main(["inspect-cache", "--embed-cache", str(path)]) == 1
         assert "FormatError" in capsys.readouterr().err
 
+    def test_truncated_utf8_key_is_one_error_line(self, tmp_path, capsys):
+        path = tmp_path / "cache.bin"
+        write_cache(str(path), {"é": np.ones(4, dtype=np.float32)})
+        data = path.read_bytes()
+        # keep the first byte of the two-byte key and cut the file there
+        path.write_bytes(data[: data.index("é".encode("utf-8")) + 1])
+        assert main(["inspect-cache", "--embed-cache", str(path)]) == 1
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "FormatError" in errors[0]
+
 
 class TestConfigFile:
     def test_precedence_flags_over_file_over_defaults(self, tmp_path, capsys):

@@ -57,6 +57,18 @@ class TestParseEvents:
         stay = corpus.stays[0]
         assert len(stay.statics) == 1 and not stay.dynamics
 
+    def test_mixed_naive_and_offset_timestamps_rejected(self):
+        lines = [line(timestamp="2023-01-01T00:05"), line(timestamp="2023-01-01T00:10+02:00")]
+        with pytest.raises(ParseError, match="line 2: .*timezone-naive and offset"):
+            parse_event_lines(lines)
+        # one convention per stay is enough; stays may differ from each other
+        corpus = parse_event_lines([line(stay="s1"), line(stay="s2", timestamp="2023-01-01T00:05+02:00")])
+        assert len(corpus.stays) == 2
+
+    def test_integer_too_large_for_float(self):
+        with pytest.raises(ParseError, match="line 1: numeric value too large"):
+            parse_event_lines([line(value=10**400)])
+
     def test_negative_duration_rejected(self):
         with pytest.raises(ParseError, match="negative duration"):
             parse_event_lines([line(duration_minutes=-1)])

@@ -129,3 +129,10 @@ def test_task_file_roundtrip(tmp_path):
     assert kind == "binary"
     assert back == spec
     assert seed == 9
+
+
+def test_malformed_task_file_is_invalid_spec(tmp_path):
+    path = tmp_path / "task.json"
+    path.write_text('{"kind": "binary", "generator_spec": ')
+    with pytest.raises(InvalidSpec, match="bad task file"):
+        read_task_file(str(path))

@@ -103,6 +103,15 @@ class TestFileCache:
         with pytest.raises(FormatError):
             read_cache(str(trunc))
 
+    def test_key_not_utf8(self, tmp_path):
+        path = str(tmp_path / "cache.bin")
+        write_cache(path, {"é": np.ones(4, dtype=np.float32)})
+        data = open(path, "rb").read()
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(data.replace("é".encode("utf-8"), b"\xff\xfe"))
+        with pytest.raises(FormatError, match="not UTF-8"):
+            read_cache(str(bad))
+
     def test_trailing_bytes(self, tmp_path):
         path = str(tmp_path / "cache.bin")
         write_cache(path, self.entries())

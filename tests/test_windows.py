@@ -4,10 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from icuseq import training
 from icuseq.errors import EmptyStay, StaticsOverflow
-from icuseq.ingest import Stay
-from icuseq.types import Registry, Token, cls_token
-from icuseq.windows import normalize_values, rolling_windows, segment_windows, truncate_and_pad
+from icuseq.ingest import Split, Stay, assign_splits, build_vocabularies, parse_event_lines
+from icuseq.synth import GeneratorSpec, generate_lines
+from icuseq.types import Registry, WindowSequence, cls_token, token_from_registry
+from icuseq.windows import normalize_values, segment_windows, truncate_and_pad
 
 from conftest import BASE, dyn_token, make_window
 
@@ -89,6 +91,62 @@ class TestSegmentWindows:
                 assert 0 <= t.delta_minutes < window_minutes
 
 
+def reference_segment_windows(stay, window_minutes=1440, emit_empty=True):
+    """Brute force: for each window, filter every dynamic by the window's offset range."""
+    pool = stay.dynamics or stay.statics
+    start = min(r.timestamp for r in pool)
+
+    def offset(ts):
+        return int((ts - start).total_seconds() // 60)
+
+    statics = [token_from_registry(r, 0, 0) for r in stay.statics]
+    last = max((offset(r.timestamp) for r in stay.dynamics), default=0)
+    out = []
+    for j in range(last // window_minutes + 1):
+        lo, hi = j * window_minutes, (j + 1) * window_minutes
+        dynamics = [token_from_registry(r, offset(r.timestamp) - lo, min(r.duration_minutes, window_minutes - 1))
+                    for r in stay.dynamics if lo <= offset(r.timestamp) < hi]
+        dynamics.sort(key=lambda t: t.tau_minutes)
+        if not dynamics and j > 0 and not emit_empty:
+            continue
+        window_start = start + timedelta(minutes=lo)
+        out.append(WindowSequence(stay.stay_id, j, window_start, (cls_token(), *statics, *dynamics)))
+    return out
+
+
+@st.composite
+def jittered_stays(draw):
+    """Multi-day stays with coarse timestamps (so ties occur), long durations and statics."""
+    days = draw(st.integers(min_value=1, max_value=5))
+    minutes = draw(st.lists(st.integers(min_value=0, max_value=days * 1440 + draw(st.integers(0, 720))),
+                            min_size=0, max_size=80))
+    coarse = draw(st.sampled_from([1, 15, 240]))
+    offset = draw(st.integers(min_value=0, max_value=1439))  # stay need not start at midnight
+    dynamics = [registry(offset + m // coarse * coarse, value=float(i), variable=f"v{i % 3}",
+                         duration=draw(st.sampled_from([0, 5, 1439, 1440, 5000])))
+                for i, m in enumerate(minutes)]
+    n_statics = draw(st.integers(min_value=0 if dynamics else 1, max_value=len(STATICS)))
+    return stay_of(dynamics, STATICS[:n_statics])
+
+
+class TestSegmentationGolden:
+    @settings(max_examples=200, deadline=None)
+    @given(jittered_stays(), st.sampled_from([60, 720, 1440]), st.booleans())
+    def test_matches_brute_force(self, stay, window_minutes, emit_empty):
+        assert (segment_windows(stay, window_minutes, emit_empty)
+                == reference_segment_windows(stay, window_minutes, emit_empty))
+
+    def test_prepare_windows_on_multi_day_corpus(self, monkeypatch):
+        spec = GeneratorSpec(patients=12, features=10, rate=0.01, stay_hours=72.0, stay_jitter_hours=24.0)
+        corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=5)), (0.5, 0.25, 0.25), seed=0)
+        vocab = build_vocabularies(corpus)
+        got = {split: training.prepare_windows(corpus, split, vocab, 1440, 64) for split in Split}
+        monkeypatch.setattr(training, "segment_windows", reference_segment_windows)
+        want = {split: training.prepare_windows(corpus, split, vocab, 1440, 64) for split in Split}
+        assert got == want
+        assert max(w.window_index for w in got[Split.TRAIN]) >= 2
+
+
 class TestTruncateAndPad:
     def test_keeps_statics_and_latest_dynamics(self):
         statics = [dyn_token(f"s: v{i}", float(i), 0, static=True) for i in range(9)]
@@ -126,43 +184,6 @@ class TestTruncateAndPad:
         once = truncate_and_pad(make_window(statics + dynamics), 16)
         twice = truncate_and_pad(once, 16)
         assert once.tokens == twice.tokens
-
-
-class TestRollingWindows:
-    def test_enumeration_oracle(self):
-        # starts advance by the step while they do not pass the last event
-        last = 2879
-        stay = stay_of([registry(0), registry(last)])
-        windows = rolling_windows(stay, 1440, 360)
-        assert len(windows) == last // 360 + 1
-
-    def test_step_equal_to_window_matches_segmentation(self):
-        stay = stay_of([registry(0), registry(1500), registry(4000)])
-        rolled = rolling_windows(stay, 1440, 1440)
-        segmented = segment_windows(stay, 1440)
-        assert [w.window_start for w in rolled] == [w.window_start for w in segmented]
-
-    def test_short_stay(self):
-        stay = stay_of([registry(0), registry(700)])
-        windows = rolling_windows(stay, 1440, 360)
-        assert len(windows) == 700 // 360 + 1
-
-    def test_tau_relative_to_each_window(self):
-        stay = stay_of([registry(0), registry(400)])
-        windows = rolling_windows(stay, 1440, 360)
-        assert len(windows) == 2
-        assert [t.tau_minutes for t in windows[0].tokens[1:]] == [0, 400]
-        # the second window starts at minute 360 and only sees the later event
-        assert [t.tau_minutes for t in windows[1].tokens[1:]] == [40]
-
-    def test_labels_evaluated_at_window_end(self):
-        stay = stay_of([registry(0), registry(800)])
-        windows = rolling_windows(stay, 1440, 360, label_fn=lambda end: end)
-        assert [w.label for w in windows] == [1440, 1800, 2160]
-
-    def test_empty_stay(self):
-        with pytest.raises(EmptyStay):
-            rolling_windows(stay_of([]), 1440, 360)
 
 
 def test_normalize_values(small_vocab):
