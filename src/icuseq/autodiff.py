@@ -302,26 +302,79 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)
 
 
+def _softmax_masked_inplace(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """Overwrite ``x`` with its softmax over the last axis restricted to ``keep``.
+
+    The mask enters as a 0 / -inf bias, so masked entries come out exactly 0;
+    a row with no admissible position yields all zeros instead of NaN.
+    """
+    x += np.where(keep, 0.0, -np.inf).astype(x.dtype)
+    m = x.max(axis=-1, keepdims=True)
+    m[m == -np.inf] = 0.0
+    x -= m
+    np.exp(x, out=x)
+    s = x.sum(axis=-1, keepdims=True)
+    s[s == 0.0] = 1.0
+    x /= s
+    return x
+
+
+def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    inner = (g * p).sum(axis=-1, keepdims=True)
+    return p * (g - inner)
+
+
 def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
     """Softmax over the last axis restricted to ``keep`` positions.
 
     Masked entries come out exactly 0; a row with no admissible position
     yields all zeros instead of NaN.
     """
-    x = scores.data
-    keep = np.broadcast_to(np.asarray(keep, dtype=bool), x.shape)
-    any_keep = keep.any(axis=-1, keepdims=True)
-    m = np.where(any_keep, x.max(axis=-1, keepdims=True, initial=-np.inf, where=keep), 0.0)
-    e = np.where(keep, np.exp(x - m), 0.0)
-    s = e.sum(axis=-1, keepdims=True)
-    p = np.where(any_keep, e / np.where(s == 0.0, 1.0, s), 0.0)
-    p = p.astype(x.dtype, copy=False)
+    p = _softmax_masked_inplace(scores.data.copy(), keep)
 
     def bwd(g):
-        inner = (g * p).sum(axis=-1, keepdims=True)
-        scores.accumulate(p * (g - inner))
+        scores.accumulate(_softmax_backward(p, g))
 
     return _make(p, (scores,), bwd)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
+              rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
+    """Fused ``dropout(softmax_masked(q @ kᵀ · scale, keep)) @ v`` with one backward.
+
+    ``q``, ``k`` and ``v`` are (..., L, d); ``keep`` broadcasts against the
+    (..., L, L) scores and marks admissible keys. Dropout on the
+    probabilities draws ``rng.random(shape) >= rate`` exactly as
+    :func:`dropout` does, so the random stream is the same as the unfused
+    chain's, and the results are too. The tape keeps only the probabilities
+    and the dropout mask, not the raw or scaled scores.
+    """
+    c = q.data.dtype.type(scale)
+    scores = q.data @ k.data.swapaxes(-1, -2)
+    scores *= c
+    p = _softmax_masked_inplace(scores, keep)
+    dropped, factor, kept = p, None, None
+    if training and rate > 0.0:
+        kept = rng.random(p.shape) >= rate
+        factor = p.dtype.type(1.0 / (1.0 - rate))
+        dropped = p * kept * factor
+    out = dropped @ v.data
+
+    def bwd(g):
+        if v.requires_grad:  # the dropped probabilities are rebuilt, not held by the tape
+            dropped = p if kept is None else p * kept * factor
+            v.accumulate(dropped.swapaxes(-1, -2) @ g)
+        gp = g @ v.data.swapaxes(-1, -2)
+        if kept is not None:
+            gp = gp * kept * factor
+        gs = _softmax_backward(p, gp)
+        gs *= c
+        if q.requires_grad:
+            q.accumulate(gs @ k.data)
+        if k.requires_grad:
+            k.accumulate((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+
+    return _make(out, (q, k, v), bwd)
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
@@ -346,16 +399,6 @@ def sum_all(a: Tensor) -> Tensor:
 
     def bwd(g):
         a.accumulate(np.full_like(a.data, g))
-
-    return _make(np.asarray(out), (a,), bwd)
-
-
-def mean_all(a: Tensor) -> Tensor:
-    n = a.data.size
-    out = a.data.mean()
-
-    def bwd(g):
-        a.accumulate(np.full_like(a.data, g / n))
 
     return _make(np.asarray(out), (a,), bwd)
 

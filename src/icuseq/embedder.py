@@ -19,6 +19,7 @@ _SPECIAL_ROW = {CLS_TEXT: 0, PAD_TEXT: 1, MASK_TEXT: 2}
 _SPECIAL_VALUE_ROW = {Special.CLS: 0, Special.PAD: 1, Special.MASK: 2}
 
 DEFAULT_DROPOUT = 0.1
+PAD_MULTIPLE = 8  # batch lengths are rounded up to this many tokens
 
 
 @dataclass
@@ -125,7 +126,7 @@ def compose(feat_pre: Tensor, val_pre: Tensor, tau: np.ndarray, delta: np.ndarra
 
 @dataclass
 class EncodedBatch:
-    """Input arrays for a batch of equal-length windows, plus MLVM targets."""
+    """Input arrays for a batch of windows cut to a common length, plus MLVM targets."""
 
     feat_pre: np.ndarray       # (B, L, D_pre) provider vectors, 0 at special slots
     feat_special: np.ndarray   # (B, L, 3) one-hot rows into the learned specials
@@ -153,11 +154,20 @@ class EncodedBatch:
 def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
                  plans: Optional[Sequence[MaskingPlan]] = None,
                  dtype=np.float32) -> EncodedBatch:
-    """Turn equal-length (already padded) windows into model input arrays."""
+    """Turn equal-length (already padded) windows into model input arrays.
+
+    The batch is as long as its longest real window, rounded up to a multiple
+    of ``PAD_MULTIPLE`` and never longer than the padded windows. PAD is a
+    suffix, so only PAD columns are dropped, and attention cost follows the
+    real tokens. The plans' targets are cut the same way; PAD is never
+    eligible for masking, so the cut loses no target.
+    """
     lengths = {len(w.tokens) for w in windows}
     if len(lengths) != 1:
         raise ShapeMismatch(f"windows have mixed lengths {sorted(lengths)}")
-    b, length = len(windows), lengths.pop()
+    b, padded = len(windows), lengths.pop()
+    longest = max(w.real_length for w in windows)
+    length = min(padded, -(-longest // PAD_MULTIPLE) * PAD_MULTIPLE)
     d_pre = provider.dim
 
     feat_pre = np.zeros((b, length, d_pre), dtype=dtype)
@@ -169,7 +179,7 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
     attention = np.zeros((b, length), dtype=dtype)
 
     for i, window in enumerate(windows):
-        for j, tok in enumerate(window.tokens):
+        for j, tok in enumerate(window.tokens[:length]):
             tau[i, j] = tok.tau_minutes
             delta[i, j] = tok.delta_minutes
             attention[i, j] = 0.0 if tok.is_pad else 1.0
@@ -196,10 +206,10 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
     if plans is not None:
         if len(plans) != b:
             raise ShapeMismatch(f"{b} windows but {len(plans)} masking plans")
-        batch.feature_target = np.stack([p.feature_target for p in plans])
-        batch.cat_target = np.stack([p.cat_target for p in plans])
-        batch.cont_target = np.stack([p.cont_target for p in plans]).astype(dtype)
-        batch.value_is_continuous = np.stack([p.value_is_continuous for p in plans])
+        batch.feature_target = np.stack([p.feature_target[:length] for p in plans])
+        batch.cat_target = np.stack([p.cat_target[:length] for p in plans])
+        batch.cont_target = np.stack([p.cont_target[:length] for p in plans]).astype(dtype)
+        batch.value_is_continuous = np.stack([p.value_is_continuous[:length] for p in plans])
     labels = [w.label for w in windows]
     if all(lab is not None for lab in labels):
         batch.labels = np.asarray(labels, dtype=dtype)
@@ -216,11 +226,3 @@ def compose_batch(batch: EncodedBatch, params: EmbedderParams, mode: str = "eval
     val = ad.add(ad.constant(batch.val_pre, dtype),
                  ad.matmul(ad.constant(batch.val_special, dtype), params.value_specials))
     return compose(feat, val, batch.tau, batch.delta, params, mode, rng, apply_layernorm)
-
-
-def embed_window(seq: WindowSequence, provider: EmbeddingProvider, params: EmbedderParams,
-                 mode: str = "eval", rng: Optional[np.random.Generator] = None) -> tuple[np.ndarray, np.ndarray]:
-    """Composed embedding matrix and attention mask for one padded window."""
-    batch = encode_batch([seq], provider, dtype=params.w_f.data.dtype)
-    out = compose_batch(batch, params, mode, rng)
-    return out.data[0], batch.attention_mask[0]

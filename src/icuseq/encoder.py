@@ -131,9 +131,8 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
         q = split_heads(ad.add(ad.matmul(x, layer.wq), layer.bq))
         k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
         v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), inv_sqrt_dh)
-        probs = drop(ad.softmax_masked(scores, keep))
-        context = ad.reshape(ad.transpose(ad.matmul(probs, v), (0, 2, 1, 3)), (b, length, d))
+        heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, mode == "train")
+        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), (b, length, d))
         attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo))
         x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
         inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))

@@ -83,9 +83,21 @@ class Corpus:
 
 
 def parse_events(path: str) -> Corpus:
-    """Parse an event-line file into a Corpus of validated registries."""
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_event_lines(f)
+    """Parse a UTF-8 event-line file into a Corpus of validated registries.
+
+    Lines end with ``\\n`` (``\\r\\n`` too); a line that is not valid UTF-8
+    is a ``ParseError`` naming it.
+    """
+    with open(path, "rb") as f:
+        return parse_event_lines(_decoded_lines(f))
+
+
+def _decoded_lines(raw_lines: Iterable[bytes]) -> Iterable[str]:
+    for line_no, raw in enumerate(raw_lines, start=1):
+        try:
+            yield raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise ParseError(line_no, f"not valid UTF-8 (byte {exc.start} of the line)") from exc
 
 
 def parse_event_lines(lines: Iterable[str]) -> Corpus:

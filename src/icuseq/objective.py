@@ -50,27 +50,28 @@ def combine_losses(l_f: float, l_cat: float, n_cat: int, l_cont: float, n_cont: 
 
 
 def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPlan],
-              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-              attention_mask: Optional[np.ndarray] = None,
-              feature_loss_over_all_tokens: bool = False) -> LossBreakdown:
+              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> LossBreakdown:
     """Reconstruction loss over every masked slot, keep-corrupted ones included.
 
     Feature and categorical slots use mean cross-entropy, continuous slots use
     mean absolute error, and the two value losses are blended by slot counts
-    with the continuous side scaled by ``alpha``. The non-standard
-    ``feature_loss_over_all_tokens`` flag renormalizes the feature term by the
-    real-token count instead of the masked-slot count.
+    with the continuous side scaled by ``alpha``. Plans may be longer than the
+    outputs (a batch cut to its real tokens) as long as they mask nothing past
+    the output length; the rest is cut off.
     """
     feature_logits, cat_logits, cont_pred = outputs
     b, length = feature_logits.shape[:2]
     if len(plans) != b:
         raise ShapeMismatch(f"{b} output rows but {len(plans)} plans")
-    if any(len(p) != length for p in plans):
+    if any(len(p) < length or (p.mask_feature[length:] | p.mask_value[length:]).any() for p in plans):
         raise ShapeMismatch("plan length disagrees with output length")
 
-    mask_feature = np.stack([p.mask_feature for p in plans])
-    mask_value = np.stack([p.mask_value for p in plans])
-    value_cont = np.stack([p.value_is_continuous for p in plans])
+    def stacked(field: str) -> np.ndarray:
+        return np.stack([getattr(p, field)[:length] for p in plans])
+
+    mask_feature = stacked("mask_feature")
+    mask_value = stacked("mask_value")
+    value_cont = stacked("value_is_continuous")
 
     feat_slots = np.flatnonzero(mask_feature.reshape(-1))
     cat_slots = np.flatnonzero((mask_value & ~value_cont).reshape(-1))
@@ -83,24 +84,21 @@ def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPla
     zero = ad.constant(np.zeros((), dtype=dtype))
 
     if n_feat:
-        targets = np.stack([p.feature_target for p in plans]).reshape(-1)[feat_slots]
+        targets = stacked("feature_target").reshape(-1)[feat_slots]
         rows = ad.take_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
         l_f_node = ad.cross_entropy_mean(rows, targets)
-        if feature_loss_over_all_tokens:
-            k_total = int(attention_mask.sum()) if attention_mask is not None else b * length
-            l_f_node = ad.scale(l_f_node, n_feat / k_total)
     else:
         l_f_node = zero
 
     if n_cat:
-        targets = np.stack([p.cat_target for p in plans]).reshape(-1)[cat_slots]
+        targets = stacked("cat_target").reshape(-1)[cat_slots]
         rows = ad.take_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
         l_cat_node = ad.cross_entropy_mean(rows, targets)
     else:
         l_cat_node = zero
 
     if n_cont:
-        targets = np.stack([p.cont_target for p in plans]).reshape(-1)[cont_slots]
+        targets = stacked("cont_target").reshape(-1)[cont_slots]
         preds = ad.take_rows(ad.reshape(cont_pred, (b * length, 1)), cont_slots)
         l_cont_node = ad.mae_mean(ad.squeeze_last(preds), targets)
     else:

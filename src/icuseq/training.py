@@ -336,7 +336,13 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
              model_config: ModelConfig, train_config: TrainConfig,
              rates: MaskingRates = MaskingRates(),
              on_row: Optional[Callable[[LossRow], None]] = None) -> PretrainResult:
-    """Masked pre-training with AdamW, a linear schedule, and best-val retention."""
+    """Masked pre-training with AdamW, a linear schedule, and best-val retention.
+
+    Early stopping counts epochs since the best validation loss. Without
+    validation windows there is nothing to compare, so every one of
+    ``epochs`` runs whatever ``patience`` is, and the last epoch's model is
+    returned with ``best_epoch`` 0.
+    """
     cfg = train_config
     train_windows = prepare_windows(corpus, Split.TRAIN, vocab,
                                     model_config.window_minutes, model_config.encoder.max_seq_len)
@@ -398,7 +404,6 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         if on_row:
             on_row(row)
 
-        val_total = np.nan
         if val_windows:
             val_agg = _LossAggregator(cfg.alpha, cfg.beta)
             for start in range(0, len(val_windows), cfg.batch_size):
@@ -415,14 +420,13 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
             val_total = val_row.l_total
             if not np.isfinite(val_total):
                 raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
-
-        if val_windows and val_total < best_val:
-            best_val, best_epoch, epochs_since_best = val_total, epoch, 0
-            best_state = {k: t.data.copy() for k, t in model.parameters().items()}
-        else:
-            epochs_since_best += 1
-            if cfg.patience is not None and epochs_since_best > cfg.patience:
-                break
+            if val_total < best_val:
+                best_val, best_epoch, epochs_since_best = val_total, epoch, 0
+                best_state = {k: t.data.copy() for k, t in model.parameters().items()}
+            else:
+                epochs_since_best += 1
+                if cfg.patience is not None and epochs_since_best > cfg.patience:
+                    break
 
     if best_state:
         for name, tensor in model.parameters().items():
@@ -442,8 +446,8 @@ def feature_top1_accuracy(model: Model, windows: Sequence[WindowSequence],
                   for j, (w, p) in enumerate(zip(windows[chunk], plans[chunk]))]
         batch = encode_batch(masked, provider, plans[chunk])
         feature_logits, _, _ = model.pretrain_outputs(batch, mode="eval")
-        mask = np.stack([p.mask_feature for p in plans[chunk]])
-        targets = np.stack([p.feature_target for p in plans[chunk]])[mask]
+        mask = batch.feature_target >= 0
+        targets = batch.feature_target[mask]
         preds = feature_logits.data.argmax(axis=2)[mask]
         hits += int((preds == targets).sum())
         targets_all.append(targets)
@@ -486,7 +490,7 @@ def build_samples(corpus: Corpus, split: Split, task: Task, vocab: Vocabularies,
         label = task.label_of(stay)
         if label is None:
             raise MissingLabels(f"stay {stay.stay_id!r} has no label")
-        windows = segment_windows(stay, window_minutes)[: task.n_windows]
+        windows = segment_windows(stay, window_minutes, max_windows=task.n_windows)
         windows = [normalize_values(truncate_and_pad(w, max_seq_len), vocab) for w in windows]
         samples.append(Sample(windows, label))
     return samples

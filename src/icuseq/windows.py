@@ -9,6 +9,7 @@ division.
 from __future__ import annotations
 
 from datetime import datetime, timedelta
+from typing import Optional
 
 from .errors import EmptyStay, StaticsOverflow
 from .ingest import Stay
@@ -30,7 +31,7 @@ def _minutes_since(ts: datetime, start: datetime) -> int:
 
 
 def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
-                    emit_empty: bool = True) -> list[WindowSequence]:
+                    emit_empty: bool = True, max_windows: Optional[int] = None) -> list[WindowSequence]:
     """Partition a stay into consecutive non-overlapping windows.
 
     Every dynamic registry lands in exactly one window by timestamp; statics
@@ -38,6 +39,8 @@ def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
     CLS, then statics, then its dynamics in chronological order, input order
     breaking ties. Windows without any dynamic event are emitted (statics
     only) unless ``emit_empty`` is false; the first window always is.
+    ``max_windows`` keeps only the first that many windows, and no token is
+    built for a dynamic that falls after them.
     """
     if window_minutes < 1:
         raise EmptyStay(f"window length {window_minutes} must be >= 1 minute")
@@ -45,19 +48,23 @@ def segment_windows(stay: Stay, window_minutes: int = DEFAULT_WINDOW_MINUTES,
         raise EmptyStay(f"stay {stay.stay_id!r} has no registries")
 
     start = stay.start
+    placed = [divmod(_minutes_since(r.timestamp, start), window_minutes) for r in stay.dynamics]
+    n_windows = max(j for j, _ in placed) + 1 if placed else 1
+    emitted = range(n_windows) if emit_empty else sorted({0, *(j for j, _ in placed)})
+    emitted = emitted[:max_windows]
+    if not emitted:
+        return []
+
     statics = [token_from_registry(r, 0, 0) for r in stay.statics]
     buckets: dict[int, list[Token]] = {}
-    for r in stay.dynamics:
-        j, tau = divmod(_minutes_since(r.timestamp, start), window_minutes)
-        delta = min(r.duration_minutes, window_minutes - 1)
-        buckets.setdefault(j, []).append(token_from_registry(r, tau, delta))
-    n_windows = max(buckets) + 1 if buckets else 1
+    for r, (j, tau) in zip(stay.dynamics, placed):
+        if j <= emitted[-1]:
+            delta = min(r.duration_minutes, window_minutes - 1)
+            buckets.setdefault(j, []).append(token_from_registry(r, tau, delta))
 
     out = []
-    for j in range(n_windows):
+    for j in emitted:
         dynamics = buckets.get(j, [])
-        if not dynamics and j > 0 and not emit_empty:
-            continue
         dynamics.sort(key=lambda tok: tok.tau_minutes)  # stable: input order breaks ties
         window_start = start + timedelta(minutes=j * window_minutes)
         out.append(WindowSequence(stay.stay_id, j, window_start, (cls_token(), *statics, *dynamics)))

@@ -120,6 +120,72 @@ class TestSoftmaxMasked:
         assert np.all(np.isfinite(p.data))
 
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_formulation(self, dtype):
+        x = RNG.standard_normal((3, 2, 5, 7)).astype(dtype)
+        keep = RNG.random((3, 1, 1, 7)) < 0.6
+        keep[1] = False  # a batch row with no admissible key
+        np.testing.assert_array_equal(ad.softmax_masked(ad.constant(x), keep).data,
+                                      reference_softmax_masked(x, keep))
+
+
+def reference_softmax_masked(x, keep):
+    """Masked softmax written with ``np.where`` selections instead of a -inf bias."""
+    keep = np.broadcast_to(keep, x.shape)
+    any_keep = keep.any(axis=-1, keepdims=True)
+    m = np.where(any_keep, x.max(axis=-1, keepdims=True, initial=-np.inf, where=keep), 0.0)
+    e = np.where(keep, np.exp(x - m), 0.0)
+    s = e.sum(axis=-1, keepdims=True)
+    return np.where(any_keep, e / np.where(s == 0.0, 1.0, s), 0.0).astype(x.dtype)
+
+
+def unfused_attention(q, k, v, keep, scale, rate, rng, training):
+    """The attention chain built from separate tape ops."""
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    return ad.matmul(ad.dropout(ad.softmax_masked(scores, keep), rate, rng, training), v)
+
+
+ATTENTION_KEEP = np.array([[True, False, True, True, False],
+                           [False] * 5])[:, None, None, :]  # batch row 1 has no admissible key
+
+
+class TestAttention:
+    @pytest.mark.parametrize("training", [False, True])
+    def test_gradient(self, training):
+        check_op(lambda q, k, v: weighted(ad.attention(
+            q, k, v, ATTENTION_KEEP, 0.7, 0.3, np.random.default_rng(5), training)),
+            (2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3))
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_unfused_chain(self, training, dtype):
+        shapes = ((2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 4))
+        results = []
+        for op in (ad.attention, unfused_attention):
+            rng = np.random.default_rng(11)
+            q, k, v = (ad.parameter(rng.standard_normal(s).astype(dtype), n)
+                       for s, n in zip(shapes, "qkv"))
+            out = op(q, k, v, ATTENTION_KEEP, 0.5, 0.2, np.random.default_rng(3), training)
+            ad.backward(weighted(out))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for fused, unfused in zip(*results):
+            np.testing.assert_array_equal(fused, unfused)
+
+    def test_masked_keys_get_no_gradient(self):
+        rng = np.random.default_rng(2)
+        q, k, v = (ad.parameter(rng.standard_normal((2, 1, 5, 3)), n) for n in "qkv")
+        ad.backward(weighted(ad.attention(q, k, v, ATTENTION_KEEP, 1.0, 0.0, None, False)))
+        masked = ~ATTENTION_KEEP[:, 0, 0, :]
+        assert np.all(k.grad[masked[:, None, :]] == 0.0)
+        assert np.all(v.grad[masked[:, None, :]] == 0.0)
+        assert np.all(q.grad[1] == 0.0)  # rows with no admissible key are constant zeros
+
+    def test_tape_holds_one_node(self):
+        q, k, v = (ad.parameter(RNG.standard_normal((1, 1, 4, 2)), n) for n in "qkv")
+        out = ad.attention(q, k, v, np.ones(4, dtype=bool), 1.0, 0.5, np.random.default_rng(0), True)
+        assert out._parents == (q, k, v)
+
+
 class TestDropout:
     def test_eval_is_identity(self):
         x = ad.parameter(RNG.standard_normal((3, 3)), "x")

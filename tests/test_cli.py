@@ -60,6 +60,15 @@ class TestSynthIngest:
                          "--out", path]) == 0
         assert open(a, "rb").read() == open(b, "rb").read()
 
+    def test_non_utf8_events_file_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(b"\xff\xfe{}\n")
+        assert main(["ingest", "--events", str(path)]) == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ParseError" in errors[0] and "line 1" in errors[0]
+        assert "Traceback" not in err
+
     def test_missing_events_file_is_domain_error(self, capsys, tmp_path):
         code = main(["ingest", "--events", str(tmp_path / "nope.jsonl")])
         assert code == 1

@@ -6,13 +6,13 @@ from icuseq.embedder import (
     EmbedderParams,
     compose,
     compose_batch,
-    embed_window,
     encode_batch,
     init_embedder,
 )
 from icuseq.errors import IndexOutOfRange, ShapeMismatch
+from icuseq.masking import MaskingRates, plan_masking
 from icuseq.textvec import StubProvider
-from icuseq.types import Special
+from icuseq.types import Special, Vocabularies
 from icuseq.windows import truncate_and_pad
 
 from conftest import dyn_token, make_window
@@ -91,43 +91,65 @@ def sample_window(n=5):
     return truncate_and_pad(make_window(tokens), 12)
 
 
-class TestEmbedWindow:
-    provider = StubProvider(dim=D_PRE, seed=0)
-
-    def test_shape_and_mask(self):
-        seq = sample_window()
-        matrix, mask = embed_window(seq, self.provider, params())
-        assert matrix.shape == (12, D)
-        assert mask.sum() == seq.real_length
-
-    def test_eval_deterministic(self):
-        seq = sample_window()
-        a, _ = embed_window(seq, self.provider, params())
-        b, _ = embed_window(seq, self.provider, params())
-        assert a.tobytes() == b.tobytes()
-
-    def test_train_dropout_reproducible_with_seed(self):
-        seq = sample_window()
-        a, _ = embed_window(seq, self.provider, params(dropout=0.5), mode="train",
-                            rng=np.random.default_rng(11))
-        b, _ = embed_window(seq, self.provider, params(dropout=0.5), mode="train",
-                            rng=np.random.default_rng(11))
-        c, _ = embed_window(seq, self.provider, params(dropout=0.5), mode="train",
-                            rng=np.random.default_rng(12))
-        assert a.tobytes() == b.tobytes()
-        assert a.tobytes() != c.tobytes()
-
-    def test_pad_rows_are_composed_pad_embedding(self):
-        seq = sample_window()
-        matrix, mask = embed_window(seq, self.provider, params())
-        pad_rows = matrix[mask == 0]
-        assert len(pad_rows) > 1
-        # every PAD row is the same composed vector
-        assert np.all(pad_rows == pad_rows[0][None, :])
+def window_of(real, padded):
+    """A window of ``real`` tokens (CLS included) padded to ``padded``."""
+    return truncate_and_pad(make_window([dyn_token("lab: a", float(i), i) for i in range(real - 1)]), padded)
 
 
 class TestEncodeBatch:
     provider = StubProvider(dim=D_PRE, seed=0)
+
+    def composed(self, seq, p, mode="eval", rng=None):
+        batch = encode_batch([seq], self.provider, dtype=np.float64)
+        return compose_batch(batch, p, mode, rng).data[0], batch.attention_mask[0]
+
+    @pytest.mark.parametrize("reals, padded, expected", [
+        ((3, 5), 40, 8),     # longest real window rounded up to a multiple of 8
+        ((3, 9), 40, 16),
+        ((16, 2), 40, 16),   # already a multiple of 8
+        ((10, 4), 12, 12),   # never longer than the padded windows
+        ((12,), 12, 12),
+    ])
+    def test_batch_length_follows_longest_real_window(self, reals, padded, expected):
+        windows = [window_of(r, padded) for r in reals]
+        batch = encode_batch(windows, self.provider)
+        assert batch.seq_len == expected
+        assert batch.feat_pre.shape == (len(reals), expected, D_PRE)
+        assert batch.attention_mask.sum(axis=1).tolist() == list(reals)
+
+    def test_plan_targets_cut_with_the_batch(self):
+        vocab = Vocabularies(features=("[CLS]", "[PAD]", "[MASK]", "lab: a"),
+                             categorical_values=("[MASK]", "[UNK]"), per_feature_stats={})
+        windows = [window_of(4, 40), window_of(6, 40)]
+        plans = [plan_masking(w, vocab, np.random.default_rng(i), MaskingRates(select=1.0))
+                 for i, w in enumerate(windows)]
+        batch = encode_batch(windows, self.provider, plans)
+        assert batch.feature_target.shape == batch.cont_target.shape == (2, 8)
+        for got, plan in zip(batch.feature_target, plans):
+            np.testing.assert_array_equal(got, plan.feature_target[:8])
+            assert np.all(plan.feature_target[8:] == -1)
+
+    def test_eval_deterministic(self):
+        seq = sample_window()
+        a, _ = self.composed(seq, params())
+        b, _ = self.composed(seq, params())
+        assert a.tobytes() == b.tobytes()
+
+    def test_train_dropout_reproducible_with_seed(self):
+        seq = sample_window()
+        p = params(dropout=0.5)
+        a, _ = self.composed(seq, p, "train", np.random.default_rng(11))
+        b, _ = self.composed(seq, p, "train", np.random.default_rng(11))
+        c, _ = self.composed(seq, p, "train", np.random.default_rng(12))
+        assert a.tobytes() == b.tobytes()
+        assert a.tobytes() != c.tobytes()
+
+    def test_pad_rows_are_composed_pad_embedding(self):
+        matrix, mask = self.composed(sample_window(), params())
+        pad_rows = matrix[mask == 0]
+        assert len(pad_rows) > 1
+        # every PAD row is the same composed vector
+        assert np.all(pad_rows == pad_rows[0][None, :])
 
     def test_special_selectors(self):
         seq = sample_window()

@@ -146,12 +146,21 @@ class TestMlvmLoss:
                 numeric[i] = (f_plus - f_minus) / (2 * eps)
             np.testing.assert_allclose(analytic.reshape(-1), numeric, atol=1e-6, rtol=1e-6)
 
-    def test_printed_normalization_flag(self):
-        plan = make_plan(4, feature_targets={1: 0})
-        out = outputs(1, 4, 4, 3, feature=np.zeros((1, 4, 4)))
-        mask = np.ones((1, 4))
-        breakdown = mlvm_loss(out, [plan], attention_mask=mask, feature_loss_over_all_tokens=True)
-        assert breakdown.l_f == pytest.approx(np.log(4.0) / 4)
+    def test_longer_plans_cut_to_the_outputs(self):
+        targets = dict(feature_targets={1: 0}, cat_targets={2: 1}, cont_targets={3: 0.5})
+        out = outputs(1, 4, 5, 3)
+        cut = mlvm_loss(out, [make_plan(10, **targets)])
+        exact = mlvm_loss(out, [make_plan(4, **targets)])
+        assert (cut.l_total, cut.n_cat, cut.n_cont) == (exact.l_total, exact.n_cat, exact.n_cont)
+
+    @pytest.mark.parametrize("plan", [
+        make_plan(3, feature_targets={1: 0}),        # shorter than the outputs
+        make_plan(6, feature_targets={4: 0}),        # masks a feature past the outputs
+        make_plan(6, cont_targets={1: 0.5, 5: 1.0}),  # masks a value past the outputs
+    ])
+    def test_plan_length_mismatch_rejected(self, plan):
+        with pytest.raises(ShapeMismatch):
+            mlvm_loss(outputs(1, 4, 5, 3), [plan])
 
 
 class TestFinetuneLoss:

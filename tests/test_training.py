@@ -1,7 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icuseq import autodiff as ad
+from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig
 from icuseq.errors import DivergedLoss
 from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_event_lines
@@ -11,6 +14,7 @@ from icuseq.training import (
     AdamW,
     Model,
     ModelConfig,
+    Sample,
     Task,
     TrainConfig,
     evaluate,
@@ -20,12 +24,14 @@ from icuseq.training import (
     prepare_windows,
     pretrain,
 )
+from icuseq.windows import truncate_and_pad
+
+from conftest import dyn_token, make_window
 
 
-def small_setup(patients=24, seed=2):
+def small_setup(patients=24, seed=2, ratios=(0.7, 0.15, 0.15)):
     spec = GeneratorSpec(patients=patients, features=8, rate=0.008, stay_hours=24.0)
-    corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=seed)),
-                           (0.7, 0.15, 0.15), seed=0)
+    corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=seed)), ratios, seed=0)
     vocab = build_vocabularies(corpus)
     provider = StubProvider(dim=8, seed=0)
     config = ModelConfig(
@@ -80,6 +86,13 @@ class TestPretrain:
         assert [r.csv() for r in a.rows] == [r.csv() for r in b.rows]
         for name, tensor in a.model.parameters().items():
             assert tensor.data.tobytes() == b.model.parameters()[name].data.tobytes()
+
+    def test_no_validation_split_runs_every_epoch(self):
+        _, corpus, vocab, provider, config = small_setup(ratios=(0.8, 0.0, 0.2))
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=3e-4, seed=1, patience=0)
+        result = pretrain(corpus, vocab, provider, config, cfg)
+        assert [(r.epoch, r.split) for r in result.rows] == [(1, "train"), (2, "train"), (3, "train")]
+        assert result.best_epoch == 0
 
     def test_loss_decreases_on_tiny_run(self):
         _, corpus, vocab, provider, config = small_setup(patients=60)
@@ -188,3 +201,46 @@ class TestPrepareWindows:
         windows = prepare_windows(corpus, Split.TRAIN, vocab, 1440, 48)
         assert windows
         assert all(len(w.tokens) == 48 for w in windows)
+
+
+INVARIANCE_PROVIDER = StubProvider(dim=8, seed=0)
+INVARIANCE_MODEL = Model.build(ModelConfig(
+    encoder=EncoderConfig(layers=2, hidden=16, heads=2, ffn_dim=8, max_seq_len=64, dropout=0.1),
+    d_pre=8, window_minutes=1440, feature_vocab=10, value_vocab=6, head_mode="task",
+), seed=0, dtype=np.float64)  # float64, so the tolerance checks the masking, not float32 rounding
+
+window_tokens = st.lists(
+    st.builds(dyn_token, st.sampled_from(["lab: a", "lab: b", "chart: c"]),
+              st.one_of(st.floats(-3.0, 3.0), st.sampled_from(["low", "high"])),
+              st.integers(0, 1439), st.integers(0, 1439)),
+    min_size=0, max_size=30)
+
+
+class TestPaddingInvariance:
+    """Outputs at real positions depend neither on the PAD suffix nor on the other windows of a batch."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(window_tokens, min_size=1, max_size=4), st.integers(0, 24))
+    def test_hidden_states_at_real_positions(self, token_lists, extra):
+        longest = max(len(t) for t in token_lists) + 1
+        together = encode_batch([truncate_and_pad(make_window(t), longest + extra) for t in token_lists],
+                                INVARIANCE_PROVIDER)
+        joint = INVARIANCE_MODEL.hidden_states(together).data
+        for row, tokens in zip(joint, token_lists):
+            alone = encode_batch([truncate_and_pad(make_window(tokens), len(tokens) + 1)], INVARIANCE_PROVIDER)
+            real = len(tokens) + 1
+            np.testing.assert_allclose(row[:real], INVARIANCE_MODEL.hidden_states(alone).data[0],
+                                       atol=1e-6, rtol=0)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.lists(window_tokens, min_size=1, max_size=6), st.integers(0, 24))
+    def test_predict_scores(self, token_lists, extra):
+        longest = max(len(t) for t in token_lists) + 1
+
+        def samples(length):
+            return [Sample([truncate_and_pad(make_window(t), length)], 0) for t in token_lists]
+
+        together = predict_scores(INVARIANCE_MODEL, samples(longest + extra), INVARIANCE_PROVIDER,
+                                  "binary", batch_size=len(token_lists))
+        alone = predict_scores(INVARIANCE_MODEL, samples(longest), INVARIANCE_PROVIDER, "binary", batch_size=1)
+        np.testing.assert_allclose(together, alone, atol=1e-6, rtol=0)

@@ -136,6 +136,20 @@ class TestSegmentationGolden:
         assert (segment_windows(stay, window_minutes, emit_empty)
                 == reference_segment_windows(stay, window_minutes, emit_empty))
 
+    @settings(max_examples=200, deadline=None)
+    @given(jittered_stays(), st.sampled_from([60, 720, 1440]), st.booleans(), st.integers(0, 6))
+    def test_first_windows_only(self, stay, window_minutes, emit_empty, n):
+        assert (segment_windows(stay, window_minutes, emit_empty, max_windows=n)
+                == segment_windows(stay, window_minutes, emit_empty)[:n])
+
+    def test_no_token_built_after_the_kept_windows(self, monkeypatch):
+        stay = stay_of([registry(m) for m in (5, 1500, 1510, 3000)], STATICS)
+        built = []
+        monkeypatch.setattr("icuseq.windows.token_from_registry",
+                            lambda r, tau, delta: built.append(r) or token_from_registry(r, tau, delta))
+        segment_windows(stay, 1440, max_windows=1)
+        assert [r.timestamp for r in built if not r.is_static] == [BASE + timedelta(minutes=5)]
+
     def test_prepare_windows_on_multi_day_corpus(self, monkeypatch):
         spec = GeneratorSpec(patients=12, features=10, rate=0.01, stay_hours=72.0, stay_jitter_hours=24.0)
         corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=5)), (0.5, 0.25, 0.25), seed=0)
