@@ -6,7 +6,7 @@ from .masking import MaskingPlan, MaskingRates, apply_masking, plan_masking
 from .metrics import MetricReport, auprc, auroc, mae
 from .objective import LossBreakdown, combine_losses, finetune_loss, mlvm_loss
 from .synth import GeneratorSpec, generate_lines, oracle_cont_target, oracle_label, write_corpus
-from .textvec import FileCacheProvider, StubProvider, fill, read_cache, write_cache
+from .textvec import FileCacheProvider, StubProvider, read_cache, write_cache
 from .training import Model, ModelConfig, Task, TrainConfig, evaluate, finetune, pretrain
 from .types import Registry, Token, Vocabularies, WindowSequence, feature_text, validate_registry
 from .windows import segment_windows, truncate_and_pad
@@ -18,8 +18,8 @@ __all__ = [
     "MaskingPlan", "MaskingRates", "MetricReport", "Model", "ModelConfig", "Registry",
     "Split", "Stay", "StubProvider", "Task", "Token", "TrainConfig", "Vocabularies",
     "WindowSequence", "apply_masking", "assign_splits", "auprc", "auroc",
-    "build_vocabularies", "combine_losses", "evaluate", "feature_text", "fill",
-    "finetune", "finetune_loss", "generate_lines", "mae", "mlvm_loss",
+    "build_vocabularies", "combine_losses", "evaluate", "feature_text", "finetune",
+    "finetune_loss", "generate_lines", "mae", "mlvm_loss",
     "oracle_cont_target", "oracle_label", "parse_events", "plan_masking", "pretrain",
     "read_cache", "segment_windows", "truncate_and_pad",
     "validate_registry", "write_cache", "write_corpus",

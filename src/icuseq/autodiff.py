@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
+from scipy import sparse
 from scipy.special import erf, expit
 
 from .errors import ShapeMismatch
@@ -54,22 +55,6 @@ class Tensor:
         tag = f" {self.name!r}" if self.name else ""
         return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
 
-    # Convenience arithmetic used by the losses; heavy lifting goes through
-    # the module-level ops below.
-    def __add__(self, other):
-        return add(self, _as_tensor(other, self.dtype))
-
-    def __radd__(self, other):
-        return add(_as_tensor(other, self.dtype), self)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
 
 def parameter(data: np.ndarray, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
@@ -80,12 +65,6 @@ def constant(data, dtype=None) -> Tensor:
     if dtype is not None:
         arr = arr.astype(dtype, copy=False)
     return Tensor(arr)
-
-
-def _as_tensor(x, dtype) -> Tensor:
-    if isinstance(x, Tensor):
-        return x
-    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
@@ -215,16 +194,39 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
 
 
 def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
-    """Row lookup ``table[idx]`` with scatter-add on the way back."""
+    """Row lookup ``table[idx]`` with scatter-add on the way back.
+
+    The scatter-add is one product with the sparse one-hot matrix of ``idx``.
+    It sums the rows of each repeated index in position order, as
+    ``np.add.at`` does, so the gradient is the same bit for bit.
+    """
     idx = np.asarray(idx)
     out = table.data[idx]
 
     def bwd(g):
-        grad = np.zeros_like(table.data)
-        np.add.at(grad, idx.reshape(-1), g.reshape(-1, table.data.shape[-1]))
-        table.accumulate(grad)
+        flat = idx.reshape(-1)
+        n_rows, width = table.data.shape
+        one_hot = sparse.csr_array((np.ones(flat.size, dtype=g.dtype), flat, np.arange(flat.size + 1)),
+                                   shape=(flat.size, n_rows))
+        table.accumulate(one_hot.T @ g.reshape(-1, width))
 
     return _make(out, (table,), bwd)
+
+
+def concat_rows(a: Tensor, b: Tensor) -> Tensor:
+    """Stack two 2-D tensors with the same width, ``a``'s rows first."""
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[1]:
+        raise ShapeMismatch(f"cannot stack rows of shapes {a.data.shape} and {b.data.shape}")
+    out = np.concatenate([a.data, b.data])
+    split = a.data.shape[0]
+
+    def bwd(g):
+        if a.requires_grad:
+            a.accumulate(g[:split])
+        if b.requires_grad:
+            b.accumulate(g[split:])
+
+    return _make(out, (a, b), bwd)
 
 
 def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:

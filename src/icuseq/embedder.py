@@ -1,8 +1,27 @@
-"""Composition of token embeddings from feature/value vectors and time tables."""
+"""Composition of token embeddings from frozen text vectors and learned time tables.
+
+A batch carries its frozen inputs as integer ids into two small per-batch
+tables, not as copied vectors. ``encode_batch`` asks the provider once for
+each distinct feature text and categorical value text in the batch, keyed by
+text (so features unseen in training keep their own vector), and never for
+CLS/PAD/MASK. In both tables ids 0-2 are CLS/PAD/MASK, the rows of the
+learned ``feature_specials`` / ``value_specials``; the per-batch rows
+follow. The value table's first row (id 3, ``FILL_ID``) is all ones: a
+continuous token points there and carries its value ``x`` in the scale
+column, so the paper's fill vector ``fill(x) = (x, ..., x)`` projects to
+``x · colsum(w_x)``. Every other token has scale 1. ``compose_batch`` then
+computes
+
+    e_f = (concat_rows(feature_specials, T_f) @ w_f)[feature_ids] + b_f
+    e_x = (concat_rows(value_specials, T_x) @ w_x)[value_ids] · scale + b_x
+
+and adds the time and duration rows, applies dropout (train only) and
+layer norm.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 import numpy as np
@@ -12,11 +31,13 @@ from .autodiff import Tensor
 from .errors import IndexOutOfRange, NonFiniteValue, ShapeMismatch
 from .masking import MaskingPlan
 from .textvec import EmbeddingProvider
-from .types import CLS_TEXT, MASK_TEXT, PAD_TEXT, DEFAULT_WINDOW_MINUTES, Special, Vocabularies, WindowSequence
+from .types import CLS_TEXT, MASK_TEXT, PAD_TEXT, DEFAULT_WINDOW_MINUTES, Special, WindowSequence
 
-# rows of the learned special-vector tables
+# ids of the learned special rows in both tables; the value table's fill row comes next
 _SPECIAL_ROW = {CLS_TEXT: 0, PAD_TEXT: 1, MASK_TEXT: 2}
 _SPECIAL_VALUE_ROW = {Special.CLS: 0, Special.PAD: 1, Special.MASK: 2}
+N_SPECIALS = 3
+FILL_ID = N_SPECIALS
 
 DEFAULT_DROPOUT = 0.1
 PAD_MULTIPLE = 8  # batch lengths are rounded up to this many tokens
@@ -64,10 +85,6 @@ class EmbedderParams:
             ("embedder.ln_bias", self.ln_bias),
         ]
 
-    def special_value_vectors(self) -> dict[Special, np.ndarray]:
-        table = self.value_specials.data
-        return {s: table[row] for s, row in _SPECIAL_VALUE_ROW.items()}
-
 
 def init_embedder(rng: np.random.Generator, d_pre: int, hidden: int,
                   window_minutes: int = DEFAULT_WINDOW_MINUTES,
@@ -88,50 +105,23 @@ def init_embedder(rng: np.random.Generator, d_pre: int, hidden: int,
         b_x=ad.parameter(np.zeros(hidden, dtype=dtype), "embedder.b_x"),
         time_table=ad.parameter(small_normal(window_minutes, hidden), "embedder.time_table"),
         duration_table=ad.parameter(small_normal(window_minutes, hidden), "embedder.duration_table"),
-        feature_specials=ad.parameter(small_normal(3, d_pre), "embedder.feature_specials"),
-        value_specials=ad.parameter(small_normal(3, d_pre), "embedder.value_specials"),
+        feature_specials=ad.parameter(small_normal(N_SPECIALS, d_pre), "embedder.feature_specials"),
+        value_specials=ad.parameter(small_normal(N_SPECIALS, d_pre), "embedder.value_specials"),
         ln_gain=ad.parameter(np.ones(hidden, dtype=dtype), "embedder.ln_gain"),
         ln_bias=ad.parameter(np.zeros(hidden, dtype=dtype), "embedder.ln_bias"),
         dropout_rate=dropout_rate,
     )
 
 
-def compose(feat_pre: Tensor, val_pre: Tensor, tau: np.ndarray, delta: np.ndarray,
-            params: EmbedderParams, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None,
-            apply_layernorm: bool = True) -> Tensor:
-    """Sum the four embedding sources, apply dropout (train only), then layernorm.
-
-    ``apply_layernorm=False`` is a test hook exposing the raw sum's linearity.
-    """
-    w = params.window_minutes
-    tau = np.asarray(tau)
-    delta = np.asarray(delta)
-    for name, arr in (("tau", tau), ("delta", delta)):
-        if arr.size and (arr.min() < 0 or arr.max() >= w):
-            raise IndexOutOfRange(f"{name} outside [0, {w})")
-    e_f = ad.add(ad.matmul(feat_pre, params.w_f), params.b_f)
-    e_x = ad.add(ad.matmul(val_pre, params.w_x), params.b_x)
-    e_tau = ad.gather_rows(params.time_table, tau)
-    e_delta = ad.gather_rows(params.duration_table, delta)
-    total = ad.add(ad.add(e_f, e_x), ad.add(e_tau, e_delta))
-    if mode == "train":
-        if rng is None:
-            raise ShapeMismatch("train mode needs an rng for dropout")
-        total = ad.dropout(total, params.dropout_rate, rng, training=True)
-    if apply_layernorm:
-        total = ad.layer_norm(total, params.ln_gain, params.ln_bias)
-    return total
-
-
 @dataclass
 class EncodedBatch:
-    """Input arrays for a batch of windows cut to a common length, plus MLVM targets."""
+    """Ids into per-batch text tables for a batch of windows cut to a common length, plus MLVM targets."""
 
-    feat_pre: np.ndarray       # (B, L, D_pre) provider vectors, 0 at special slots
-    feat_special: np.ndarray   # (B, L, 3) one-hot rows into the learned specials
-    val_pre: np.ndarray        # (B, L, D_pre) fill/provider vectors, 0 at special slots
-    val_special: np.ndarray    # (B, L, 3)
+    feature_ids: np.ndarray    # (B, L) int rows of [feature_specials; feature_table]
+    value_ids: np.ndarray      # (B, L) int rows of [value_specials; value_table]
+    value_scale: np.ndarray    # (B, L) a continuous token's value, 1 elsewhere
+    feature_table: np.ndarray  # (n_features, D_pre) provider vectors of the distinct feature texts
+    value_table: np.ndarray    # (1 + n_values, D_pre) the fill row, then categorical value vectors
     tau: np.ndarray            # (B, L) int
     delta: np.ndarray          # (B, L) int
     attention_mask: np.ndarray  # (B, L) 1 for real tokens, 0 for PAD
@@ -143,18 +133,14 @@ class EncodedBatch:
     stay_ids: tuple[str, ...] = ()
 
     @property
-    def batch_size(self) -> int:
-        return self.feat_pre.shape[0]
-
-    @property
     def seq_len(self) -> int:
-        return self.feat_pre.shape[1]
+        return self.feature_ids.shape[1]
 
 
 def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
                  plans: Optional[Sequence[MaskingPlan]] = None,
                  dtype=np.float32) -> EncodedBatch:
-    """Turn equal-length (already padded) windows into model input arrays.
+    """Turn equal-length (already padded) windows into ids, scales and text tables.
 
     The batch is as long as its longest real window, rounded up to a multiple
     of ``PAD_MULTIPLE`` and never longer than the padded windows. PAD is a
@@ -168,15 +154,15 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
     b, padded = len(windows), lengths.pop()
     longest = max(w.real_length for w in windows)
     length = min(padded, -(-longest // PAD_MULTIPLE) * PAD_MULTIPLE)
-    d_pre = provider.dim
 
-    feat_pre = np.zeros((b, length, d_pre), dtype=dtype)
-    feat_special = np.zeros((b, length, 3), dtype=dtype)
-    val_pre = np.zeros((b, length, d_pre), dtype=dtype)
-    val_special = np.zeros((b, length, 3), dtype=dtype)
+    feature_ids = np.zeros((b, length), dtype=np.int64)
+    value_ids = np.zeros((b, length), dtype=np.int64)
+    value_scale = np.ones((b, length), dtype=dtype)
     tau = np.zeros((b, length), dtype=np.int64)
     delta = np.zeros((b, length), dtype=np.int64)
     attention = np.zeros((b, length), dtype=dtype)
+    feature_texts: dict[str, int] = {}  # text -> id, in first-seen order
+    value_texts: dict[str, int] = {}
 
     for i, window in enumerate(windows):
         for j, tok in enumerate(window.tokens[:length]):
@@ -184,23 +170,26 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
             delta[i, j] = tok.delta_minutes
             attention[i, j] = 0.0 if tok.is_pad else 1.0
             row = _SPECIAL_ROW.get(tok.feature_text)
-            if row is not None:
-                feat_special[i, j, row] = 1.0
-            else:
-                feat_pre[i, j] = provider.embed_text(tok.feature_text)
+            if row is None:
+                row = feature_texts.setdefault(tok.feature_text, N_SPECIALS + len(feature_texts))
+            feature_ids[i, j] = row
             if isinstance(tok.value, Special):
-                val_special[i, j, _SPECIAL_VALUE_ROW[tok.value]] = 1.0
+                value_ids[i, j] = _SPECIAL_VALUE_ROW[tok.value]
             elif tok.is_continuous:
                 x = float(tok.value)
                 if not np.isfinite(x):
                     raise NonFiniteValue(f"token value {tok.value!r}")
-                val_pre[i, j] = x
+                value_ids[i, j] = FILL_ID
+                value_scale[i, j] = x
             else:
-                val_pre[i, j] = provider.embed_text(str(tok.value))
+                value_ids[i, j] = value_texts.setdefault(str(tok.value), FILL_ID + 1 + len(value_texts))
 
+    vectors = {text: provider.embed_text(text) for text in dict.fromkeys([*feature_texts, *value_texts])}
     batch = EncodedBatch(
-        feat_pre=feat_pre, feat_special=feat_special, val_pre=val_pre,
-        val_special=val_special, tau=tau, delta=delta, attention_mask=attention,
+        feature_ids=feature_ids, value_ids=value_ids, value_scale=value_scale,
+        feature_table=np.array([vectors[t] for t in feature_texts], dtype=dtype).reshape(-1, provider.dim),
+        value_table=np.array([np.ones(provider.dim), *(vectors[t] for t in value_texts)], dtype=dtype),
+        tau=tau, delta=delta, attention_mask=attention,
         stay_ids=tuple(w.stay_id for w in windows),
     )
     if plans is not None:
@@ -217,12 +206,25 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
 
 
 def compose_batch(batch: EncodedBatch, params: EmbedderParams, mode: str = "eval",
-                  rng: Optional[np.random.Generator] = None,
-                  apply_layernorm: bool = True) -> Tensor:
-    """Differentiable composition for a whole batch, injecting learned specials."""
+                  rng: Optional[np.random.Generator] = None) -> Tensor:
+    """Sum the four embedding sources, apply dropout (train only), then layer norm."""
+    w = params.window_minutes
+    for name, arr in (("tau", batch.tau), ("delta", batch.delta)):
+        if arr.size and (arr.min() < 0 or arr.max() >= w):
+            raise IndexOutOfRange(f"{name} outside [0, {w})")
     dtype = params.w_f.data.dtype
-    feat = ad.add(ad.constant(batch.feat_pre, dtype),
-                  ad.matmul(ad.constant(batch.feat_special, dtype), params.feature_specials))
-    val = ad.add(ad.constant(batch.val_pre, dtype),
-                 ad.matmul(ad.constant(batch.val_special, dtype), params.value_specials))
-    return compose(feat, val, batch.tau, batch.delta, params, mode, rng, apply_layernorm)
+    features = ad.matmul(ad.concat_rows(params.feature_specials, ad.constant(batch.feature_table, dtype)),
+                         params.w_f)
+    values = ad.matmul(ad.concat_rows(params.value_specials, ad.constant(batch.value_table, dtype)),
+                       params.w_x)
+    e_f = ad.add(ad.gather_rows(features, batch.feature_ids), params.b_f)
+    e_x = ad.add(ad.mul(ad.gather_rows(values, batch.value_ids),
+                        ad.constant(batch.value_scale[..., None], dtype)), params.b_x)
+    e_tau = ad.gather_rows(params.time_table, batch.tau)
+    e_delta = ad.gather_rows(params.duration_table, batch.delta)
+    total = ad.add(ad.add(e_f, e_x), ad.add(e_tau, e_delta))
+    if mode == "train":
+        if rng is None:
+            raise ShapeMismatch("train mode needs an rng for dropout")
+        total = ad.dropout(total, params.dropout_rate, rng, training=True)
+    return ad.layer_norm(total, params.ln_gain, params.ln_bias)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateLabels, ShapeMismatch
+from .errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
 
 
 def _check_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -14,6 +14,8 @@ def _check_binary(scores: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, n
     labels = np.asarray(labels)
     if scores.shape != labels.shape or scores.ndim != 1 or scores.size == 0:
         raise ShapeMismatch(f"scores {scores.shape} vs labels {labels.shape}")
+    if not np.all(np.isfinite(scores)):
+        raise NonFiniteValue("scores must be finite")
     if not np.all((labels == 0) | (labels == 1)):
         raise DegenerateLabels("labels must be 0/1")
     if labels.min() == labels.max():
@@ -28,19 +30,11 @@ def auroc(scores, labels) -> float:
     by the number of (positive, negative) pairs.
     """
     scores, labels = _check_binary(scores, labels)
-    order = np.argsort(scores, kind="mergesort")
-    sorted_scores = scores[order]
-    ranks = np.empty(scores.size, dtype=np.float64)
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
-        i = j + 1
+    _, group, counts = np.unique(scores, return_inverse=True, return_counts=True)
+    midranks = np.cumsum(counts) - (counts - 1) / 2.0  # 1-based, shared by a tie group
     n_pos = int(labels.sum())
     n_neg = labels.size - n_pos
-    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    u = midranks[group][labels].sum() - n_pos * (n_pos + 1) / 2.0
     return float(u / (n_pos * n_neg))
 
 
@@ -51,27 +45,11 @@ def auprc(scores, labels) -> float:
     regardless of input order.
     """
     scores, labels = _check_binary(scores, labels)
-    order = np.argsort(-scores, kind="mergesort")
-    sorted_scores = scores[order]
-    sorted_labels = labels[order]
-    n_pos = int(labels.sum())
-
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    while i < scores.size:
-        j = i
-        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
-            j += 1
-        tp += int(sorted_labels[i : j + 1].sum())
-        fp += (j - i + 1) - int(sorted_labels[i : j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    _, group = np.unique(-scores, return_inverse=True)  # threshold groups, highest score first
+    tp = np.cumsum(np.bincount(group, weights=labels))
+    taken = np.cumsum(np.bincount(group))
+    recall = tp / labels.sum()
+    return float(np.sum(np.diff(recall, prepend=0.0) * (tp / taken)))
 
 
 def mae(predictions, targets) -> float:

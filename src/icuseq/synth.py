@@ -300,7 +300,3 @@ def oracle_cont_target(stay: Stay, spec: GeneratorSpec) -> float:
     ]
     base = float(np.mean(values)) if values else 0.0
     return base + spec.cont_target_shift * oracle_label(stay, spec)
-
-
-def oracle_labels(stays, spec: GeneratorSpec) -> np.ndarray:
-    return np.array([oracle_label(s, spec) for s in stays], dtype=np.int64)

@@ -1,4 +1,4 @@
-"""Pre-trained text-embedding providers and the continuous-value fill.
+"""Pre-trained text-embedding providers and their binary cache file.
 
 The real biomedical text encoder runs out of process: either its vectors are
 shipped in a binary cache file, or a deterministic hash-seeded stub stands in
@@ -8,7 +8,6 @@ for fully hermetic runs. Both providers are pure functions of their inputs.
 from __future__ import annotations
 
 import hashlib
-import math
 import os
 import struct
 import tempfile
@@ -16,18 +15,10 @@ from typing import Mapping, Optional
 
 import numpy as np
 
-from .errors import CacheMiss, FormatError, NonFiniteValue
-from .types import Special, Token
+from .errors import CacheMiss, FormatError
 
 CACHE_MAGIC = b"EHRV1"
 DEFAULT_DIM = 768
-
-
-def fill(x: float, dim: int) -> np.ndarray:
-    """Vector of length ``dim`` with every entry equal to ``x``."""
-    if not math.isfinite(float(x)):
-        raise NonFiniteValue(f"cannot fill with {x!r}")
-    return np.full(dim, float(x), dtype=np.float32)
 
 
 class EmbeddingProvider:
@@ -88,22 +79,6 @@ class FileCacheProvider(EmbeddingProvider):
         if self._fallback is not None:
             return self._fallback.embed_text(text)
         raise CacheMiss(text)
-
-
-def value_pre_embedding(token: Token, provider: EmbeddingProvider,
-                        special_vectors: Mapping[Special, np.ndarray]) -> np.ndarray:
-    """Value-slot pre-embedding: fill for numbers, text lookup for categories.
-
-    CLS/MASK value slots use the learned reserved vectors supplied by the
-    caller and never touch the provider.
-    """
-    if isinstance(token.value, Special):
-        if token.value is Special.PAD:
-            raise CacheMiss(Special.PAD.value)
-        return np.asarray(special_vectors[token.value])
-    if token.is_continuous:
-        return fill(float(token.value), provider.dim)
-    return provider.embed_text(str(token.value))
 
 
 def write_cache(path: str, entries: Mapping[str, np.ndarray]) -> None:

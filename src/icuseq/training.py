@@ -13,9 +13,9 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .embedder import EmbedderParams, EncodedBatch, compose_batch, encode_batch, init_embedder
-from .errors import ConfigMismatch, DivergedLoss, MissingLabels, ShapeMismatch, UnknownTask
+from .errors import ConfigMismatch, DivergedLoss, InvalidSpec, MissingLabels, ShapeMismatch, UnknownTask
 from .ingest import Corpus, Split, Stay
-from .masking import MaskingPlan, MaskingRates, apply_masking, eligible_mask, plan_masking
+from .masking import MaskingRates, apply_masking, eligible_mask, plan_masking
 from .metrics import MetricReport, auprc, auroc, mae
 from .objective import DEFAULT_ALPHA, DEFAULT_BETA, LossBreakdown, combine_losses, finetune_loss, mlvm_loss
 from .textvec import EmbeddingProvider
@@ -434,30 +434,6 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     return PretrainResult(model, rows, best_epoch, float(best_val))
 
 
-def feature_top1_accuracy(model: Model, windows: Sequence[WindowSequence],
-                          plans: Sequence[MaskingPlan], vocab: Vocabularies,
-                          provider: EmbeddingProvider, batch_size: int = 64) -> tuple[float, float]:
-    """Top-1 masked-feature reconstruction accuracy and the majority baseline."""
-    hits = 0
-    targets_all: list[np.ndarray] = []
-    for start in range(0, len(windows), batch_size):
-        chunk = slice(start, start + batch_size)
-        masked = [apply_masking(w, p, vocab, np.random.default_rng([start, j]))
-                  for j, (w, p) in enumerate(zip(windows[chunk], plans[chunk]))]
-        batch = encode_batch(masked, provider, plans[chunk])
-        feature_logits, _, _ = model.pretrain_outputs(batch, mode="eval")
-        mask = batch.feature_target >= 0
-        targets = batch.feature_target[mask]
-        preds = feature_logits.data.argmax(axis=2)[mask]
-        hits += int((preds == targets).sum())
-        targets_all.append(targets)
-    targets = np.concatenate(targets_all)
-    if targets.size == 0:
-        raise MissingLabels("no masked feature slots to evaluate")
-    majority = np.bincount(targets).max() / targets.size
-    return hits / targets.size, float(majority)
-
-
 # ---------------------------------------------------------------------------
 # fine-tuning
 
@@ -475,6 +451,8 @@ class Task:
     def __post_init__(self):
         if self.kind not in ("binary", "multilabel", "regression"):
             raise UnknownTask(f"unknown task kind {self.kind!r}")
+        if self.n_windows < 1:
+            raise InvalidSpec(f"a task needs at least one window per sample, got {self.n_windows}")
 
 
 @dataclass
@@ -484,15 +462,26 @@ class Sample:
 
 
 def build_samples(corpus: Corpus, split: Split, task: Task, vocab: Vocabularies,
-                  window_minutes: int, max_seq_len: int) -> list[Sample]:
+                  window_minutes: int, max_seq_len: int,
+                  built: Optional[dict[str, Sample]] = None) -> list[Sample]:
+    """One sample per stay of ``split``, in corpus order.
+
+    ``built`` maps stay ids to samples made by earlier calls with the same
+    task and shape: those stays are not segmented again, and new ones are
+    added to it.
+    """
+    built = {} if built is None else built
     samples = []
     for stay in corpus.stays_in(split):
-        label = task.label_of(stay)
-        if label is None:
-            raise MissingLabels(f"stay {stay.stay_id!r} has no label")
-        windows = segment_windows(stay, window_minutes, max_windows=task.n_windows)
-        windows = [normalize_values(truncate_and_pad(w, max_seq_len), vocab) for w in windows]
-        samples.append(Sample(windows, label))
+        sample = built.get(stay.stay_id)
+        if sample is None:
+            label = task.label_of(stay)
+            if label is None:
+                raise MissingLabels(f"stay {stay.stay_id!r} has no label")
+            windows = segment_windows(stay, window_minutes, max_windows=task.n_windows)
+            windows = [normalize_values(truncate_and_pad(w, max_seq_len), vocab) for w in windows]
+            sample = built[stay.stay_id] = Sample(windows, label)
+        samples.append(sample)
     return samples
 
 
@@ -567,19 +556,16 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     best_model: Optional[Model] = None
     best_val = np.inf
 
-    stays_by_patient: dict[str, list[Stay]] = {}
-    for stay in pool_stays:
-        stays_by_patient.setdefault(stay.patient_id, []).append(stay)
+    # the pool sorted by patient, pool order within a patient; each stay is segmented once
+    pool = Corpus(tuple(sorted(pool_stays, key=lambda s: s.patient_id)))
+    built: dict[str, Sample] = {}
 
     for fold in range(folds):
         val_patients = {pool_patients[i] for i in chunks[fold]}
-        train_stays = [s for pid in pool_patients if pid not in val_patients for s in stays_by_patient[pid]]
-        val_stays = [s for pid in sorted(val_patients) for s in stays_by_patient[pid]]
-        fold_corpus = Corpus(tuple(train_stays + val_stays),
-                             {**{s.patient_id: Split.TRAIN for s in train_stays},
-                              **{s.patient_id: Split.VAL for s in val_stays}})
-        train_samples = build_samples(fold_corpus, Split.TRAIN, task, vocab, window_minutes, max_seq_len)
-        val_samples = build_samples(fold_corpus, Split.VAL, task, vocab, window_minutes, max_seq_len)
+        fold_pool = pool.with_splits({pid: Split.VAL if pid in val_patients else Split.TRAIN
+                                      for pid in pool_patients})
+        train_samples = build_samples(fold_pool, Split.TRAIN, task, vocab, window_minutes, max_seq_len, built)
+        val_samples = build_samples(fold_pool, Split.VAL, task, vocab, window_minutes, max_seq_len, built)
 
         model, fold_rows, fold_val = _finetune_fold(
             pretrained, task, train_samples, val_samples, provider, cfg, fold)

@@ -201,9 +201,6 @@ class WindowSequence:
     def with_tokens(self, tokens: Sequence[Token]) -> "WindowSequence":
         return WindowSequence(self.stay_id, self.window_index, self.window_start, tuple(tokens), self.label)
 
-    def with_label(self, label) -> "WindowSequence":
-        return WindowSequence(self.stay_id, self.window_index, self.window_start, self.tokens, label)
-
 
 @dataclass(frozen=True)
 class FeatureStats:
@@ -241,10 +238,6 @@ class Vocabularies:
     @property
     def value_size(self) -> int:
         return len(self.categorical_values)
-
-    @property
-    def mask_value_index(self) -> int:
-        return self._value_index[MASK_TEXT]
 
     @property
     def unk_value_index(self) -> int:

@@ -96,6 +96,21 @@ class TestShapes:
         idx = np.array([[0, 2, 2], [1, 0, 2]])
         check_op(lambda t: weighted(ad.gather_rows(t, idx)), (3, 4))
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gather_rows_gradient_equals_add_at(self, dtype):
+        rng = np.random.default_rng(4)
+        idx = rng.integers(0, 6, size=(3, 40))  # every row repeated many times
+        table = ad.parameter(rng.standard_normal((9, 5)).astype(dtype), "t")
+        g = rng.standard_normal((3, 40, 5)).astype(dtype)
+        ad.backward(ad.sum_all(ad.mul(ad.gather_rows(table, idx), ad.constant(g))))
+        expected = np.zeros_like(table.data)
+        np.add.at(expected, idx.reshape(-1), g.reshape(-1, 5))
+        assert table.grad.dtype == dtype
+        np.testing.assert_array_equal(table.grad, expected)
+
+    def test_concat_rows(self):
+        check_op(lambda a, b: weighted(ad.concat_rows(a, b)), (3, 4), (2, 4))
+
     def test_take_rows(self):
         idx = np.array([0, 3, 3, 1])
         check_op(lambda t: weighted(ad.take_rows(t, idx)), (5, 2))

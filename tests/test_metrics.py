@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from icuseq.errors import DegenerateLabels, ShapeMismatch
+from icuseq.errors import DegenerateLabels, NonFiniteValue, ShapeMismatch
 from icuseq.metrics import MetricReport, auprc, auroc, mae
 
 
@@ -39,6 +39,52 @@ def auprc_sweep_oracle(scores, labels):
         area += (recall - prev_recall) * precision
         prev_recall = recall
     return area
+
+
+def auroc_midrank_loop(scores, labels):
+    """Mann-Whitney U from midranks assigned by walking each tie run of the sorted scores."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    order = np.argsort(scores, kind="mergesort")
+    sorted_scores = scores[order]
+    ranks = np.empty(scores.size, dtype=np.float64)
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0  # midrank, 1-based
+        i = j + 1
+    n_pos = int(labels.sum())
+    n_neg = labels.size - n_pos
+    u = ranks[labels].sum() - n_pos * (n_pos + 1) / 2.0
+    return float(u / (n_pos * n_neg))
+
+
+def auprc_tie_group_loop(scores, labels):
+    """Step-curve area accumulated one tie group at a time, highest score first."""
+    scores = np.asarray(scores, dtype=np.float64)
+    labels = np.asarray(labels).astype(bool)
+    order = np.argsort(-scores, kind="mergesort")
+    sorted_scores = scores[order]
+    sorted_labels = labels[order]
+    n_pos = int(labels.sum())
+    area = 0.0
+    tp = fp = 0
+    prev_recall = 0.0
+    i = 0
+    while i < scores.size:
+        j = i
+        while j + 1 < scores.size and sorted_scores[j + 1] == sorted_scores[i]:
+            j += 1
+        tp += int(sorted_labels[i : j + 1].sum())
+        fp += (j - i + 1) - int(sorted_labels[i : j + 1].sum())
+        recall = tp / n_pos
+        precision = tp / (tp + fp)
+        area += (recall - prev_recall) * precision
+        prev_recall = recall
+        i = j + 1
+    return float(area)
 
 
 def random_instance(rng, max_points=50, tie_prone=False):
@@ -102,6 +148,33 @@ class TestAuprc:
     def test_all_positives_ranked_last(self):
         # single positive with the lowest score: precision at full recall is 1/n
         assert auprc([0.9, 0.8, 0.1], [0, 0, 1]) == pytest.approx(1.0 / 3.0)
+
+
+binary_instances = st.integers(2, 60).flatmap(lambda n: st.tuples(
+    st.lists(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, -3.0]) | st.floats(-1e6, 1e6),
+             min_size=n, max_size=n),
+    st.lists(st.integers(0, 1), min_size=n, max_size=n).filter(lambda y: 0 < sum(y) < len(y))))
+
+
+class TestAgainstLoops:
+    """The vectorised metrics equal the tie-run loops they replaced."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(binary_instances)
+    def test_auroc(self, instance):
+        scores, labels = instance
+        assert auroc(scores, labels) == pytest.approx(auroc_midrank_loop(scores, labels), abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(binary_instances)
+    def test_auprc(self, instance):
+        scores, labels = instance
+        assert auprc(scores, labels) == pytest.approx(auprc_tie_group_loop(scores, labels), abs=1e-12)
+
+    def test_non_finite_scores_rejected(self):
+        for metric in (auroc, auprc):
+            with pytest.raises(NonFiniteValue):
+                metric([0.5, float("nan"), 0.1], [1, 0, 1])
 
 
 class TestMae:

@@ -1,18 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
-from icuseq.errors import CacheMiss, FormatError, NonFiniteValue
-from icuseq.textvec import (
-    FileCacheProvider,
-    StubProvider,
-    fill,
-    read_cache,
-    value_pre_embedding,
-    write_cache,
-)
-from icuseq.types import Special, Token
+from icuseq.embedder import FILL_ID, encode_batch
+from icuseq.errors import CacheMiss, FormatError
+from icuseq.textvec import FileCacheProvider, StubProvider, read_cache, write_cache
+from icuseq.types import Token
+from icuseq.windows import truncate_and_pad
+
+from conftest import make_window
 
 
 class TestStubProvider:
@@ -35,26 +30,6 @@ class TestStubProvider:
         a = StubProvider(dim=16, seed=0).embed_text("x")
         b = StubProvider(dim=16, seed=1).embed_text("x")
         assert not np.array_equal(a, b)
-
-
-class TestFill:
-    def test_zero(self):
-        assert np.array_equal(fill(0.0, 768), np.zeros(768, dtype=np.float32))
-
-    def test_repeat(self):
-        assert fill(2.5, 4).tolist() == [2.5, 2.5, 2.5, 2.5]
-
-    def test_nan_rejected(self):
-        with pytest.raises(NonFiniteValue):
-            fill(float("nan"), 768)
-        with pytest.raises(NonFiniteValue):
-            fill(float("inf"), 8)
-
-    @given(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4))
-    def test_linearity(self, a, x):
-        lhs = fill(np.float32(a * np.float32(x)), 8)
-        rhs = np.float32(a) * fill(x, 8)
-        assert np.allclose(lhs, rhs, rtol=1e-6, atol=1e-6)
 
 
 class TestFileCache:
@@ -129,21 +104,29 @@ class _ExplodingProvider:
         raise AssertionError("provider must not be called for special tokens")
 
 
-class TestValuePreEmbedding:
-    specials = {Special.CLS: np.full(4, 7.0), Special.MASK: np.full(4, 9.0)}
+def encoded_value(token, provider):
+    """Value id, scale and value-table row of ``token`` in a one-window batch."""
+    batch = encode_batch([truncate_and_pad(make_window([token]), 8)], provider)
+    value_id = batch.value_ids[0, 1]
+    return value_id, batch.value_scale[0, 1], batch.value_table[value_id - FILL_ID]
 
+
+class TestValuePreEmbedding:
     def test_continuous_uses_fill(self):
         token = Token("a: b", 1.2, 0, 0, is_continuous=True)
-        out = value_pre_embedding(token, StubProvider(dim=4), self.specials)
-        assert np.allclose(out, 1.2)
+        value_id, scale, row = encoded_value(token, StubProvider(dim=4))
+        assert value_id == FILL_ID
+        assert scale == np.float32(1.2)
+        assert np.array_equal(row, np.ones(4))
 
     def test_categorical_uses_provider(self):
         provider = StubProvider(dim=4)
         token = Token("a: b", "positive", 0, 0, is_continuous=False)
-        out = value_pre_embedding(token, provider, self.specials)
-        assert np.array_equal(out, provider.embed_text("positive"))
+        _, scale, row = encoded_value(token, provider)
+        assert scale == 1.0
+        assert np.array_equal(row, provider.embed_text("positive"))
 
     def test_special_bypasses_provider(self):
-        token = Token("[CLS]", Special.CLS, 0, 0, is_continuous=False)
-        out = value_pre_embedding(token, _ExplodingProvider(), self.specials)
-        assert np.allclose(out, 7.0)
+        batch = encode_batch([truncate_and_pad(make_window([]), 8)], _ExplodingProvider())
+        assert batch.value_ids[0].tolist() == [0] + [1] * 7  # CLS, then PAD
+        assert batch.feature_table.shape == (0, 4)

@@ -1,13 +1,17 @@
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icuseq import autodiff as ad
+from icuseq import training
 from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig
-from icuseq.errors import DivergedLoss
-from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_event_lines
+from icuseq.errors import DivergedLoss, InvalidSpec
+from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.synth import GeneratorSpec, generate_lines, oracle_label
 from icuseq.textvec import StubProvider
 from icuseq.training import (
@@ -17,6 +21,7 @@ from icuseq.training import (
     Sample,
     Task,
     TrainConfig,
+    build_samples,
     evaluate,
     finetune,
     linear_lr,
@@ -195,6 +200,61 @@ class TestFinetune:
         assert set(metrics) == {"auroc", "auprc"}
 
 
+def per_fold_corpus_samples(corpus, task, vocab, config, seed, folds):
+    """Fold samples built from a fresh Corpus per fold, every pool stay segmented again."""
+    pool_stays = corpus.stays_in(Split.TRAIN) + corpus.stays_in(Split.VAL)
+    pool_patients = sorted({s.patient_id for s in pool_stays})
+    chunks = np.array_split(np.random.default_rng([seed, 80]).permutation(len(pool_patients)), folds)
+    by_patient = {}
+    for stay in pool_stays:
+        by_patient.setdefault(stay.patient_id, []).append(stay)
+    out = []
+    for fold in range(folds):
+        val_patients = {pool_patients[i] for i in chunks[fold]}
+        train_stays = [s for pid in pool_patients if pid not in val_patients for s in by_patient[pid]]
+        val_stays = [s for pid in sorted(val_patients) for s in by_patient[pid]]
+        fold_corpus = Corpus(tuple(train_stays + val_stays),
+                             {**{s.patient_id: Split.TRAIN for s in train_stays},
+                              **{s.patient_id: Split.VAL for s in val_stays}})
+        out.append(tuple(build_samples(fold_corpus, split, task, vocab, config.window_minutes,
+                                       config.encoder.max_seq_len) for split in (Split.TRAIN, Split.VAL)))
+    return out
+
+
+class TestFinetunePool:
+    def test_each_stay_segmented_once_and_folds_unchanged(self, monkeypatch):
+        spec, corpus, vocab, provider, config = small_setup(patients=30)
+        task = Task("binary", lambda stay: oracle_label(stay, spec), n_windows=2)
+        expected = per_fold_corpus_samples(corpus, task, vocab, config, seed=0, folds=3)
+
+        segmented, seen = [], []
+        segment, finetune_fold = training.segment_windows, training._finetune_fold
+
+        def counting_segment(stay, *args, **kwargs):
+            segmented.append(stay.stay_id)
+            return segment(stay, *args, **kwargs)
+
+        def recording_fold(pretrained, task, train_samples, val_samples, *args):
+            seen.append((train_samples, val_samples))
+            return finetune_fold(pretrained, task, train_samples, val_samples, *args)
+
+        monkeypatch.setattr(training, "segment_windows", counting_segment)
+        monkeypatch.setattr(training, "_finetune_fold", recording_fold)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0, warmup_epochs=0)
+        finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=3)
+
+        assert seen == expected
+        stays = corpus.stays_in(Split.TRAIN) + corpus.stays_in(Split.VAL) + corpus.stays_in(Split.TEST)
+        assert sorted(segmented) == sorted(s.stay_id for s in stays)
+
+
+class TestTask:
+    @pytest.mark.parametrize("n_windows", [0, -1])
+    def test_needs_a_window(self, n_windows):
+        with pytest.raises(InvalidSpec):
+            Task("binary", lambda stay: 0, n_windows=n_windows)
+
+
 class TestPrepareWindows:
     def test_windows_are_padded_and_normalized(self):
         _, corpus, vocab, provider, config = small_setup()
@@ -244,3 +304,41 @@ class TestPaddingInvariance:
                                   "binary", batch_size=len(token_lists))
         alone = predict_scores(INVARIANCE_MODEL, samples(longest), INVARIANCE_PROVIDER, "binary", batch_size=1)
         np.testing.assert_allclose(together, alone, atol=1e-6, rtol=0)
+
+
+CHECKPOINT_CONFIGS = st.builds(
+    lambda layers, heads, head_dim, ffn, head_mode, task_dim: ModelConfig(
+        encoder=EncoderConfig(layers=layers, hidden=heads * head_dim, heads=heads, ffn_dim=ffn,
+                              max_seq_len=16, dropout=0.1),
+        d_pre=INVARIANCE_PROVIDER.dim, window_minutes=1440, feature_vocab=9, value_vocab=6,
+        head_mode=head_mode, task_dim=task_dim),
+    st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.integers(1, 8),
+    st.sampled_from(["pretrain", "task"]), st.integers(1, 3))
+
+
+class TestCheckpointRoundTrip:
+    @settings(max_examples=25, deadline=None)
+    @given(CHECKPOINT_CONFIGS, st.integers(0, 2**31 - 1), st.lists(window_tokens, min_size=1, max_size=3))
+    def test_parameters_and_scores_survive(self, config, seed, token_lists):
+        model = Model.build(config, seed)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.icub")
+            model.save(path)
+            loaded = Model.load(path)
+        assert loaded.config == config
+        params = model.parameters()
+        assert loaded.parameters().keys() == params.keys()
+        for name, tensor in loaded.parameters().items():
+            assert tensor.data.dtype == params[name].data.dtype, name
+            assert tensor.data.tobytes() == params[name].data.tobytes(), name
+
+        windows = [truncate_and_pad(make_window(t[:15]), 16) for t in token_lists]
+        if config.head_mode == "task":
+            samples = [Sample([w], 0) for w in windows]
+            kind = "binary" if config.task_dim == 1 else "multilabel"
+            assert np.array_equal(predict_scores(loaded, samples, INVARIANCE_PROVIDER, kind),
+                                  predict_scores(model, samples, INVARIANCE_PROVIDER, kind))
+        else:
+            batch = encode_batch(windows, INVARIANCE_PROVIDER)
+            for got, want in zip(loaded.pretrain_outputs(batch), model.pretrain_outputs(batch)):
+                assert np.array_equal(got.data, want.data)
