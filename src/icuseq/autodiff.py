@@ -4,7 +4,8 @@ Just enough operator coverage for the embedding composition, the encoder
 stack, and the training losses. Gradients accumulate into ``Tensor.grad``
 after calling :func:`backward` on a scalar node; every op keeps the dtype of
 its inputs so the same graph runs in float32 for training and float64 for
-finite-difference checks.
+finite-difference checks. An op records its inputs and backward closure only
+when some input requires grad, so a forward over constants keeps no tape.
 """
 
 from __future__ import annotations
@@ -127,18 +128,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    out = a.data - b.data
-
-    def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(-g, b.data.shape))
-
-    return _make(out, (a, b), bwd)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
 
@@ -227,19 +216,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(g[split:])
 
     return _make(out, (a, b), bwd)
-
-
-def take_rows(a: Tensor, idx: np.ndarray) -> Tensor:
-    """Select rows of a 2-D tensor by integer index."""
-    idx = np.asarray(idx)
-    out = a.data[idx]
-
-    def bwd(g):
-        grad = np.zeros_like(a.data)
-        np.add.at(grad, idx, g)
-        a.accumulate(grad)
-
-    return _make(out, (a,), bwd)
 
 
 def take_position(a: Tensor, pos: int) -> Tensor:

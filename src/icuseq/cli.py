@@ -343,6 +343,12 @@ def _weight_option(cfg: dict):
 
 
 def _cmd_finetune(cfg: dict) -> None:
+    train_config = TrainConfig(
+        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
+        weight_decay=cfg["weight_decay"], warmup_epochs=cfg["warmup_epochs"],
+        patience=cfg["patience"], seed=cfg["seed"],
+        unfrozen_layers=cfg["unfrozen_layers"], unfreeze_embedder=cfg["unfreeze_embedder"],
+    )
     corpus, vocab = _load_corpus(cfg)
     provider = _provider(cfg)
     model = Model.load(cfg["checkpoint"], expect={
@@ -352,12 +358,6 @@ def _cmd_finetune(cfg: dict) -> None:
         "d_pre": provider.dim,
     })
     task = _task_from_file(cfg)
-    train_config = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"], warmup_epochs=cfg["warmup_epochs"],
-        patience=cfg["patience"], seed=cfg["seed"],
-        unfrozen_layers=cfg["unfrozen_layers"], unfreeze_embedder=cfg["unfreeze_embedder"],
-    )
     result = finetune(model, task, corpus, vocab, provider, train_config, folds=cfg["folds"])
     _emit_report(result.report, cfg.get("results_out"))
     if cfg["out"]:

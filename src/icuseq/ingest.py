@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from datetime import datetime
 from functools import cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 from .errors import EmptyTrainSplit, InvalidRatios, InvalidRegistry, ParseError
 from .types import (
@@ -71,9 +71,6 @@ class Corpus:
     @property
     def n_registries(self) -> int:
         return sum(len(s.dynamics) + len(s.statics) for s in self.stays)
-
-    def split_of(self, stay: Stay) -> Optional[Split]:
-        return self.splits.get(stay.patient_id)
 
     def stays_in(self, split: Split) -> list[Stay]:
         return [s for s in self.stays if self.splits.get(s.patient_id) is split]

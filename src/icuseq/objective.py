@@ -85,21 +85,21 @@ def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPla
 
     if n_feat:
         targets = stacked("feature_target").reshape(-1)[feat_slots]
-        rows = ad.take_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
+        rows = ad.gather_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
         l_f_node = ad.cross_entropy_mean(rows, targets)
     else:
         l_f_node = zero
 
     if n_cat:
         targets = stacked("cat_target").reshape(-1)[cat_slots]
-        rows = ad.take_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
+        rows = ad.gather_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
         l_cat_node = ad.cross_entropy_mean(rows, targets)
     else:
         l_cat_node = zero
 
     if n_cont:
         targets = stacked("cont_target").reshape(-1)[cont_slots]
-        preds = ad.take_rows(ad.reshape(cont_pred, (b * length, 1)), cont_slots)
+        preds = ad.gather_rows(ad.reshape(cont_pred, (b * length, 1)), cont_slots)
         l_cont_node = ad.mae_mean(ad.squeeze_last(preds), targets)
     else:
         l_cont_node = zero

@@ -94,16 +94,6 @@ class GeneratorSpec:
         if self.n_archetypes < 1 or self.stays_per_patient < 1 or self.window_minutes < 1:
             raise InvalidSpec("archetypes, stays per patient, and window must be >= 1")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "GeneratorSpec":
-        try:
-            return cls(**json.loads(text))
-        except (TypeError, json.JSONDecodeError) as exc:
-            raise InvalidSpec(f"bad generator spec: {exc}") from exc
-
     @property
     def signal_feature_text(self) -> str:
         return feature_text(SIGNAL_SOURCE, SIGNAL_VARIABLE)

@@ -101,7 +101,12 @@ class Model:
 
     def trainable_parameters(self, unfrozen_layers: Optional[int] = None,
                              unfreeze_embedder: bool = False) -> dict[str, Tensor]:
-        """Heads always train; optionally only the top encoder layers and the embedder."""
+        """Heads always train; optionally only the top encoder layers and the embedder.
+
+        Fine-tuning makes every parameter outside this set a tape constant
+        (``requires_grad`` False), so no op below the freeze boundary is
+        recorded and ``ad.backward`` stops there.
+        """
         if unfrozen_layers is None:
             return self.parameters()
         keep = {name for name, _ in self.heads.named_parameters()}
@@ -113,15 +118,24 @@ class Model:
         return {name: t for name, t in self.parameters().items() if name in keep}
 
     def clone(self) -> "Model":
-        clone = copy.copy(self)
-        params = self.parameters()
-        fresh = {name: ad.parameter(t.data.copy(), name) for name, t in params.items()}
-        clone.embedder = _rebind(self.embedder, fresh)
-        clone.encoder = enc.EncoderParams([
-            _rebind(layer, fresh) for layer in self.encoder.layers
-        ])
-        clone.heads = _rebind(self.heads, fresh)
-        return clone
+        """A copy with fresh arrays, every parameter requiring grad."""
+        return self._rebound(lambda name, t: ad.parameter(t.data.copy(), name))
+
+    def detached(self) -> "Model":
+        """The same arrays wrapped as constants: its forward passes record no tape.
+
+        The arrays are shared, not copied, and an optimizer step rebinds a
+        parameter to a new array, so detach after the last step to be seen.
+        """
+        return self._rebound(lambda name, t: Tensor(t.data, name=name))
+
+    def _rebound(self, make: Callable[[str, Tensor], Tensor]) -> "Model":
+        fresh = {name: make(name, t) for name, t in self.parameters().items()}
+        out = copy.copy(self)
+        out.embedder = _rebind(self.embedder, fresh)
+        out.encoder = enc.EncoderParams([_rebind(layer, fresh) for layer in self.encoder.layers])
+        out.heads = _rebind(self.heads, fresh)
+        return out
 
     def with_task_head(self, task_dim: int, task_dropout: float, seed: int) -> "Model":
         """Drop the reconstruction heads and attach a fresh task head."""
@@ -254,6 +268,10 @@ class TrainConfig:
             raise ShapeMismatch("epochs and batch size must be positive")
         if self.lr <= 0:
             raise ShapeMismatch("learning rate must be positive")
+        for name in ("warmup_epochs", "patience", "unfrozen_layers"):
+            value = getattr(self, name)
+            if value is not None and value < 0:
+                raise InvalidSpec(f"{name} must be non-negative, got {value}")
 
     @property
     def resolved_warmup(self) -> int:
@@ -406,12 +424,13 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
 
         if val_windows:
             val_agg = _LossAggregator(cfg.alpha, cfg.beta)
+            eval_model = model.detached()
             for start in range(0, len(val_windows), cfg.batch_size):
                 chunk = slice(start, start + cfg.batch_size)
                 masked = [apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
                           for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
                 batch = encode_batch(masked, provider, val_plans[chunk])
-                outputs = model.pretrain_outputs(batch, mode="eval")
+                outputs = eval_model.pretrain_outputs(batch, mode="eval")
                 val_agg.add(mlvm_loss(outputs, val_plans[chunk], cfg.alpha, cfg.beta))
             val_row = LossRow(epoch, "val", *val_agg.totals(), lr)
             rows.append(val_row)
@@ -513,6 +532,7 @@ def _class_weight(task: Task, labels: np.ndarray):
 def predict_scores(model: Model, samples: Sequence[Sample], provider: EmbeddingProvider,
                    task_kind: str, batch_size: int = 64) -> np.ndarray:
     """Eval-mode task scores: probabilities for classification, raw values for regression."""
+    model = model.detached()
     outputs = []
     n_windows = max((len(s.windows) for s in samples), default=1)
     for start in range(0, len(samples), batch_size):
@@ -590,8 +610,17 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
 def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
                    val_samples: list[Sample], provider: EmbeddingProvider,
                    cfg: TrainConfig, fold: int) -> tuple[Model, list[LossRow], float]:
+    """Train one fold on a private clone of ``pretrained``; return it with the best val epoch restored.
+
+    Parameters outside ``trainable_parameters`` are tape constants: they do
+    not require grad, so the fold's steps record and walk back only the ops
+    above the freeze boundary, and frozen arrays never change, so only the
+    trainable ones are snapshotted.
+    """
     model = pretrained.with_task_head(task.out_dim, pretrained.config.task_dropout, seed=cfg.seed + fold)
     trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
+    for name, tensor in model.parameters().items():
+        tensor.requires_grad = name in trainable
     optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
     n_windows = max((len(s.windows) for s in train_samples), default=1)
 
@@ -629,20 +658,21 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
 
         if val_loss < best_val:
             best_val, since_best = val_loss, 0
-            best_state = {k: t.data.copy() for k, t in model.parameters().items()}
+            best_state = {k: t.data.copy() for k, t in trainable.items()}
         else:
             since_best += 1
             if cfg.patience is not None and since_best > cfg.patience:
                 break
 
     if best_state:
-        for name, tensor in model.parameters().items():
+        for name, tensor in trainable.items():
             tensor.data = best_state[name]
     return model, rows, best_val
 
 
 def _task_loss(model: Model, task: Task, samples: Sequence[Sample],
                provider: EmbeddingProvider, weight, batch_size: int) -> float:
+    model = model.detached()
     total, count = 0.0, 0
     n_windows = max((len(s.windows) for s in samples), default=1)
     for start in range(0, len(samples), batch_size):

@@ -195,9 +195,6 @@ class WindowSequence:
     def real_length(self) -> int:
         return sum(1 for t in self.tokens if not t.is_pad)
 
-    def attention_mask(self) -> list[int]:
-        return [0 if t.is_pad else 1 for t in self.tokens]
-
     def with_tokens(self, tokens: Sequence[Token]) -> "WindowSequence":
         return WindowSequence(self.stay_id, self.window_index, self.window_start, tuple(tokens), self.label)
 

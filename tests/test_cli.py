@@ -113,6 +113,21 @@ class TestConfigFile:
         assert "config synth.features=9" in err      # file beats default
         assert "config synth.rate=0.01" in err       # default survives
 
+    def test_negative_unfrozen_layers_is_one_error_line(self, synth_args, capsys):
+        events, task, tmp_path = synth_args
+        ckpt = str(tmp_path / "pre.ckpt")
+        assert main(["pretrain", "--events", events, "--out", ckpt, "--embed-dim", "8",
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8",
+                     "--max-seq-len", "16", "--epochs", "1", "--batch-size", "8"]) == 0
+        config = tmp_path / "finetune.cfg"
+        config.write_text("unfrozen_layers=-1\n")
+        capsys.readouterr()
+        code = main(["finetune", "--config", str(config), "--events", events, "--checkpoint", ckpt,
+                     "--task", task, "--embed-dim", "8", "--folds", "2", "--epochs", "1"])
+        assert code == 1
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "InvalidSpec" in errors[0] and "unfrozen_layers" in errors[0]
+
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("nonsense=1\n")

@@ -111,8 +111,9 @@ class TestAssignSplits:
 
     def test_patient_level(self):
         corpus = assign_splits(multi_patient_corpus(30, stays_per_patient=3), (0.5, 0.25, 0.25), seed=2)
-        for stay in corpus.stays:
-            assert corpus.split_of(stay) is corpus.splits[stay.patient_id]
+        for split in Split:
+            assert all(corpus.splits[s.patient_id] is split for s in corpus.stays_in(split))
+        assert sum(len(corpus.stays_in(split)) for split in Split) == len(corpus.stays)
         # no patient in two splits by construction of the map; check coverage
         assert len(corpus.splits) == 30
 

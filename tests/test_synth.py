@@ -30,10 +30,6 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(patients=1, features=5, rate=0.1, signal_incidence=1.5)
 
-    def test_json_roundtrip(self):
-        spec = GeneratorSpec(patients=3, features=8, rate=0.02, stay_hours=30.0)
-        assert GeneratorSpec.from_json(spec.to_json()) == spec
-
 
 class TestGeneration:
     def test_deterministic_bytes(self):

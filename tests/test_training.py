@@ -1,4 +1,5 @@
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -80,6 +81,13 @@ class TestSchedule:
         rates = [linear_lr(1.0, e, 4, 0) for e in range(1, 5)]
         assert rates[0] == pytest.approx(1.0)
         assert rates[-1] == pytest.approx(0.25)
+
+
+class TestTrainConfig:
+    @pytest.mark.parametrize("field", ["unfrozen_layers", "warmup_epochs", "patience"])
+    def test_negative_setting_rejected(self, field):
+        with pytest.raises(InvalidSpec, match=field):
+            TrainConfig(**{field: -1})
 
 
 class TestPretrain:
@@ -342,3 +350,126 @@ class TestCheckpointRoundTrip:
             batch = encode_batch(windows, INVARIANCE_PROVIDER)
             for got, want in zip(loaded.pretrain_outputs(batch), model.pretrain_outputs(batch)):
                 assert np.array_equal(got.data, want.data)
+
+
+def tape_size(loss) -> int:
+    """Nodes that ``ad.backward`` visits from ``loss``."""
+    seen, todo = {id(loss)}, [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+    return len(seen)
+
+
+GOLDEN_LAYERS = 2
+
+
+class TestFrozenTape:
+    """Frozen fine-tune parameters are tape constants; the trainable ones see the same step."""
+
+    @pytest.mark.parametrize("unfreeze_embedder", [False, True])
+    @pytest.mark.parametrize("unfrozen_layers", [0, 1, GOLDEN_LAYERS, None])
+    def test_step_equals_full_tape(self, monkeypatch, unfrozen_layers, unfreeze_embedder):
+        spec, corpus, vocab, provider, config = small_setup()
+        config = replace(config, encoder=replace(config.encoder, layers=GOLDEN_LAYERS))
+        pre = Model.build(config, seed=0, dtype=np.float64)
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        samples = build_samples(corpus, Split.TRAIN, task, vocab, config.window_minutes,
+                                config.encoder.max_seq_len)
+        cfg = TrainConfig(epochs=1, batch_size=len(samples), lr=1e-3, seed=0, warmup_epochs=0,
+                          unfrozen_layers=unfrozen_layers, unfreeze_embedder=unfreeze_embedder)
+
+        # reference: the fold's only step with every parameter on the tape
+        full = pre.with_task_head(task.out_dim, config.task_dropout, seed=cfg.seed)
+        order = np.random.default_rng([cfg.seed, 90, 0, 1]).permutation(len(samples))
+        slots, labels = training._sample_batches(samples, order, max(len(s.windows) for s in samples), provider)
+        weight = training._class_weight(task, np.asarray([s.label for s in samples], dtype=np.float32))
+        logits = full.task_scores(slots, mode="train", rng=np.random.default_rng([cfg.seed, 91, 0, 1, 0]))
+        ref_loss = training.finetune_loss(task.kind, logits, labels, weight)
+        ad.backward(ref_loss)
+
+        seen = {}
+        backward, step = ad.backward, AdamW.step
+
+        def spy_backward(loss):
+            seen["tape"] = tape_size(loss)
+            backward(loss)
+
+        def spy_step(optimizer, lr):
+            seen["grads"] = {name: p.grad.copy() for name, p in optimizer.params.items()}
+            step(optimizer, lr)
+
+        monkeypatch.setattr(ad, "backward", spy_backward)
+        monkeypatch.setattr(AdamW, "step", spy_step)
+        model, rows, _ = training._finetune_fold(pre, task, samples, [], provider, cfg, 0)
+
+        trainable = full.trainable_parameters(unfrozen_layers, unfreeze_embedder)
+        assert rows[0].l_total == ref_loss.item()
+        assert seen["grads"].keys() == trainable.keys()
+        for name, grad in seen["grads"].items():
+            assert grad.tobytes() == trainable[name].grad.tobytes(), name
+        frozen = [t for name, t in model.parameters().items() if name not in trainable]
+        assert all(t.grad is None and not t.requires_grad for t in frozen)
+        if frozen:
+            assert seen["tape"] < tape_size(ref_loss)
+        else:
+            assert seen["tape"] == tape_size(ref_loss)
+
+    def test_finetune_leaves_no_gradient_on_frozen_parameters(self):
+        spec, corpus, vocab, provider, config = small_setup()
+        config = replace(config, encoder=replace(config.encoder, layers=GOLDEN_LAYERS))
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0, warmup_epochs=0, unfrozen_layers=1)
+        model = finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2).best_model
+        trainable = model.trainable_parameters(1)
+        frozen = [t for name, t in model.parameters().items() if name not in trainable]
+        assert frozen and all(t.grad is None for t in frozen)
+
+
+class TestEvalTape:
+    """Eval passes run on a detached model and record no backward graph."""
+
+    def test_detached_model(self):
+        tokens = [dyn_token("lab: a", 1.5, 3), dyn_token("lab: b", "low", 9, 4)]
+        batch = encode_batch([truncate_and_pad(make_window(tokens), 8)], INVARIANCE_PROVIDER)
+        model = INVARIANCE_MODEL
+        detached = model.detached()
+        for forward in (lambda m: m.hidden_states(batch), lambda m: m.task_scores([batch])):
+            out, ref = forward(detached), forward(model)
+            assert out.data.tobytes() == ref.data.tobytes()
+            assert out._parents == () and ref._parents
+        params = model.parameters()
+        for name, tensor in detached.parameters().items():
+            assert not tensor.requires_grad and params[name].requires_grad
+            assert np.shares_memory(tensor.data, params[name].data)
+
+    def test_predict_scores_and_task_loss_record_no_tape(self, monkeypatch):
+        made, make = [], ad._make
+
+        def recording(*args):
+            made.append(make(*args))
+            return made[-1]
+
+        monkeypatch.setattr(ad, "_make", recording)
+        samples = [Sample([truncate_and_pad(make_window([dyn_token("lab: a", x, 5)]), 8)], x > 0)
+                   for x in (-1.0, 0.5, 2.0)]
+        predict_scores(INVARIANCE_MODEL, samples, INVARIANCE_PROVIDER, "binary", batch_size=2)
+        training._task_loss(INVARIANCE_MODEL, Task("binary", lambda stay: 0), samples,
+                            INVARIANCE_PROVIDER, 1.0, 2)
+        assert made and not any(t._parents for t in made)
+
+    def test_pretrain_validation_records_no_tape(self, monkeypatch):
+        _, corpus, vocab, provider, config = small_setup()
+        outputs, pretrain_outputs = [], Model.pretrain_outputs
+
+        def recording(model, batch, mode="eval", rng=None):
+            out = pretrain_outputs(model, batch, mode, rng)
+            if mode == "eval":
+                outputs.extend(out)
+            return out
+
+        monkeypatch.setattr(Model, "pretrain_outputs", recording)
+        pretrain(corpus, vocab, provider, config, TrainConfig(epochs=1, batch_size=8, lr=3e-4, seed=1))
+        assert outputs and not any(t._parents for t in outputs)

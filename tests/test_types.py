@@ -130,10 +130,9 @@ class TestWindowSequence:
         with pytest.raises(InvalidRegistry):
             WindowSequence("s1", 0, TS, (cls_token(), pad_token(), real))
 
-    def test_attention_mask(self):
+    def test_real_length(self):
         real = Token("a: b", 1.0, 0, 0, is_continuous=True)
         seq = WindowSequence("s1", 0, TS, (cls_token(), real, pad_token()))
-        assert seq.attention_mask() == [1, 1, 0]
         assert seq.real_length == 2
 
 

@@ -178,7 +178,7 @@ class TestTruncateAndPad:
         seq = make_window([dyn_token("c: hr", 1.0, i) for i in range(99)])
         out = truncate_and_pad(seq, 512)
         assert len(out.tokens) == 512
-        assert sum(out.attention_mask()) == 100
+        assert out.real_length == 100
 
     def test_statics_overflow(self):
         statics = [dyn_token(f"s: v{i}", float(i), 0, static=True) for i in range(513)]
