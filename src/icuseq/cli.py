@@ -327,8 +327,12 @@ def _cmd_pretrain(cfg: dict) -> None:
     print(f"wrote {cfg['out']}")
 
 
-def _task_from_file(cfg: dict) -> Task:
+def _task_from_file(cfg: dict, window_minutes: int) -> Task:
+    """The planted task, its oracle labels read from the window the model was built with."""
     kind, gen_spec, _seed = read_task_file(cfg["task"])
+    if gen_spec.window_minutes != window_minutes:
+        raise ConfigMismatch(f"task file labels {gen_spec.window_minutes}-minute windows, "
+                             f"the checkpoint has {window_minutes}-minute windows")
     if kind == "binary":
         return Task("binary", lambda stay: oracle_label(stay, gen_spec),
                     class_weight=_weight_option(cfg))
@@ -357,7 +361,7 @@ def _cmd_finetune(cfg: dict) -> None:
         "head_mode": "pretrain",
         "d_pre": provider.dim,
     })
-    task = _task_from_file(cfg)
+    task = _task_from_file(cfg, model.config.window_minutes)
     result = finetune(model, task, corpus, vocab, provider, train_config, folds=cfg["folds"])
     _emit_report(result.report, cfg.get("results_out"))
     if cfg["out"]:
@@ -369,7 +373,7 @@ def _cmd_evaluate(cfg: dict) -> None:
     corpus, vocab = _load_corpus(cfg)
     provider = _provider(cfg)
     model = Model.load(cfg["checkpoint"], expect={"head_mode": "task"})
-    task = _task_from_file(cfg)
+    task = _task_from_file(cfg, model.config.window_minutes)
     metrics = evaluate(model, task, corpus, vocab, provider)
     text = "\n".join(f"{name}: {value:.6f}" for name, value in sorted(metrics.items()))
     print(text)

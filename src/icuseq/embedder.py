@@ -132,10 +132,6 @@ class EncodedBatch:
     labels: Optional[np.ndarray] = None
     stay_ids: tuple[str, ...] = ()
 
-    @property
-    def seq_len(self) -> int:
-        return self.feature_ids.shape[1]
-
 
 def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
                  plans: Optional[Sequence[MaskingPlan]] = None,

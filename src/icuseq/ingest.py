@@ -8,7 +8,11 @@ default false).
 Timestamps may be timezone-naive or carry a UTC offset, but all registries of
 one stay must agree: a stay that mixes naive and offset timestamps is rejected
 at the first line that breaks the stay's convention, because its events could
-not be put in order.
+not be put in order. A stay's dynamic timestamps may span at most
+``MAX_STAY_SPAN``: a stay is cut into one window per window length of that
+span, so one stray timestamp decades off would otherwise make thousands of
+windows. The stay is rejected at the first line that stretches it further.
+Static timestamps are not bounded, since statics repeat in every window.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import enum
 import json
 import math
 from dataclasses import dataclass, field
-from datetime import datetime
+from datetime import datetime, timedelta
 from functools import cached_property
 from typing import Iterable, Sequence
 
@@ -30,6 +34,8 @@ from .types import (
     Vocabularies,
     validate_registry,
 )
+
+MAX_STAY_SPAN = timedelta(days=365)
 
 
 class Split(enum.Enum):
@@ -102,6 +108,7 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
     statics: dict[str, list[Registry]] = {}
     stay_patient: dict[str, str] = {}
     stay_aware: dict[str, bool] = {}
+    stay_span: dict[str, list[datetime]] = {}  # earliest and latest dynamic timestamp so far
     order: list[str] = []
 
     for line_no, line in enumerate(lines, start=1):
@@ -127,7 +134,24 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
             raise ParseError(line_no, f"stay {stay!r} claimed by two patients")
         elif stay_aware[stay] != aware:
             raise ParseError(line_no, f"stay {stay!r} mixes timezone-naive and offset timestamps")
-        (statics if registry.is_static else dynamics)[stay].append(registry)
+        if registry.is_static:
+            statics[stay].append(registry)
+            continue
+        dynamics[stay].append(registry)
+        ts = registry.timestamp
+        span = stay_span.get(stay)
+        if span is None:
+            stay_span[stay] = [ts, ts]
+            continue
+        if ts > span[1]:
+            span[1] = ts
+        elif ts < span[0]:
+            span[0] = ts
+        else:
+            continue
+        if span[1] - span[0] > MAX_STAY_SPAN:
+            raise ParseError(line_no, f"stay {stay!r} spans {span[1] - span[0]} of dynamic timestamps, "
+                                      f"more than the {MAX_STAY_SPAN.days}-day maximum")
 
     stays = tuple(
         Stay(stay_id=s, patient_id=stay_patient[s], dynamics=tuple(dynamics[s]), statics=tuple(statics[s]))

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import copy
+import itertools
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -66,6 +67,14 @@ class ModelConfig:
             )
         except KeyError as exc:
             raise ConfigMismatch(f"checkpoint config missing {exc}") from exc
+
+
+@dataclass(frozen=True)
+class Prefix:
+    """A batch's input of encoder layer ``depth``: the embedder and the layers below it have run."""
+
+    depth: int
+    hidden: Tensor
 
 
 class Model:
@@ -137,33 +146,60 @@ class Model:
         out.heads = _rebind(self.heads, fresh)
         return out
 
-    def with_task_head(self, task_dim: int, task_dropout: float, seed: int) -> "Model":
-        """Drop the reconstruction heads and attach a fresh task head."""
+    def with_task_head(self, task_dim: int, task_dropout: float, seed: int,
+                       unfrozen_layers: Optional[int] = None, unfreeze_embedder: bool = False) -> "Model":
+        """Drop the reconstruction heads and attach a fresh task head.
+
+        The parameters in ``trainable_parameters(unfrozen_layers,
+        unfreeze_embedder)`` are fresh copies that require grad. Every other
+        one is a tape constant sharing this model's array: an optimizer step
+        rebinds only the parameters it updates, so the shared arrays never
+        change.
+        """
         rng = np.random.default_rng([seed, 81])
         dtype = self.embedder.w_f.data.dtype
         heads = enc.init_task_head(rng, self.config.encoder.hidden, task_dim, task_dropout, dtype)
         config = replace(self.config, head_mode="task", task_dim=task_dim, task_dropout=task_dropout)
         model = Model(config, self.embedder, self.encoder, heads)
-        return model.clone()
+        trainable = model.trainable_parameters(unfrozen_layers, unfreeze_embedder)
+        return model._rebound(lambda name, t: ad.parameter(t.data.copy(), name) if name in trainable
+                              else Tensor(t.data, name=name))
 
     # forward paths ---------------------------------------------------------
 
     def hidden_states(self, batch: EncodedBatch, mode: str = "eval",
-                      rng: Optional[np.random.Generator] = None) -> Tensor:
-        embedded = compose_batch(batch, self.embedder, mode, rng)
-        return enc.forward(embedded, batch.attention_mask, self.config.encoder,
-                           self.encoder, mode, rng)
+                      rng: Optional[np.random.Generator] = None, below: Optional[Prefix] = None) -> Tensor:
+        """Final-layer states of ``batch``.
+
+        ``below`` is this batch's prefix from a model with the same embedder
+        and bottom layers: only the layers above it run.
+        """
+        if below is None:
+            below = Prefix(0, compose_batch(batch, self.embedder, mode, rng))
+        return enc.forward(below.hidden, batch.attention_mask, self.config.encoder,
+                           enc.EncoderParams(self.encoder.layers[below.depth:]), mode, rng)
+
+    def prefix(self, batch: EncodedBatch, depth: int) -> Prefix:
+        """The eval-mode input of encoder layer ``depth`` for ``batch``."""
+        x = compose_batch(batch, self.embedder)
+        return Prefix(depth, enc.forward(x, batch.attention_mask, self.config.encoder,
+                                         enc.EncoderParams(self.encoder.layers[:depth])))
 
     def pretrain_outputs(self, batch: EncodedBatch, mode: str = "eval",
                          rng: Optional[np.random.Generator] = None) -> tuple[Tensor, Tensor, Tensor]:
         return enc.mlvm_outputs(self.hidden_states(batch, mode, rng), self.heads)
 
     def task_scores(self, window_batches: Sequence[EncodedBatch], mode: str = "eval",
-                    rng: Optional[np.random.Generator] = None) -> Tensor:
-        """Task logits from the CLS outputs of one or more windows per sample."""
+                    rng: Optional[np.random.Generator] = None,
+                    below: Optional[Sequence[Prefix]] = None) -> Tensor:
+        """Task logits from the CLS outputs of one or more windows per sample.
+
+        ``below`` holds one prefix per window batch (see ``hidden_states``).
+        """
         cls_sum = None
-        for batch in window_batches:
-            cls_vec = enc.cls_output(self.hidden_states(batch, mode, rng))
+        for i, batch in enumerate(window_batches):
+            hidden = self.hidden_states(batch, mode, rng, None if below is None else below[i])
+            cls_vec = enc.cls_output(hidden)
             cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
         cls_avg = ad.scale(cls_sum, 1.0 / len(window_batches))
         return enc.task_output(cls_avg, self.heads, mode, rng)
@@ -346,9 +382,6 @@ class PretrainResult:
     best_epoch: int
     best_val_total: float
 
-    def val_totals(self) -> list[float]:
-        return [r.l_total for r in self.rows if r.split == "val"]
-
 
 def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
              model_config: ModelConfig, train_config: TrainConfig,
@@ -372,11 +405,17 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     model = Model.build(model_config, cfg.seed)
     optimizer = AdamW(model.parameters(), weight_decay=cfg.weight_decay)
 
-    # validation masking is frozen once so epochs stay comparable
+    # validation masking is frozen once so epochs stay comparable: every epoch scores the same batches
     val_plans = [
         plan_masking(w, vocab, np.random.default_rng([cfg.seed, 40, i]), rates)
         for i, w in enumerate(val_windows)
     ]
+    val_batches = []
+    for start in range(0, len(val_windows), cfg.batch_size):
+        chunk = slice(start, start + cfg.batch_size)
+        masked = [apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
+                  for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
+        val_batches.append((encode_batch(masked, provider, val_plans[chunk]), val_plans[chunk]))
 
     rows: list[LossRow] = []
     best_val = np.inf
@@ -422,16 +461,12 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         if on_row:
             on_row(row)
 
-        if val_windows:
+        if val_batches:
             val_agg = _LossAggregator(cfg.alpha, cfg.beta)
             eval_model = model.detached()
-            for start in range(0, len(val_windows), cfg.batch_size):
-                chunk = slice(start, start + cfg.batch_size)
-                masked = [apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
-                          for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
-                batch = encode_batch(masked, provider, val_plans[chunk])
+            for batch, plans in val_batches:
                 outputs = eval_model.pretrain_outputs(batch, mode="eval")
-                val_agg.add(mlvm_loss(outputs, val_plans[chunk], cfg.alpha, cfg.beta))
+                val_agg.add(mlvm_loss(outputs, plans, cfg.alpha, cfg.beta))
             val_row = LossRow(epoch, "val", *val_agg.totals(), lr)
             rows.append(val_row)
             if on_row:
@@ -455,6 +490,11 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
 
 # ---------------------------------------------------------------------------
 # fine-tuning
+
+# Bound on the eval batches one fine-tune call keeps for reuse across folds, and one fold
+# across epochs, counting each token as one hidden vector: 256 MiB holds the prefixes of
+# about 170 windows of 512 tokens at hidden 768 in float32.
+REUSE_BYTES = 256 * 2**20
 
 
 @dataclass(frozen=True)
@@ -529,19 +569,65 @@ def _class_weight(task: Task, labels: np.ndarray):
     return float(weight) if np.ndim(weight) == 0 else weight
 
 
+@dataclass
+class _EvalBatch:
+    """Samples encoded for eval-mode scoring, one batch per window slot, and the slots' prefixes if kept."""
+
+    slots: list[EncodedBatch]
+    labels: np.ndarray
+    below: Optional[list[Prefix]] = None
+
+
+def _eval_batches(samples: Sequence[Sample], batch_size: int, provider: EmbeddingProvider,
+                  n_windows: Optional[int] = None) -> Iterator[_EvalBatch]:
+    """``samples`` in order, ``batch_size`` at a time, each encoded when it is reached."""
+    if n_windows is None:
+        n_windows = max((len(s.windows) for s in samples), default=1)
+    for start in range(0, len(samples), batch_size):
+        idx = np.arange(start, min(start + batch_size, len(samples)))
+        yield _EvalBatch(*_sample_batches(samples, idx, n_windows, provider))
+
+
+def _reused_batches(pretrained: Model, samples: Sequence[Sample], batch_size: int,
+                    provider: EmbeddingProvider, cfg: TrainConfig) -> Callable[[], Iterable[_EvalBatch]]:
+    """Eval batches of ``samples`` for every pass of the models ``cfg`` fine-tunes from ``pretrained``.
+
+    The leading batches are encoded once and kept, while their tokens,
+    counted at one hidden vector each, fit in ``REUSE_BYTES``. When ``cfg``
+    freezes the embedder, each kept slot's prefix through it and the layers
+    below the freeze boundary, which those models share with
+    ``pretrained``, is computed once too. Batches past the bound are encoded
+    again on every pass and run from the embedder up. Batch composition is
+    the same either way, and so are the scores.
+    """
+    depth = None if cfg.unfrozen_layers is None or cfg.unfreeze_embedder \
+        else max(len(pretrained.encoder.layers) - cfg.unfrozen_layers, 0)
+    frozen = pretrained.detached()
+    token_bytes = pretrained.config.encoder.hidden * pretrained.embedder.w_f.data.itemsize
+    n_windows = max((len(s.windows) for s in samples), default=1)
+    kept: list[_EvalBatch] = []
+    size = 0
+    for batch in _eval_batches(samples, batch_size, provider, n_windows):
+        size += token_bytes * sum(slot.attention_mask.size for slot in batch.slots)
+        if size > REUSE_BYTES:
+            break
+        if depth is not None:
+            batch.below = [frozen.prefix(slot, depth) for slot in batch.slots]
+        kept.append(batch)
+    rest = samples[len(kept) * batch_size:]
+    return lambda: itertools.chain(kept, _eval_batches(rest, batch_size, provider, n_windows))
+
+
+def _scores(model: Model, batches: Iterable[_EvalBatch], task_kind: str) -> np.ndarray:
+    model = model.detached()
+    raw = np.concatenate([model.task_scores(b.slots, "eval", below=b.below).data for b in batches])
+    return raw if task_kind == "regression" else expit(raw)
+
+
 def predict_scores(model: Model, samples: Sequence[Sample], provider: EmbeddingProvider,
                    task_kind: str, batch_size: int = 64) -> np.ndarray:
     """Eval-mode task scores: probabilities for classification, raw values for regression."""
-    model = model.detached()
-    outputs = []
-    n_windows = max((len(s.windows) for s in samples), default=1)
-    for start in range(0, len(samples), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(samples)))
-        slots, _ = _sample_batches(samples, idx, n_windows, provider)
-        logits = model.task_scores(slots, mode="eval")
-        outputs.append(logits.data)
-    raw = np.concatenate(outputs)
-    return raw if task_kind == "regression" else expit(raw)
+    return _scores(model, _eval_batches(samples, batch_size, provider), task_kind)
 
 
 @dataclass
@@ -554,7 +640,18 @@ class FinetuneResult:
 def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
              provider: EmbeddingProvider, train_config: TrainConfig, folds: int = 5,
              on_row: Optional[Callable[[LossRow], None]] = None) -> FinetuneResult:
-    """Cross-validated fine-tuning: resample train+val per fold, test split fixed."""
+    """Cross-validated fine-tuning: resample train+val per fold, test split fixed.
+
+    What no fold changes is computed once per call. Each pool stay is
+    segmented once. Each fold copies only its trainable parameters and
+    shares the frozen arrays with ``pretrained``, whose own parameters are
+    left as they were. The test batches are encoded once. When the embedder
+    is frozen, each test batch's prefix through the embedder and the frozen
+    bottom layers is computed once as well, and every fold scores it by
+    running only the layers above and the head (see ``_reused_batches`` for
+    the memory bound). Train-mode passes are never reused, since dropout
+    acts in the frozen layers too. Nothing is kept once the call returns.
+    """
     cfg = train_config
     window_minutes = pretrained.config.window_minutes
     max_seq_len = pretrained.config.encoder.max_seq_len
@@ -566,6 +663,8 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     test_samples = build_samples(corpus, Split.TEST, task, vocab, window_minutes, max_seq_len)
     if not test_samples:
         raise MissingLabels("no test-split samples to evaluate")
+    test_batches = _reused_batches(pretrained, test_samples, 2 * cfg.batch_size, provider, cfg)
+    labels = np.asarray([s.label for s in test_samples], dtype=np.float64)
 
     order = np.random.default_rng([cfg.seed, 80]).permutation(len(pool_patients))
     chunks = np.array_split(order, folds)
@@ -596,8 +695,7 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
         if fold_val < best_val:
             best_val, best_model = fold_val, model
 
-        scores = predict_scores(model, test_samples, provider, task.kind, batch_size=2 * cfg.batch_size)
-        labels = np.asarray([s.label for s in test_samples], dtype=np.float64)
+        scores = _scores(model, test_batches(), task.kind)
         if task.kind == "regression":
             per_fold.append({"mae": mae(scores, labels)})
         else:
@@ -610,19 +708,23 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
 def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
                    val_samples: list[Sample], provider: EmbeddingProvider,
                    cfg: TrainConfig, fold: int) -> tuple[Model, list[LossRow], float]:
-    """Train one fold on a private clone of ``pretrained``; return it with the best val epoch restored.
+    """Train one fold on ``pretrained`` with a fresh task head; return it with the best val epoch restored.
 
-    Parameters outside ``trainable_parameters`` are tape constants: they do
-    not require grad, so the fold's steps record and walk back only the ops
-    above the freeze boundary, and frozen arrays never change, so only the
-    trainable ones are snapshotted.
+    Only the parameters in ``trainable_parameters`` are copied and require
+    grad. The others are tape constants sharing ``pretrained``'s arrays, so
+    the fold's steps record and walk back only the ops above the freeze
+    boundary, and only the trainable arrays are snapshotted. The val batches
+    are encoded once per fold, not per epoch, and when the embedder is
+    frozen so are their prefixes below the freeze boundary: every epoch's
+    val pass then runs only the layers above.
     """
-    model = pretrained.with_task_head(task.out_dim, pretrained.config.task_dropout, seed=cfg.seed + fold)
+    model = pretrained.with_task_head(task.out_dim, pretrained.config.task_dropout, seed=cfg.seed + fold,
+                                      unfrozen_layers=cfg.unfrozen_layers,
+                                      unfreeze_embedder=cfg.unfreeze_embedder)
     trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
-    for name, tensor in model.parameters().items():
-        tensor.requires_grad = name in trainable
     optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
     n_windows = max((len(s.windows) for s in train_samples), default=1)
+    val_batches = _reused_batches(pretrained, val_samples, cfg.batch_size, provider, cfg)
 
     train_labels = np.asarray([s.label for s in train_samples], dtype=np.float32)
     weight = _class_weight(task, train_labels)
@@ -651,7 +753,7 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
             epoch_loss += loss.item()
             n_batches += 1
 
-        val_loss = _task_loss(model, task, val_samples, provider, weight, cfg.batch_size) \
+        val_loss = _task_loss(model, task, val_batches(), weight) \
             if val_samples else epoch_loss / max(n_batches, 1)
         rows.append(LossRow(epoch, f"fold{fold}-train", 0.0, 0.0, 0.0, epoch_loss / max(n_batches, 1), lr))
         rows.append(LossRow(epoch, f"fold{fold}-val", 0.0, 0.0, 0.0, val_loss, lr))
@@ -670,17 +772,13 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
     return model, rows, best_val
 
 
-def _task_loss(model: Model, task: Task, samples: Sequence[Sample],
-               provider: EmbeddingProvider, weight, batch_size: int) -> float:
+def _task_loss(model: Model, task: Task, batches: Iterable[_EvalBatch], weight) -> float:
     model = model.detached()
     total, count = 0.0, 0
-    n_windows = max((len(s.windows) for s in samples), default=1)
-    for start in range(0, len(samples), batch_size):
-        idx = np.arange(start, min(start + batch_size, len(samples)))
-        slots, labels = _sample_batches(samples, idx, n_windows, provider)
-        logits = model.task_scores(slots, mode="eval")
-        total += finetune_loss(task.kind, logits, labels, weight).item() * len(idx)
-        count += len(idx)
+    for b in batches:
+        logits = model.task_scores(b.slots, "eval", below=b.below)
+        total += finetune_loss(task.kind, logits, b.labels, weight).item() * len(b.labels)
+        count += len(b.labels)
     return total / max(count, 1)
 
 

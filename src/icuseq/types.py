@@ -149,23 +149,6 @@ def token_from_registry(r: Registry, tau_minutes: int, delta_minutes: int) -> To
     )
 
 
-def validate_token(t: Token, window_minutes: int = DEFAULT_WINDOW_MINUTES) -> Token:
-    """Shared validator enforcing the Token invariants for a given window length."""
-    numeric = not isinstance(t.value, (str, bool, Special)) and isinstance(t.value, (int, float))
-    if t.is_continuous != numeric:
-        raise InvalidRegistry("is_continuous flag disagrees with the value variant")
-    if numeric and not math.isfinite(float(t.value)):
-        raise InvalidRegistry("non-finite continuous value")
-    if t.feature_text in (CLS_TEXT, PAD_TEXT):
-        if t.tau_minutes != 0 or t.delta_minutes != 0 or t.is_continuous:
-            raise InvalidRegistry(f"{t.feature_text} token must have tau=delta=0 and no numeric value")
-    if not (0 <= t.tau_minutes < window_minutes):
-        raise InvalidRegistry(f"tau {t.tau_minutes} outside [0, {window_minutes})")
-    if not (0 <= t.delta_minutes < window_minutes):
-        raise InvalidRegistry(f"delta {t.delta_minutes} outside [0, {window_minutes})")
-    return t
-
-
 @dataclass(frozen=True)
 class WindowSequence:
     """Ordered token list for one window of one stay; CLS first, PADs (if any) last."""

@@ -179,6 +179,22 @@ class TestTrainingPipeline:
         assert code == 0
         assert "auroc:" in capsys.readouterr().out
 
+    def test_task_window_differs_from_checkpoint(self, synth_args, capsys):
+        events, task, tmp_path = synth_args  # the task file labels 1440-minute windows
+        ckpt = str(tmp_path / "pre.ckpt")
+        assert main(["pretrain", "--events", events, "--out", ckpt, "--embed-dim", "8",
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8",
+                     "--max-seq-len", "16", "--epochs", "1", "--batch-size", "8",
+                     "--window-minutes", "720"]) == 0
+        capsys.readouterr()
+        code = main(["finetune", "--events", events, "--checkpoint", ckpt, "--task", task,
+                     "--embed-dim", "8", "--folds", "2", "--epochs", "1"])
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ConfigMismatch" in errors[0] and "720" in errors[0]
+        assert "Traceback" not in err
+
     def test_checkpoint_config_mismatch(self, pipeline_args, capsys):
         events, task, tmp_path = pipeline_args
         ckpt = str(tmp_path / "pre.ckpt")

@@ -159,7 +159,8 @@ class TestGoldenAgainstDenseFill:
 
         hidden = model.hidden_states(batch, mode, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)  # the same draws, in the same order
-        embedded = dense_composition(windows, self.provider, model.embedder, batch.seq_len, mode, rng)
+        length = batch.feature_ids.shape[1]
+        embedded = dense_composition(windows, self.provider, model.embedder, length, mode, rng)
         reference = enc.forward(embedded, batch.attention_mask, GOLDEN_CONFIG.encoder, model.encoder, mode, rng)
         np.testing.assert_allclose(hidden.data, reference.data, rtol=1e-10, atol=1e-10)
 
@@ -183,7 +184,7 @@ class TestGoldenAgainstDenseFill:
         p = params(dtype=np.float32)
         batch = encode_batch(windows, self.provider, dtype=np.float32)
         got = compose_batch(batch, p).data
-        want = dense_composition(windows, self.provider, p, batch.seq_len).data
+        want = dense_composition(windows, self.provider, p, batch.feature_ids.shape[1]).data
         assert got.dtype == np.float32
         np.testing.assert_allclose(got, want, rtol=1e-4, atol=1e-4)
 
@@ -289,7 +290,7 @@ class TestEncodeBatch:
     def test_batch_length_follows_longest_real_window(self, reals, padded, expected):
         windows = [window_of(r, padded) for r in reals]
         batch = encode_batch(windows, self.provider)
-        assert batch.seq_len == expected
+        assert batch.feature_ids.shape[1] == expected
         assert batch.feature_ids.shape == batch.value_scale.shape == (len(reals), expected)
         assert batch.attention_mask.sum(axis=1).tolist() == list(reals)
 

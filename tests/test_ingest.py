@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from icuseq.errors import EmptyTrainSplit, InvalidRatios, ParseError
-from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_event_lines, parse_events
+from icuseq.ingest import (
+    MAX_STAY_SPAN,
+    Split,
+    assign_splits,
+    build_vocabularies,
+    parse_event_lines,
+    parse_events,
+)
 from icuseq.types import UNK_TEXT
 
 
@@ -72,6 +79,25 @@ class TestParseEvents:
     def test_negative_duration_rejected(self):
         with pytest.raises(ParseError, match="negative duration"):
             parse_event_lines([line(duration_minutes=-1)])
+
+    def test_stay_spanning_decades_fails_at_its_line(self):
+        def lines():
+            yield line(timestamp="1990-01-01T00:00")
+            yield line(stay="s2", timestamp="1990-01-01T00:00")
+            yield line(timestamp="2020-01-01T00:00")
+            raise AssertionError("read past the line that stretched the stay")
+
+        with pytest.raises(ParseError, match="line 3: stay 's1' spans 10957 days"):
+            parse_event_lines(lines())
+
+    def test_stay_span_bound_is_inclusive_and_order_free(self):
+        last = (datetime(2023, 1, 1) + MAX_STAY_SPAN).isoformat()
+        corpus = parse_event_lines([line(timestamp=last), line(timestamp="2023-01-01T00:00"),
+                                    line(static=True, variable="age", timestamp="1950-01-01T00:00")])
+        assert len(corpus.stays[0].dynamics) == 2
+        with pytest.raises(ParseError, match="line 3: stay 's1'"):
+            parse_event_lines([line(timestamp=last), line(timestamp="2023-01-01T00:00"),
+                               line(timestamp="2022-12-31T23:59")])
 
     def test_file_roundtrip(self, tmp_path):
         path = tmp_path / "events.jsonl"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from icuseq import autodiff as ad
 from icuseq import training
@@ -111,9 +112,24 @@ class TestPretrain:
         _, corpus, vocab, provider, config = small_setup(patients=60)
         cfg = TrainConfig(epochs=8, batch_size=8, lr=2e-3, seed=0, warmup_epochs=1)
         result = pretrain(corpus, vocab, provider, config, cfg)
-        vals = result.val_totals()
+        vals = [r.l_total for r in result.rows if r.split == "val"]
         assert vals[-1] < vals[0]
         assert result.best_epoch >= 1
+
+    def test_validation_batches_encoded_once(self, monkeypatch):
+        _, corpus, vocab, provider, config = small_setup()
+        sizes, encode = [], training.encode_batch
+
+        def counting(windows, *args, **kwargs):
+            sizes.append(len(windows))
+            return encode(windows, *args, **kwargs)
+
+        monkeypatch.setattr(training, "encode_batch", counting)
+        pretrain(corpus, vocab, provider, config, TrainConfig(epochs=3, batch_size=8, lr=3e-4, seed=1))
+        n_train, n_val = (len(prepare_windows(corpus, split, vocab, 1440, 48))
+                          for split in (Split.TRAIN, Split.VAL))
+        assert n_val and len(sizes) == 3 * -(-n_train // 8) + -(-n_val // 8)
+        assert sum(sizes) == 3 * n_train + n_val
 
     def test_diverged_loss_raised(self):
         _, corpus, vocab, provider, config = small_setup()
@@ -456,8 +472,11 @@ class TestEvalTape:
         samples = [Sample([truncate_and_pad(make_window([dyn_token("lab: a", x, 5)]), 8)], x > 0)
                    for x in (-1.0, 0.5, 2.0)]
         predict_scores(INVARIANCE_MODEL, samples, INVARIANCE_PROVIDER, "binary", batch_size=2)
-        training._task_loss(INVARIANCE_MODEL, Task("binary", lambda stay: 0), samples,
-                            INVARIANCE_PROVIDER, 1.0, 2)
+        task = Task("binary", lambda stay: 0)
+        for unfrozen_layers in (None, 1):  # from the embedder up, and from a frozen prefix
+            batches = training._reused_batches(INVARIANCE_MODEL, samples, 2, INVARIANCE_PROVIDER,
+                                               TrainConfig(unfrozen_layers=unfrozen_layers))
+            training._task_loss(INVARIANCE_MODEL, task, batches(), 1.0)
         assert made and not any(t._parents for t in made)
 
     def test_pretrain_validation_records_no_tape(self, monkeypatch):
@@ -473,3 +492,203 @@ class TestEvalTape:
         monkeypatch.setattr(Model, "pretrain_outputs", recording)
         pretrain(corpus, vocab, provider, config, TrainConfig(epochs=1, batch_size=8, lr=3e-4, seed=1))
         assert outputs and not any(t._parents for t in outputs)
+
+
+def reference_finetune(pretrained, task, corpus, vocab, provider, cfg, folds):
+    """Fine-tuning with nothing computed once: the parts of ``finetune`` a fold can reuse, recomputed.
+
+    Each fold copies every parameter of ``pretrained``, and each eval pass
+    encodes its batches and runs the whole model from the embedder up.
+    Returns the rows, the per-fold metrics, each fold's raw test scores and
+    the best fold's model.
+    """
+    config = pretrained.config
+    test = build_samples(corpus, Split.TEST, task, vocab, config.window_minutes, config.encoder.max_seq_len)
+    test_labels = np.asarray([s.label for s in test], dtype=np.float64)
+
+    def eval_passes(model, samples, batch_size):
+        model, n_windows = model.detached(), max(len(s.windows) for s in samples)
+        for start in range(0, len(samples), batch_size):
+            idx = np.arange(start, min(start + batch_size, len(samples)))
+            slots, labels = training._sample_batches(samples, idx, n_windows, provider)
+            yield model.task_scores(slots), labels
+
+    rows, per_fold, scores, best = [], [], [], (np.inf, None)
+    fold_samples = per_fold_corpus_samples(corpus, task, vocab, config, cfg.seed, folds)
+    for fold, (train, val) in enumerate(fold_samples):
+        model = pretrained.with_task_head(task.out_dim, config.task_dropout, seed=cfg.seed + fold)
+        trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
+        for name, tensor in model.parameters().items():
+            tensor.requires_grad = name in trainable
+        optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
+        n_windows = max(len(s.windows) for s in train)
+        weight = training._class_weight(task, np.asarray([s.label for s in train], dtype=np.float32))
+        fold_best, state = np.inf, {}
+        for epoch in range(1, cfg.epochs + 1):
+            lr = linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
+            order = np.random.default_rng([cfg.seed, 90, fold, epoch]).permutation(len(train))
+            train_loss, steps = 0.0, 0
+            for start in range(0, len(order), cfg.batch_size):
+                slots, labels = training._sample_batches(train, order[start:start + cfg.batch_size],
+                                                         n_windows, provider)
+                rng = np.random.default_rng([cfg.seed, 91, fold, epoch, start])
+                loss = training.finetune_loss(task.kind, model.task_scores(slots, "train", rng), labels, weight)
+                optimizer.zero_grad()
+                ad.backward(loss)
+                optimizer.step(lr)
+                train_loss, steps = train_loss + loss.item(), steps + 1
+            val_total, count = 0.0, 0
+            for logits, labels in eval_passes(model, val, cfg.batch_size):
+                val_total += training.finetune_loss(task.kind, logits, labels, weight).item() * len(labels)
+                count += len(labels)
+            rows += [training.LossRow(epoch, f"fold{fold}-train", 0.0, 0.0, 0.0, train_loss / steps, lr),
+                     training.LossRow(epoch, f"fold{fold}-val", 0.0, 0.0, 0.0, val_total / count, lr)]
+            if val_total / count < fold_best:
+                fold_best, state = val_total / count, {k: t.data.copy() for k, t in trainable.items()}
+        for name, tensor in trainable.items():
+            tensor.data = state[name]
+        if fold_best < best[0]:
+            best = (fold_best, model)
+        raw = np.concatenate([logits.data for logits, _ in eval_passes(model, test, 2 * cfg.batch_size)])
+        scores.append(expit(raw))
+        per_fold.append({"auroc": training.auroc(scores[-1], test_labels),
+                         "auprc": training.auprc(scores[-1], test_labels)})
+    return rows, per_fold, scores, best[1]
+
+
+def finetune_recording_scores(monkeypatch, *args):
+    """``finetune``'s result and the raw test scores each fold passed to ``auroc``."""
+    scores, auroc = [], training.auroc
+
+    def recording(s, labels):
+        scores.append(np.array(s))
+        return auroc(s, labels)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(training, "auroc", recording)
+        return finetune(*args), scores
+
+
+def assert_same_finetune(result, scores, reference):
+    rows, per_fold, ref_scores, ref_best = reference
+    assert result.rows == rows
+    assert list(result.report.per_fold) == per_fold
+    assert [s.tobytes() for s in scores] == [s.tobytes() for s in ref_scores]
+    ref_params = ref_best.parameters()
+    for name, tensor in result.best_model.parameters().items():
+        assert tensor.data.tobytes() == ref_params[name].data.tobytes(), name
+
+
+def golden_setup(n_windows, patients=24, ratios=(0.7, 0.15, 0.15)):
+    """Stays of 24-48 h, so some samples have two windows and others repeat their only one."""
+    spec = GeneratorSpec(patients=patients, features=8, rate=0.008, stay_hours=36.0, stay_jitter_hours=12.0,
+                         signal_incidence=0.4)
+    corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=2)), ratios, seed=0)
+    vocab = build_vocabularies(corpus)
+    provider = StubProvider(dim=8, seed=0)
+    config = ModelConfig(
+        encoder=EncoderConfig(layers=GOLDEN_LAYERS, hidden=16, heads=2, ffn_dim=8, max_seq_len=48, dropout=0.1),
+        d_pre=8, window_minutes=1440, feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
+    )
+    task = Task("binary", lambda stay: oracle_label(stay, spec), n_windows=n_windows)
+    return Model.build(config, seed=0), task, corpus, vocab, provider
+
+
+class TestFrozenPrefixReuse:
+    """Sharing frozen arrays and reusing eval prefixes leaves every fine-tune output bit for bit unchanged."""
+
+    @pytest.mark.parametrize("n_windows", [1, 2])
+    @pytest.mark.parametrize("unfreeze_embedder", [False, True])
+    @pytest.mark.parametrize("unfrozen_layers", [0, 1, GOLDEN_LAYERS, None])
+    def test_equals_full_recompute(self, monkeypatch, unfrozen_layers, unfreeze_embedder, n_windows):
+        pre, task, corpus, vocab, provider = golden_setup(n_windows)
+        cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=0, warmup_epochs=0,
+                          unfrozen_layers=unfrozen_layers, unfreeze_embedder=unfreeze_embedder)
+        result, scores = finetune_recording_scores(monkeypatch, pre, task, corpus, vocab, provider, cfg, 2)
+        assert_same_finetune(result, scores, reference_finetune(pre, task, corpus, vocab, provider, cfg, 2))
+
+    def test_batches_past_the_bound_are_recomputed(self, monkeypatch):
+        pre, task, corpus, vocab, provider = golden_setup(2, patients=30, ratios=(0.5, 0.2, 0.3))
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0, warmup_epochs=0, unfrozen_layers=1)
+        prefixes, prefix = [], Model.prefix
+
+        def counting(model, batch, depth):
+            prefixes.append(depth)
+            return prefix(model, batch, depth)
+
+        monkeypatch.setattr(Model, "prefix", counting)
+        finetune(pre, task, corpus, vocab, provider, cfg, 2)
+        unbounded = len(prefixes)
+        prefixes.clear()
+        # room for one test batch of 4 stays at the longest batch length
+        monkeypatch.setattr(training, "REUSE_BYTES", 4 * 2 * pre.config.encoder.max_seq_len * 16 * 4)
+        result, scores = finetune_recording_scores(monkeypatch, pre, task, corpus, vocab, provider, cfg, 2)
+        assert 0 < len(prefixes) < unbounded and set(prefixes) == {GOLDEN_LAYERS - 1}
+        assert_same_finetune(result, scores, reference_finetune(pre, task, corpus, vocab, provider, cfg, 2))
+
+    @pytest.mark.parametrize("unfrozen_layers", [0, 1])
+    def test_pretrained_model_untouched_and_frozen_arrays_shared(self, unfrozen_layers):
+        pre, task, corpus, vocab, provider = golden_setup(1)
+        before = {name: (t, t.data, t.data.tobytes(), t.requires_grad, t.grad)
+                  for name, t in pre.parameters().items()}
+        cfg = TrainConfig(epochs=2, batch_size=4, lr=1e-3, seed=0, warmup_epochs=0,
+                          unfrozen_layers=unfrozen_layers)
+        best = finetune(pre, task, corpus, vocab, provider, cfg, 2).best_model
+        for name, t in pre.parameters().items():
+            tensor, data, raw, requires_grad, grad = before[name]
+            assert t is tensor and t.data is data and t.data.tobytes() == raw, name
+            assert t.requires_grad == requires_grad and t.grad is grad, name
+        trainable = best.trainable_parameters(unfrozen_layers)
+        for name, t in best.parameters().items():
+            if name.startswith("heads."):
+                continue
+            assert np.shares_memory(t.data, before[name][1]) == (name not in trainable), name
+
+    def test_task_head_copies_only_trainable_arrays(self):
+        pre = golden_setup(1)[0]
+        params = pre.parameters()
+        model = pre.with_task_head(1, 0.5, seed=0, unfrozen_layers=1)
+        trainable = model.trainable_parameters(1)
+        for name, t in model.parameters().items():
+            if name.startswith("heads."):
+                assert name in trainable and t.requires_grad
+                continue
+            assert t is not params[name] and t.data.tobytes() == params[name].data.tobytes(), name
+            assert t.requires_grad == (name in trainable), name
+            assert np.shares_memory(t.data, params[name].data) == (name not in trainable), name
+
+    def test_bound_keeps_leading_batches_with_every_slot(self, monkeypatch):
+        window = lambda x: truncate_and_pad(make_window([dyn_token("lab: a", x, 5)]), 8)  # noqa: E731
+        samples = [Sample([window(1.0), window(2.0)], 1), Sample([window(3.0)], 0), Sample([window(4.0)], 0)]
+        token_bytes = INVARIANCE_MODEL.config.encoder.hidden * 8  # float64
+        monkeypatch.setattr(training, "REUSE_BYTES", 2 * 8 * token_bytes)  # one batch: 2 slots of 8 tokens
+        batches = training._reused_batches(INVARIANCE_MODEL, samples, 1, INVARIANCE_PROVIDER,
+                                           TrainConfig(unfrozen_layers=1))
+        for _ in range(2):
+            got = list(batches())
+            assert [len(b.slots) for b in got] == [2, 2, 2]
+            assert [b.below is not None for b in got] == [True, False, False]
+
+    def test_no_reuse_between_calls(self, monkeypatch):
+        pre, task, corpus, vocab, provider = golden_setup(2)
+        cfg = TrainConfig(epochs=1, batch_size=4, lr=1e-3, seed=0, warmup_epochs=0, unfrozen_layers=1)
+        calls = []
+        for owner, name in ((training, "encode_batch"), (training, "compose_batch"),
+                            (training.enc, "forward")):
+            def counting(*args, fn=getattr(owner, name), name=name, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(owner, name, counting)
+
+        def work(call):
+            calls.clear()
+            call()
+            return sorted(calls)
+
+        tune = lambda: finetune(pre, task, corpus, vocab, provider, cfg, 2)  # noqa: E731
+        first = work(tune)
+        assert first and work(tune) == first
+        model = tune().best_model
+        score = lambda: evaluate(model, task, corpus, vocab, provider, batch_size=2)  # noqa: E731
+        first = work(score)
+        assert first and work(score) == first

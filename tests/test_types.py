@@ -8,7 +8,6 @@ from icuseq.errors import InvalidRegistry
 from icuseq.types import (
     FeatureStats,
     Registry,
-    Special,
     Token,
     Vocabularies,
     WindowSequence,
@@ -16,7 +15,6 @@ from icuseq.types import (
     feature_text,
     pad_token,
     validate_registry,
-    validate_token,
 )
 
 TS = datetime(2023, 1, 1, 12, 0)
@@ -92,28 +90,6 @@ class TestFeatureText:
 
         if (norm(s1), norm(v1)) != (norm(s2), norm(v2)):
             assert feature_text(s1, v1) != feature_text(s2, v2)
-
-
-class TestToken:
-    def test_continuity_flag_must_match(self):
-        with pytest.raises(InvalidRegistry):
-            validate_token(Token("a: b", "text", 0, 0, is_continuous=True))
-
-    def test_cls_requires_zero_times(self):
-        with pytest.raises(InvalidRegistry):
-            validate_token(Token("[CLS]", Special.CLS, 3, 0, is_continuous=False))
-
-    def test_tau_range(self):
-        with pytest.raises(InvalidRegistry):
-            validate_token(Token("a: b", 1.0, 1440, 0, is_continuous=True), window_minutes=1440)
-
-    def test_delta_range(self):
-        with pytest.raises(InvalidRegistry):
-            validate_token(Token("a: b", 1.0, 0, 2000, is_continuous=True), window_minutes=1440)
-
-    def test_good_token(self):
-        t = Token("a: b", 1.5, 100, 30, is_continuous=True)
-        assert validate_token(t) is t
 
 
 class TestWindowSequence:
