@@ -8,19 +8,19 @@ from .objective import LossBreakdown, combine_losses, finetune_loss, mlvm_loss
 from .synth import GeneratorSpec, generate_lines, oracle_cont_target, oracle_label, write_corpus
 from .textvec import FileCacheProvider, StubProvider, read_cache, write_cache
 from .training import Model, ModelConfig, Task, TrainConfig, evaluate, finetune, pretrain
-from .types import Registry, Token, Vocabularies, WindowSequence, feature_text, validate_registry
-from .windows import segment_windows, truncate_and_pad
+from .types import Registry, Vocabularies, feature_text, validate_registry
+from .windows import Tokens, Window, segment_windows
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Corpus", "FileCacheProvider", "GeneratorSpec", "IcuseqError", "LossBreakdown",
     "MaskingPlan", "MaskingRates", "MetricReport", "Model", "ModelConfig", "Registry",
-    "Split", "Stay", "StubProvider", "Task", "Token", "TrainConfig", "Vocabularies",
-    "WindowSequence", "apply_masking", "assign_splits", "auprc", "auroc",
+    "Split", "Stay", "StubProvider", "Task", "Tokens", "TrainConfig", "Vocabularies",
+    "Window", "apply_masking", "assign_splits", "auprc", "auroc",
     "build_vocabularies", "combine_losses", "evaluate", "feature_text", "finetune",
     "finetune_loss", "generate_lines", "mae", "mlvm_loss",
     "oracle_cont_target", "oracle_label", "parse_events", "plan_masking", "pretrain",
-    "read_cache", "segment_windows", "truncate_and_pad",
+    "read_cache", "segment_windows",
     "validate_registry", "write_cache", "write_corpus",
 ]

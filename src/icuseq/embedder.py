@@ -1,16 +1,21 @@
 """Composition of token embeddings from frozen text vectors and learned time tables.
 
+``encode_batch`` reads one ``windows.Tokens`` (or ``Window``) per window: CLS
+first, no PAD, all cut to one ``max_len``. A token's feature and value codes
+name a text of its ``texts`` when non-negative; ``-1 - r`` names row ``r`` of
+the special rows (CLS, PAD, MASK, and for values the fill row).
+
 A batch carries its frozen inputs as integer ids into two small per-batch
 tables, not as copied vectors. ``encode_batch`` asks the provider once for
 each distinct feature text and categorical value text in the batch, keyed by
-text (so features unseen in training keep their own vector), and never for
-CLS/PAD/MASK. In both tables ids 0-2 are CLS/PAD/MASK, the rows of the
-learned ``feature_specials`` / ``value_specials``; the per-batch rows
-follow. The value table's first row (id 3, ``FILL_ID``) is all ones: a
-continuous token points there and carries its value ``x`` in the scale
-column, so the paper's fill vector ``fill(x) = (x, ..., x)`` projects to
-``x · colsum(w_x)``. Every other token has scale 1. ``compose_batch`` then
-computes
+text (so features unseen in training keep their own vector), in first-seen
+order, and never for CLS/PAD/MASK. In both tables ids 0-2 are CLS/PAD/MASK,
+the rows of the learned ``feature_specials`` / ``value_specials``; the
+per-batch rows follow. The value table's first row (id 3, ``FILL_ID``) is
+all ones: a continuous token points there and carries its value ``x`` in the
+scale column, so the paper's fill vector ``fill(x) = (x, ..., x)`` projects
+to ``x · colsum(w_x)``. Every other token has scale 1. ``compose_batch``
+then computes
 
     e_f = (concat_rows(feature_specials, T_f) @ w_f)[feature_ids] + b_f
     e_x = (concat_rows(value_specials, T_x) @ w_x)[value_ids] · scale + b_x
@@ -22,7 +27,7 @@ layer norm.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -31,13 +36,13 @@ from .autodiff import Tensor
 from .errors import IndexOutOfRange, NonFiniteValue, ShapeMismatch
 from .masking import MaskingPlan
 from .textvec import EmbeddingProvider
-from .types import CLS_TEXT, MASK_TEXT, PAD_TEXT, DEFAULT_WINDOW_MINUTES, Special, WindowSequence
+from .types import DEFAULT_WINDOW_MINUTES
+from .windows import FILL_CODE, PAD_CODE, Tokens, Window, as_tokens
 
-# ids of the learned special rows in both tables; the value table's fill row comes next
-_SPECIAL_ROW = {CLS_TEXT: 0, PAD_TEXT: 1, MASK_TEXT: 2}
-_SPECIAL_VALUE_ROW = {Special.CLS: 0, Special.PAD: 1, Special.MASK: 2}
+# ids 0-2 of both tables are the learned CLS/PAD/MASK rows; the value table's fill row comes next
 N_SPECIALS = 3
-FILL_ID = N_SPECIALS
+FILL_ID = -1 - FILL_CODE
+PAD_ID = -1 - PAD_CODE
 
 DEFAULT_DROPOUT = 0.1
 PAD_MULTIPLE = 8  # batch lengths are rounded up to this many tokens
@@ -129,30 +134,29 @@ class EncodedBatch:
     cat_target: Optional[np.ndarray] = None
     cont_target: Optional[np.ndarray] = None
     value_is_continuous: Optional[np.ndarray] = None
-    labels: Optional[np.ndarray] = None
-    stay_ids: tuple[str, ...] = ()
 
 
-def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
+def encode_batch(windows: Sequence[Union[Window, Tokens]], provider: EmbeddingProvider,
                  plans: Optional[Sequence[MaskingPlan]] = None,
                  dtype=np.float32) -> EncodedBatch:
-    """Turn equal-length (already padded) windows into ids, scales and text tables.
+    """Turn windows cut to one ``max_len`` into ids, scales and text tables.
 
-    The batch is as long as its longest real window, rounded up to a multiple
-    of ``PAD_MULTIPLE`` and never longer than the padded windows. PAD is a
-    suffix, so only PAD columns are dropped, and attention cost follows the
-    real tokens. The plans' targets are cut the same way; PAD is never
-    eligible for masking, so the cut loses no target.
+    The batch is as long as its longest window, rounded up to a multiple of
+    ``PAD_MULTIPLE`` and never longer than ``max_len``; shorter windows are
+    padded with PAD ids, so attention cost follows the real tokens. The
+    plans' targets are cut to the same length; a plan never selects a slot
+    past its window, so the cut loses no target.
     """
-    lengths = {len(w.tokens) for w in windows}
-    if len(lengths) != 1:
-        raise ShapeMismatch(f"windows have mixed lengths {sorted(lengths)}")
-    b, padded = len(windows), lengths.pop()
-    longest = max(w.real_length for w in windows)
-    length = min(padded, -(-longest // PAD_MULTIPLE) * PAD_MULTIPLE)
+    tokens = [as_tokens(w) for w in windows]
+    caps = {t.max_len for t in tokens}
+    if len(caps) != 1:
+        raise ShapeMismatch(f"windows cut to mixed lengths {sorted(caps)}")
+    b, cap = len(tokens), caps.pop()
+    longest = max(len(t) for t in tokens)
+    length = min(cap, -(-longest // PAD_MULTIPLE) * PAD_MULTIPLE)
 
-    feature_ids = np.zeros((b, length), dtype=np.int64)
-    value_ids = np.zeros((b, length), dtype=np.int64)
+    feature_ids = np.full((b, length), PAD_ID, dtype=np.int64)
+    value_ids = np.full((b, length), PAD_ID, dtype=np.int64)
     value_scale = np.ones((b, length), dtype=dtype)
     tau = np.zeros((b, length), dtype=np.int64)
     delta = np.zeros((b, length), dtype=np.int64)
@@ -160,25 +164,16 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
     feature_texts: dict[str, int] = {}  # text -> id, in first-seen order
     value_texts: dict[str, int] = {}
 
-    for i, window in enumerate(windows):
-        for j, tok in enumerate(window.tokens[:length]):
-            tau[i, j] = tok.tau_minutes
-            delta[i, j] = tok.delta_minutes
-            attention[i, j] = 0.0 if tok.is_pad else 1.0
-            row = _SPECIAL_ROW.get(tok.feature_text)
-            if row is None:
-                row = feature_texts.setdefault(tok.feature_text, N_SPECIALS + len(feature_texts))
-            feature_ids[i, j] = row
-            if isinstance(tok.value, Special):
-                value_ids[i, j] = _SPECIAL_VALUE_ROW[tok.value]
-            elif tok.is_continuous:
-                x = float(tok.value)
-                if not np.isfinite(x):
-                    raise NonFiniteValue(f"token value {tok.value!r}")
-                value_ids[i, j] = FILL_ID
-                value_scale[i, j] = x
-            else:
-                value_ids[i, j] = value_texts.setdefault(str(tok.value), FILL_ID + 1 + len(value_texts))
+    for i, t in enumerate(tokens):
+        if not np.isfinite(t.scale).all():
+            raise NonFiniteValue(f"a token value of stay {t.stay_id!r} is not finite")
+        n = len(t)
+        feature_ids[i, :n] = _table_ids(t.feature, t.texts, feature_texts, N_SPECIALS)
+        value_ids[i, :n] = _table_ids(t.value, t.texts, value_texts, FILL_ID + 1)
+        value_scale[i, :n] = t.scale
+        tau[i, :n] = t.tau
+        delta[i, :n] = t.delta
+        attention[i, :n] = 1.0
 
     vectors = {text: provider.embed_text(text) for text in dict.fromkeys([*feature_texts, *value_texts])}
     batch = EncodedBatch(
@@ -186,7 +181,6 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
         feature_table=np.array([vectors[t] for t in feature_texts], dtype=dtype).reshape(-1, provider.dim),
         value_table=np.array([np.ones(provider.dim), *(vectors[t] for t in value_texts)], dtype=dtype),
         tau=tau, delta=delta, attention_mask=attention,
-        stay_ids=tuple(w.stay_id for w in windows),
     )
     if plans is not None:
         if len(plans) != b:
@@ -195,10 +189,20 @@ def encode_batch(windows: Sequence[WindowSequence], provider: EmbeddingProvider,
         batch.cat_target = np.stack([p.cat_target[:length] for p in plans])
         batch.cont_target = np.stack([p.cont_target[:length] for p in plans]).astype(dtype)
         batch.value_is_continuous = np.stack([p.value_is_continuous[:length] for p in plans])
-    labels = [w.label for w in windows]
-    if all(lab is not None for lab in labels):
-        batch.labels = np.asarray(labels, dtype=dtype)
     return batch
+
+
+def _table_ids(codes: np.ndarray, texts: Sequence[str], table: dict[str, int], first_row: int) -> np.ndarray:
+    """Table ids of one window's codes; its new texts join ``table`` in first-seen order."""
+    ids = -1 - codes  # the special rows
+    text = codes >= 0
+    if text.any():
+        used, first = np.unique(codes[text], return_index=True)
+        used = used[np.argsort(first)]
+        lookup = np.empty(int(used.max()) + 1, dtype=np.int64)
+        lookup[used] = [table.setdefault(texts[c], first_row + len(table)) for c in used.tolist()]
+        ids[text] = lookup[codes[text]]
+    return ids
 
 
 def compose_batch(batch: EncodedBatch, params: EmbedderParams, mode: str = "eval",

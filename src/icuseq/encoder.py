@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -358,16 +359,18 @@ def load_checkpoint(path: str, expect: Optional[dict] = None) -> tuple[dict, dic
             off += 4
             shape = struct.unpack_from(f"<{rank}I", data, off)
             off += 4 * rank
-            size = int(np.prod(shape)) if rank else 1
+            size = math.prod(shape)
             raw = data[off : off + 4 * size]
             if len(raw) != 4 * size:
                 raise FormatError(f"truncated blob for {name!r}")
             off += 4 * size
             params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    except (struct.error, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (struct.error, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long integer
         raise FormatError(f"corrupt checkpoint: {exc}") from exc
     if off != len(data):
         raise FormatError("trailing bytes after last parameter blob")
+    if not isinstance(config, dict):
+        raise FormatError(f"checkpoint config is a JSON {type(config).__name__}, not an object")
     if expect:
         for key, value in expect.items():
             if config.get(key) != value:

@@ -13,6 +13,11 @@ not be put in order. A stay's dynamic timestamps may span at most
 span, so one stray timestamp decades off would otherwise make thousands of
 windows. The stay is rejected at the first line that stretches it further.
 Static timestamps are not bounded, since statics repeat in every window.
+
+Each ``Stay`` carries ``columns`` (``StayColumns``): numpy arrays of its
+registries that do not depend on the vocabulary, built once when the stay is
+constructed, so their cost is part of ingest. Windowing, masking and the
+label oracles read them; no per-event object is built after ingest.
 """
 
 from __future__ import annotations
@@ -22,8 +27,9 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
-from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import EmptyTrainSplit, InvalidRatios, InvalidRegistry, ParseError
 from .types import (
@@ -44,18 +50,60 @@ class Split(enum.Enum):
     TEST = "test"
 
 
+@dataclass(frozen=True, eq=False)
+class StayColumns:
+    """A stay's registries as arrays: statics in input order, then dynamics stably sorted by minute offset."""
+
+    texts: tuple[str, ...]     # distinct feature texts and categorical value texts
+    feature: np.ndarray        # (n,) int64 code into texts
+    value_code: np.ndarray     # (n,) int64 code into texts, -1 for a continuous value
+    value: np.ndarray          # (n,) float64, NaN for a categorical value
+    offset: np.ndarray         # (n,) int64 minutes since Stay.start, 0 for statics
+    duration: np.ndarray       # (n,) int64 minutes, 0 for statics
+    registry: np.ndarray       # (n,) int64 position in Stay.all_registries
+    n_statics: int
+
+
+def _columns(statics: tuple[Registry, ...], dynamics: tuple[Registry, ...], start: datetime) -> StayColumns:
+    codes: dict[str, int] = {}
+    feature, value_code, value = [], [], []
+    for r in statics + dynamics:
+        feature.append(codes.setdefault(r.feature_text, len(codes)))
+        if r.is_continuous:
+            value_code.append(-1)
+            value.append(float(r.value))
+        else:
+            value_code.append(codes.setdefault(str(r.value).strip(), len(codes)))
+            value.append(math.nan)
+    n = len(feature)
+    offset = np.zeros(n, dtype=np.int64)
+    duration = np.zeros(n, dtype=np.int64)
+    s, minute = len(statics), timedelta(minutes=1)
+    offset[s:] = [(r.timestamp - start) // minute for r in dynamics]
+    duration[s:] = [r.duration_minutes for r in dynamics]
+    order = np.concatenate([np.arange(s), s + np.argsort(offset[s:], kind="stable")])
+    return StayColumns(tuple(codes), np.array(feature, dtype=np.int64)[order],
+                       np.array(value_code, dtype=np.int64)[order], np.array(value, dtype=np.float64)[order],
+                       offset[order], duration[order], order, s)
+
+
 @dataclass(frozen=True)
 class Stay:
+    """One ICU stay's registries; ``start`` and ``columns`` are built when it is constructed."""
+
     stay_id: str
     patient_id: str
     dynamics: tuple[Registry, ...]
     statics: tuple[Registry, ...]
+    start: Optional[datetime] = field(init=False, repr=False, compare=False)
+    columns: StayColumns = field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def start(self) -> datetime:
-        """Earliest dynamic timestamp (earliest static if none); computed once."""
+    def __post_init__(self):
+        # earliest dynamic timestamp, earliest static if none, None for an empty stay
         pool = self.dynamics or self.statics
-        return min(r.timestamp for r in pool)
+        start = min(r.timestamp for r in pool) if pool else None
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "columns", _columns(self.statics, self.dynamics, start))
 
     @property
     def all_registries(self) -> tuple[Registry, ...]:

@@ -1,13 +1,15 @@
-"""Masked language-value modelling: slot selection, corruption, and targets."""
+"""Masked language-value modelling on token columns: slot selection, corruption, and targets."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from typing import Optional, Union
 
 import numpy as np
 
 from .errors import NoEligibleTokens, ShapeMismatch
-from .types import MASK_TEXT, Special, Token, Vocabularies, WindowSequence
+from .types import Vocabularies
+from .windows import FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window, as_tokens
 
 # corruption codes recorded per masked slot
 NONE, MASK, RANDOM, KEEP = 0, 1, 2, 3
@@ -62,31 +64,28 @@ class MaskingPlan:
         return int((self.mask_value & self.value_is_continuous).sum())
 
 
-def eligible_mask(seq: WindowSequence, vocab: Vocabularies) -> np.ndarray:
-    """Tokens that can be masked: real quadruplets whose feature is in-vocabulary.
-
-    CLS and PAD are never eligible; statics are quadruplets like any other.
-    """
-    return np.array(
-        [not t.is_special and vocab.feature_index(t.feature_text) is not None for t in seq.tokens],
-        dtype=bool,
-    )
-
-
-def plan_masking(seq: WindowSequence, vocab: Vocabularies, rng: np.random.Generator,
+def plan_masking(window: Union[Window, Tokens], rng: np.random.Generator,
                  rates: MaskingRates = MaskingRates()) -> MaskingPlan:
     """Draw the masking decisions for one window.
 
-    Each eligible token is selected independently; selected tokens mask both
+    Each maskable token (one with a ``feature_id``: not CLS, and a feature
+    seen in training) is selected independently; selected tokens mask both
     slots, the value only, or the feature only; each masked slot is then
-    corrupted as mask/random/keep. Targets are recorded from the uncorrupted
-    token, so they survive every corruption mode.
+    corrupted as mask/random/keep. Targets are the uncorrupted token's ids
+    and value, so they survive every corruption mode. A plan covers the
+    ``max_len`` slots the window was cut to; slots past its real length are
+    never selected.
     """
-    n = len(seq.tokens)
-    eligible = eligible_mask(seq, vocab)
+    tokens = as_tokens(window)
+    n = tokens.max_len
+
+    def padded(column: np.ndarray, fill) -> np.ndarray:  # to the plan's n slots
+        return np.concatenate([column, np.full(n - len(column), fill, column.dtype)])
+
+    eligible = padded(tokens.feature_id, -1) >= 0
     n_eligible = int(eligible.sum())
     if n_eligible == 0:
-        raise NoEligibleTokens(f"window {seq.stay_id}/{seq.window_index} has no maskable tokens")
+        raise NoEligibleTokens(f"a window of stay {tokens.stay_id!r} has no maskable tokens")
 
     selected = np.zeros(n, dtype=bool)
     selected[eligible] = rng.random(n_eligible) < rates.select
@@ -106,31 +105,14 @@ def plan_masking(seq: WindowSequence, vocab: Vocabularies, rng: np.random.Genera
     feature_corruption[mask_feature] = _draw_corruption(rng, int(mask_feature.sum()), rates)
     value_corruption[mask_value] = _draw_corruption(rng, int(mask_value.sum()), rates)
 
-    feature_target = np.full(n, -1, dtype=np.int64)
-    value_is_continuous = np.zeros(n, dtype=bool)
-    cat_target = np.full(n, -1, dtype=np.int64)
-    cont_target = np.zeros(n, dtype=np.float32)
-    for i in np.flatnonzero(selected):
-        tok = seq.tokens[i]
-        if mask_feature[i]:
-            feature_target[i] = vocab.feature_index(tok.feature_text)
-        if mask_value[i]:
-            if tok.is_continuous:
-                value_is_continuous[i] = True
-                cont_target[i] = float(tok.value)
-            else:
-                cat_target[i] = vocab.value_index(str(tok.value))
-
+    continuous = padded(tokens.value, PAD_CODE) == FILL_CODE
+    value_is_continuous = mask_value & continuous
     return MaskingPlan(
-        selected=selected,
-        mask_feature=mask_feature,
-        mask_value=mask_value,
-        feature_corruption=feature_corruption,
-        value_corruption=value_corruption,
-        feature_target=feature_target,
+        selected, mask_feature, mask_value, feature_corruption, value_corruption,
+        feature_target=np.where(mask_feature, padded(tokens.feature_id, -1), -1),
         value_is_continuous=value_is_continuous,
-        cat_target=cat_target,
-        cont_target=cont_target,
+        cat_target=np.where(mask_value & ~continuous, padded(tokens.value_id, -1), -1),
+        cont_target=np.where(value_is_continuous, padded(tokens.scale, 0.0), 0.0).astype(np.float32),
     )
 
 
@@ -142,53 +124,50 @@ def _draw_corruption(rng: np.random.Generator, count: int, rates: MaskingRates) 
     return out
 
 
-def apply_masking(seq: WindowSequence, plan: MaskingPlan, vocab: Vocabularies,
-                  rng: np.random.Generator) -> WindowSequence:
-    """Corrupt a window according to a plan drawn for it.
+def apply_masking(window: Union[Window, Tokens], plan: MaskingPlan, vocab: Vocabularies,
+                  rng: np.random.Generator) -> Tokens:
+    """The window's tokens corrupted according to a plan drawn for it.
 
     Random feature/categorical replacements draw uniformly from the
-    non-reserved vocabulary entries; random continuous replacements are
-    standard-normal draws (values are z-scored by this point). Relative time
-    and duration are never altered.
+    non-reserved vocabulary entries and are appended to the texts;
+    random continuous replacements are standard-normal draws (values are
+    z-scored by this point). Only the slots with a RANDOM corruption loop,
+    drawing in slot order, feature before value. Relative time and duration
+    are never altered, and neither are ``feature_id``/``value_id``, the
+    uncorrupted token's ids.
     """
-    if len(plan) != len(seq.tokens):
-        raise ShapeMismatch(f"plan length {len(plan)} vs window length {len(seq.tokens)}")
+    tokens = as_tokens(window)
+    if len(plan) != tokens.max_len:
+        raise ShapeMismatch(f"plan length {len(plan)} vs window length {tokens.max_len}")
 
-    tokens = list(seq.tokens)
-    for i in np.flatnonzero(plan.selected):
-        tok = tokens[i]
-        feature = tok.feature_text
-        value = tok.value
-        continuous = tok.is_continuous
+    real = slice(0, len(tokens))
+    feature_corruption, value_corruption = plan.feature_corruption[real], plan.value_corruption[real]
+    feature = np.where(feature_corruption == MASK, MASK_CODE, tokens.feature)
+    value_mask = value_corruption == MASK
+    value = np.where(value_mask, MASK_CODE, tokens.value)
+    scale = np.where(value_mask, 1.0, tokens.scale)
 
-        code = plan.feature_corruption[i]
-        if code == MASK:
-            feature = MASK_TEXT
-        elif code == RANDOM:
-            feature = _random_feature(vocab, rng)
+    texts = list(tokens.texts)
 
-        code = plan.value_corruption[i]
-        if code == MASK:
-            value, continuous = Special.MASK, False
-        elif code == RANDOM:
-            if tok.is_continuous:
-                value, continuous = float(rng.standard_normal()), True
+    def code_of(text: Optional[str]) -> int:
+        if text is None:  # the vocabulary has no entry to draw
+            return MASK_CODE
+        texts.append(text)
+        return len(texts) - 1
+
+    for i in np.flatnonzero((feature_corruption == RANDOM) | (value_corruption == RANDOM)):
+        if feature_corruption[i] == RANDOM:
+            feature[i] = code_of(_random_text(vocab.features, vocab.n_reserved_features, rng))
+        if value_corruption[i] == RANDOM:
+            if tokens.value[i] == FILL_CODE:
+                scale[i] = float(rng.standard_normal())
             else:
-                value, continuous = _random_value(vocab, rng), False
-
-        tokens[i] = Token(feature, value, tok.tau_minutes, tok.delta_minutes, continuous, tok.is_static)
-    return seq.with_tokens(tokens)
+                value[i] = code_of(_random_text(vocab.categorical_values, vocab.n_reserved_values, rng))
+    return replace(tokens, texts=tuple(texts), feature=feature, value=value, scale=scale)
 
 
-def _random_feature(vocab: Vocabularies, rng: np.random.Generator) -> str:
-    lo = vocab.n_reserved_features
-    if vocab.feature_size <= lo:
-        return MASK_TEXT
-    return vocab.features[int(rng.integers(lo, vocab.feature_size))]
-
-
-def _random_value(vocab: Vocabularies, rng: np.random.Generator):
-    lo = vocab.n_reserved_values
-    if vocab.value_size <= lo:
-        return Special.MASK
-    return vocab.categorical_values[int(rng.integers(lo, vocab.value_size))]
+def _random_text(texts: tuple[str, ...], n_reserved: int, rng: np.random.Generator) -> Optional[str]:
+    """A uniform draw from the non-reserved entries; None when there are none."""
+    if len(texts) <= n_reserved:
+        return None
+    return texts[int(rng.integers(n_reserved, len(texts)))]

@@ -269,24 +269,26 @@ def oracle_label(stay: Stay, spec: GeneratorSpec) -> int:
 
 
 def oracle_presence(stay: Stay, spec: GeneratorSpec) -> int:
-    start = stay.start
-    for r in stay.dynamics:
-        if r.feature_text != spec.signal_feature_text or r.is_continuous:
-            continue
-        minute = (r.timestamp - start).total_seconds() / 60
-        if str(r.value) == SIGNAL_VALUE and minute < spec.window_minutes:
-            return 1
-    return 0
+    return int(_first_window_rows(stay, spec, spec.signal_feature_text, SIGNAL_VALUE).any())
 
 
 def oracle_cont_target(stay: Stay, spec: GeneratorSpec) -> float:
     """Regression target: first-window anchor mean, shifted when the signal fires."""
-    start = stay.start
-    values = [
-        float(r.value)
-        for r in stay.dynamics
-        if r.feature_text == spec.anchor_feature_text and r.is_continuous
-        and (r.timestamp - start).total_seconds() / 60 < spec.window_minutes
-    ]
-    base = float(np.mean(values)) if values else 0.0
+    cols = stay.columns
+    rows = np.flatnonzero(_first_window_rows(stay, spec, spec.anchor_feature_text))
+    values = cols.value[rows[np.argsort(cols.registry[rows])]]  # registry order, as the mean sums
+    base = float(np.mean(values)) if len(values) else 0.0
     return base + spec.cont_target_shift * oracle_label(stay, spec)
+
+
+def _first_window_rows(stay: Stay, spec: GeneratorSpec, feature: str, value: Optional[str] = None) -> np.ndarray:
+    """Rows of the stay's columns that are first-window dynamics of ``feature``.
+
+    With a ``value`` their value must be that text; without, continuous.
+    """
+    cols = stay.columns
+    code = {text: i for i, text in enumerate(cols.texts)}  # -2 matches no row
+    hit = (cols.feature == code.get(feature, -2)) & (cols.offset < spec.window_minutes) \
+        & (cols.value_code == (-1 if value is None else code.get(value, -2)))
+    hit[: cols.n_statics] = False
+    return hit

@@ -16,12 +16,12 @@ from .autodiff import Tensor
 from .embedder import EmbedderParams, EncodedBatch, compose_batch, encode_batch, init_embedder
 from .errors import ConfigMismatch, DivergedLoss, InvalidSpec, MissingLabels, ShapeMismatch, UnknownTask
 from .ingest import Corpus, Split, Stay
-from .masking import MaskingRates, apply_masking, eligible_mask, plan_masking
+from .masking import MaskingRates, apply_masking, plan_masking
 from .metrics import MetricReport, auprc, auroc, mae
 from .objective import DEFAULT_ALPHA, DEFAULT_BETA, LossBreakdown, combine_losses, finetune_loss, mlvm_loss
 from .textvec import EmbeddingProvider
-from .types import Token, Vocabularies, WindowSequence, cls_token
-from .windows import normalize_values, segment_windows, truncate_and_pad
+from .types import Registry, Vocabularies
+from .windows import Window, maskable, segment_windows
 
 
 @dataclass(frozen=True)
@@ -54,19 +54,39 @@ class ModelConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        try:
-            return cls(
-                encoder=enc.EncoderConfig(
-                    layers=d["layers"], hidden=d["hidden"], heads=d["heads"],
-                    ffn_dim=d["ffn_dim"], max_seq_len=d["max_seq_len"], dropout=d["dropout"],
-                ),
-                d_pre=d["d_pre"], window_minutes=d["window_minutes"],
-                feature_vocab=d["feature_vocab"], value_vocab=d["value_vocab"],
-                head_mode=d.get("head_mode", "pretrain"), task_dim=d.get("task_dim", 1),
-                task_dropout=d.get("task_dropout", 0.5),
-            )
-        except KeyError as exc:
-            raise ConfigMismatch(f"checkpoint config missing {exc}") from exc
+        """The config a checkpoint records; a missing or ill-typed field is a ``ConfigMismatch``."""
+        d = {"head_mode": "pretrain", "task_dim": 1, "task_dropout": 0.5, **d}
+        for key, check in _CONFIG_FIELDS.items():
+            if key not in d:
+                raise ConfigMismatch(f"checkpoint config missing {key!r}")
+            if not check(d[key]):
+                raise ConfigMismatch(f"checkpoint config has {key}={d[key]!r}")
+        return cls(
+            encoder=enc.EncoderConfig(
+                layers=d["layers"], hidden=d["hidden"], heads=d["heads"],
+                ffn_dim=d["ffn_dim"], max_seq_len=d["max_seq_len"], dropout=d["dropout"],
+            ),
+            d_pre=d["d_pre"], window_minutes=d["window_minutes"],
+            feature_vocab=d["feature_vocab"], value_vocab=d["value_vocab"],
+            head_mode=d["head_mode"], task_dim=d["task_dim"], task_dropout=d["task_dropout"],
+        )
+
+    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
+        """The shapes of the arrays that size every other one: each config dimension appears here."""
+        h = self.encoder.hidden
+        top = f"encoder.layer{self.encoder.layers - 1}"
+        heads = {"heads.feature_w": (h, self.feature_vocab), "heads.cat_w": (h, self.value_vocab)} \
+            if self.head_mode == "pretrain" else {"heads.task_w": (h, self.task_dim)}
+        return {"embedder.w_f": (self.d_pre, h), "embedder.time_table": (self.window_minutes, h),
+                f"{top}.ffn_w1": (h, self.encoder.ffn_dim), **heads}
+
+
+_CONFIG_FIELDS: dict[str, Callable[[object], bool]] = {
+    **dict.fromkeys(("layers", "hidden", "heads", "ffn_dim", "max_seq_len", "d_pre", "window_minutes",
+                     "feature_vocab", "value_vocab", "task_dim"), lambda x: type(x) is int and x >= 1),
+    **dict.fromkeys(("dropout", "task_dropout"), lambda x: type(x) in (int, float) and 0 <= x < 1),
+    "head_mode": lambda x: x in ("pretrain", "task"),
+}
 
 
 @dataclass(frozen=True)
@@ -213,6 +233,11 @@ class Model:
     def load(cls, path: str, expect: Optional[dict] = None) -> "Model":
         config_dict, arrays = enc.load_checkpoint(path, expect)
         config = ModelConfig.from_dict(config_dict)
+        # the arrays in the file bound what building the config allocates
+        for name, shape in config.parameter_shapes().items():
+            if name not in arrays or arrays[name].shape != shape:
+                got = arrays[name].shape if name in arrays else "nothing"
+                raise ConfigMismatch(f"checkpoint has {got} for {name}, but its config implies {shape}")
         model = cls.build(config, seed=0)
         params = model.parameters()
         if set(params) != set(arrays):
@@ -321,18 +346,15 @@ class TrainConfig:
 
 
 def prepare_windows(corpus: Corpus, split: Split, vocab: Vocabularies,
-                    window_minutes: int, max_seq_len: int) -> list[WindowSequence]:
-    """Segment, truncate/pad, and normalize every window of a split.
+                    window_minutes: int, max_seq_len: int) -> list[Window]:
+    """Every window of a split, cut to ``max_seq_len`` tokens.
 
     Windows without any maskable token are dropped; they carry no training
     signal and cannot be planned.
     """
     out = []
     for stay in corpus.stays_in(split):
-        for seq in segment_windows(stay, window_minutes):
-            seq = normalize_values(truncate_and_pad(seq, max_seq_len), vocab)
-            if eligible_mask(seq, vocab).any():
-                out.append(seq)
+        out.extend(maskable(segment_windows(stay, vocab, window_minutes, max_seq_len)))
     return out
 
 
@@ -407,7 +429,7 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
 
     # validation masking is frozen once so epochs stay comparable: every epoch scores the same batches
     val_plans = [
-        plan_masking(w, vocab, np.random.default_rng([cfg.seed, 40, i]), rates)
+        plan_masking(w, np.random.default_rng([cfg.seed, 40, i]), rates)
         for i, w in enumerate(val_windows)
     ]
     val_batches = []
@@ -434,7 +456,7 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
             windows, plans = [], []
             for i in idx:
                 rng = np.random.default_rng([cfg.seed, 60, epoch, int(i)])
-                plan = plan_masking(train_windows[i], vocab, rng, rates)
+                plan = plan_masking(train_windows[i], rng, rates)
                 windows.append(apply_masking(train_windows[i], plan, vocab, rng))
                 plans.append(plan)
             batch = encode_batch(windows, provider, plans)
@@ -516,7 +538,7 @@ class Task:
 
 @dataclass
 class Sample:
-    windows: list[WindowSequence]
+    windows: list[Window]
     label: object
 
 
@@ -537,8 +559,7 @@ def build_samples(corpus: Corpus, split: Split, task: Task, vocab: Vocabularies,
             label = task.label_of(stay)
             if label is None:
                 raise MissingLabels(f"stay {stay.stay_id!r} has no label")
-            windows = segment_windows(stay, window_minutes, max_windows=task.n_windows)
-            windows = [normalize_values(truncate_and_pad(w, max_seq_len), vocab) for w in windows]
+            windows = segment_windows(stay, vocab, window_minutes, max_seq_len, max_windows=task.n_windows)
             sample = built[stay.stay_id] = Sample(windows, label)
         samples.append(sample)
     return samples
@@ -792,7 +813,7 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     The masking seed is searched so the batch exercises all three heads
     (feature, categorical, continuous slots all non-empty).
     """
-    from datetime import datetime
+    from datetime import datetime, timedelta
 
     from .textvec import StubProvider
 
@@ -806,27 +827,22 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     provider = StubProvider(d_pre, seed)
     rng = np.random.default_rng([seed, 5])
 
+    # each stay's max_seq_len - 2 events fall in its first window
     windows = []
     for b in range(batch):
-        tokens = []
-        for j in range(max_seq_len - 2):
-            feature = features[int(rng.integers(len(features)))]
-            if rng.random() < 0.5:
-                tokens.append(Token(feature, float(rng.standard_normal()),
-                                    int(rng.integers(window_minutes)), int(rng.integers(window_minutes)),
-                                    is_continuous=True))
-            else:
-                tokens.append(Token(feature, values[int(rng.integers(len(values)))],
-                                    int(rng.integers(window_minutes)), int(rng.integers(window_minutes)),
-                                    is_continuous=False))
-        seq = WindowSequence(f"s{b}", 0, datetime(2023, 1, 1), (cls_token(), *tokens))
-        windows.append(truncate_and_pad(seq, max_seq_len))
+        events = []
+        for _ in range(max_seq_len - 2):
+            variable = f"marker {int(rng.integers(len(features)))}"
+            value = float(rng.standard_normal()) if rng.random() < 0.5 else values[int(rng.integers(len(values)))]
+            at = datetime(2023, 1, 1) + timedelta(minutes=int(rng.integers(window_minutes)))
+            events.append(Registry(f"p{b}", f"s{b}", "lab", variable, value, at, int(rng.integers(window_minutes))))
+        windows += segment_windows(Stay(f"s{b}", f"p{b}", tuple(events), ()), vocab, window_minutes, max_seq_len)
 
     rates = MaskingRates(select=0.6)
     plans = None
     for attempt in range(500):
         plan_rng = np.random.default_rng([seed, 7, attempt])
-        candidate = [plan_masking(w, vocab, plan_rng, rates) for w in windows]
+        candidate = [plan_masking(w, plan_rng, rates) for w in windows]
         n_cat = sum(p.n_cat_slots for p in candidate)
         n_cont = sum(p.n_cont_slots for p in candidate)
         n_feat = sum(p.n_feature_slots for p in candidate)

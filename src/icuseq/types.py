@@ -1,14 +1,13 @@
-"""Core domain model: registries, quadruplet tokens, window sequences, vocabularies."""
+"""Core domain model: registries, feature texts, vocabularies."""
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 import re
 from dataclasses import dataclass, field
 from datetime import datetime
-from typing import Optional, Sequence, Union
+from typing import Optional, Union
 
 from .errors import InvalidRegistry
 
@@ -27,17 +26,8 @@ RESERVED_VALUE_TEXTS = (MASK_TEXT, UNK_TEXT)
 _WHITESPACE = re.compile(r"\s+")
 
 
-class Special(enum.Enum):
-    """Special value markers carried in a token's value slot."""
-
-    CLS = "[CLS]"
-    PAD = "[PAD]"
-    MASK = "[MASK]"
-
-
 # A recorded value is either numeric (continuous) or free text (categorical).
 RegistryValue = Union[float, str]
-TokenValue = Union[float, str, Special]
 
 
 @functools.lru_cache(maxsize=FEATURE_TEXT_CACHE_SIZE)
@@ -46,7 +36,7 @@ def feature_text(source: str, variable: str) -> str:
 
     Deterministic so the same (source, variable) pair always maps to one
     embedding-cache key and one vocabulary entry. Results are cached because
-    every token of every window asks for the name of its registry.
+    every registry asks for the name of its pair when its stay is built.
     """
     src = _WHITESPACE.sub(" ", source).strip().lower()
     var = _WHITESPACE.sub(" ", variable).strip().lower()
@@ -98,88 +88,6 @@ def validate_registry(r: Registry) -> Registry:
     else:
         raise InvalidRegistry(f"malformed value of type {type(r.value).__name__}")
     return r
-
-
-@dataclass(frozen=True)
-class Token:
-    """Quadruplet token: feature name, value, minutes since window start, duration."""
-
-    feature_text: str
-    value: TokenValue
-    tau_minutes: int
-    delta_minutes: int
-    is_continuous: bool
-    is_static: bool = False
-
-    @property
-    def is_special(self) -> bool:
-        """True for CLS/PAD placeholder tokens (both slots reserved)."""
-        return self.feature_text in (CLS_TEXT, PAD_TEXT) and isinstance(self.value, Special)
-
-    @property
-    def is_pad(self) -> bool:
-        return self.feature_text == PAD_TEXT
-
-    @property
-    def is_cls(self) -> bool:
-        return self.feature_text == CLS_TEXT
-
-
-def cls_token() -> Token:
-    return Token(CLS_TEXT, Special.CLS, 0, 0, is_continuous=False)
-
-
-def pad_token() -> Token:
-    return Token(PAD_TEXT, Special.PAD, 0, 0, is_continuous=False)
-
-
-def token_from_registry(r: Registry, tau_minutes: int, delta_minutes: int) -> Token:
-    value: TokenValue
-    if r.is_continuous:
-        value = float(r.value)
-    else:
-        value = str(r.value).strip()
-    return Token(
-        feature_text=r.feature_text,
-        value=value,
-        tau_minutes=tau_minutes,
-        delta_minutes=delta_minutes,
-        is_continuous=r.is_continuous,
-        is_static=r.is_static,
-    )
-
-
-@dataclass(frozen=True)
-class WindowSequence:
-    """Ordered token list for one window of one stay; CLS first, PADs (if any) last."""
-
-    stay_id: str
-    window_index: int
-    window_start: datetime
-    tokens: tuple[Token, ...]
-    label: Optional[object] = None
-
-    def __post_init__(self):
-        if not self.tokens or not self.tokens[0].is_cls:
-            raise InvalidRegistry("window sequence must begin with CLS")
-        if any(t.is_cls for t in self.tokens[1:]):
-            raise InvalidRegistry("CLS must appear only at position 0")
-        seen_pad = False
-        for t in self.tokens[1:]:
-            if t.is_pad:
-                seen_pad = True
-            elif seen_pad:
-                raise InvalidRegistry("PAD tokens must form a contiguous suffix")
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    @property
-    def real_length(self) -> int:
-        return sum(1 for t in self.tokens if not t.is_pad)
-
-    def with_tokens(self, tokens: Sequence[Token]) -> "WindowSequence":
-        return WindowSequence(self.stay_id, self.window_index, self.window_start, tuple(tokens), self.label)
 
 
 @dataclass(frozen=True)
@@ -237,16 +145,3 @@ class Vocabularies:
     def value_index(self, text: str) -> int:
         """Categorical value index; unseen-at-train values map to [UNK]."""
         return self._value_index.get(text, self.unk_value_index)
-
-    def normalize_value(self, feature: str, x: float) -> float:
-        """Z-score ``x`` with the feature's train-split statistics.
-
-        Zero-stddev features pass through centred only; features never seen in
-        training keep the raw value.
-        """
-        stats = self.per_feature_stats.get(feature)
-        if stats is None:
-            return float(x)
-        if stats.stddev > 0:
-            return (float(x) - stats.mean) / stats.stddev
-        return float(x) - stats.mean

@@ -10,7 +10,8 @@ from icuseq.ingest import assign_splits, build_vocabularies, parse_event_lines
 from icuseq.synth import GeneratorSpec, generate_lines
 from icuseq.textvec import StubProvider
 from icuseq.training import Model, ModelConfig
-from icuseq.types import Token, WindowSequence, cls_token, pad_token
+
+from reference import Token, WindowSequence, cls_token, tokens_of, truncate_and_pad
 
 BASE = datetime(2023, 1, 1, 0, 0)
 
@@ -52,7 +53,6 @@ def dyn_token(feature, value, tau, delta=0, static=False):
                  is_continuous=not isinstance(value, str), is_static=static)
 
 
-def padded(tokens, length):
-    toks = [cls_token(), *tokens]
-    toks.extend(pad_token() for _ in range(length - len(toks)))
-    return WindowSequence("s0", 0, BASE, tuple(toks))
+def window_of(tokens, length, vocab=None):
+    """Token columns of CLS plus ``tokens``, cut to ``length``."""
+    return tokens_of(truncate_and_pad(make_window(tokens), length), vocab)

@@ -2,13 +2,19 @@
 
 ``perfbench/layers.py`` lists the (owner, attribute) pairs it patches. A
 rename or deletion in ``icuseq`` would first show as a failed traced
-benchmark run; this test makes it fail here instead. The benchmark's files
-are imported, never changed.
+benchmark run; this test makes it fail here instead. The benchmark also reads
+what the wrapped calls take and return by duck typing (the split as the
+second positional argument, ``real_length``, ``Sample.windows``, the plans'
+slot counts, the arrays of an ``EncodedBatch``): one small traced round checks
+that none of its checks fails and none of its counts is 0. The benchmark's
+files are imported, never changed.
 """
 
 import importlib
+import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from icuseq import autodiff as ad
@@ -32,3 +38,60 @@ def test_every_span_target_resolves(layers):
 
 def test_every_traced_autodiff_op_resolves(layers):
     assert [op for op in layers.AUTODIFF_OPS if not callable(getattr(ad, op, None))] == []
+
+
+@pytest.fixture(scope="module")
+def bench_modules(layers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        yield importlib.import_module("pipeline"), importlib.import_module("tracer"), layers
+
+
+def test_split_is_the_second_positional_argument():
+    """``pipeline.Outputs`` keys what it records by ``args[1]``; ``layers._encoder_pass`` reads ``args[4]``."""
+    from icuseq import encoder as enc
+    from icuseq import training
+    from icuseq.ingest import Split
+
+    for fn in (training.prepare_windows, training.build_samples):
+        assert list(inspect.signature(fn).parameters)[1] == "split"
+    assert list(inspect.signature(enc.forward).parameters)[4] == "mode"
+
+
+def test_a_traced_round_counts_real_work(bench_modules, tmp_path):
+    """One small closed-loop round, recorded and traced as the benchmark does: no check fails, no count is 0."""
+    pipeline, tracer_mod, layers = bench_modules
+    from workloads import Workload
+
+    from icuseq import training
+    from icuseq.ingest import Split
+
+    wl = Workload(name="contract", patients=14, rate=0.01, stay_hours=30.0, ratios=(0.36, 0.21, 0.43),
+                  hidden=8, layers=2, heads=2, d_pre=8, max_seq_len=32, eval_batch=4, eval_reps=1)
+    checks = pipeline.Checks()
+    data = pipeline.set_up(wl, seed=1)
+    shape = pipeline.expected_shape(wl, data.corpus)
+    patcher, tracer, counters = tracer_mod.Patcher(), tracer_mod.Tracer(), layers.LayerCounters()
+    outputs = pipeline.Outputs()
+    try:
+        outputs.install(patcher)
+        layers.instrument_round(patcher, tracer, counters, data.provider)
+        res = pipeline.run_round(wl, 1, data, shape, outputs, checks, str(tmp_path))
+    finally:
+        patcher.restore()
+    assert checks.failed == 0, checks.failures
+    assert res.complete and res.pretrain_tokens > 0 and res.finetune_samples > 0 and res.eval_windows > 0
+
+    # the duck-typed contract the recorder and the counters read
+    windows = training.prepare_windows(data.corpus, Split.TRAIN, data.vocab, 1440, wl.max_seq_len)
+    assert windows and all(type(w.real_length) is int for w in windows)
+    assert all(isinstance(s.windows, list) and s.windows for _, out in outputs.samples for s in out)
+    plan = training.plan_masking(windows[0], np.random.default_rng(0))
+    assert all(type(getattr(plan, n)) is int for n in ("n_feature_slots", "n_cat_slots", "n_cont_slots"))
+    batch = training.encode_batch(windows[:2], data.provider, [plan, plan])
+    assert all(isinstance(v, np.ndarray) for v in vars(batch).values())
+    assert counters.masked_slots > 0 and counters.batches > 0 and counters.batch_bytes > 0
+    assert counters.tape_nodes > 0 and counters.embed_calls > 0
+    for span in ("windows.segment", "masking.plan", "masking.apply", "embedder.encode_batch",
+                 "embedder.compose", "windows.prepare", "windows.build_samples"):
+        assert tracer.calls(span) > 0, span

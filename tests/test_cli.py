@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from icuseq.cli import main
-from icuseq.encoder import load_checkpoint
+from icuseq.encoder import load_checkpoint, save_checkpoint
 from icuseq.textvec import write_cache
 
 
@@ -209,3 +209,14 @@ class TestTrainingPipeline:
                      "--epochs", "1", "--batch-size", "8"])
         assert code == 1
         assert "ConfigMismatch" in capsys.readouterr().err
+
+    def test_checkpoint_config_block_not_an_object(self, synth_args, capsys):
+        events, task, tmp_path = synth_args
+        ckpt = str(tmp_path / "bad.ckpt")
+        save_checkpoint(ckpt, [], {})
+        code = main(["evaluate", "--events", events, "--checkpoint", ckpt, "--task", task, "--embed-dim", "8"])
+        assert code == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "FormatError" in errors[0]
+        assert "Traceback" not in err

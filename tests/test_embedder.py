@@ -14,10 +14,10 @@ from icuseq.masking import MaskingRates, plan_masking
 from icuseq.objective import mlvm_loss
 from icuseq.textvec import EmbeddingProvider, StubProvider
 from icuseq.training import Model, ModelConfig
-from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Special, Token, Vocabularies
-from icuseq.windows import truncate_and_pad
+from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Vocabularies
 
 from conftest import dyn_token, make_window
+from reference import Special, Token, tokens_of, truncate_and_pad
 
 D_PRE, D, W = 6, 8, 24
 
@@ -153,9 +153,10 @@ class TestGoldenAgainstDenseFill:
            st.integers(0, 2**16))
     def test_hidden_states_loss_and_gradients(self, windows, mode, seed):
         model = Model.build(GOLDEN_CONFIG, seed, dtype=np.float64)
-        plans = [plan_masking(w, GOLDEN_VOCAB, np.random.default_rng([seed, i]), MaskingRates(select=0.7))
-                 for i, w in enumerate(windows)]
-        batch = encode_batch(windows, self.provider, plans, dtype=np.float64)
+        columns = [tokens_of(w, GOLDEN_VOCAB) for w in windows]
+        plans = [plan_masking(w, np.random.default_rng([seed, i]), MaskingRates(select=0.7))
+                 for i, w in enumerate(columns)]
+        batch = encode_batch(columns, self.provider, plans, dtype=np.float64)
 
         hidden = model.hidden_states(batch, mode, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)  # the same draws, in the same order
@@ -182,7 +183,7 @@ class TestGoldenAgainstDenseFill:
                   Token("static: sex", "female", 0, 0, is_continuous=False, is_static=True)]
         windows = [truncate_and_pad(make_window(tokens[:k]), GOLDEN_PADDED) for k in (2, 4, 6)]
         p = params(dtype=np.float32)
-        batch = encode_batch(windows, self.provider, dtype=np.float32)
+        batch = encode_batch([tokens_of(w) for w in windows], self.provider, dtype=np.float32)
         got = compose_batch(batch, p).data
         want = dense_composition(windows, self.provider, p, batch.feature_ids.shape[1]).data
         assert got.dtype == np.float32
@@ -254,9 +255,10 @@ def sample_window(n=5):
     return truncate_and_pad(make_window(tokens), 12)
 
 
-def window_of(real, padded):
-    """A window of ``real`` tokens (CLS included) padded to ``padded``."""
-    return truncate_and_pad(make_window([dyn_token("lab: a", float(i), i) for i in range(real - 1)]), padded)
+def padded_window(real, padded, vocab=None):
+    """Token columns of a window of ``real`` tokens (CLS included) cut to ``padded``."""
+    tokens = [dyn_token("lab: a", float(i), i) for i in range(real - 1)]
+    return tokens_of(truncate_and_pad(make_window(tokens), padded), vocab)
 
 
 class CountingProvider(EmbeddingProvider):
@@ -277,7 +279,7 @@ class TestEncodeBatch:
     provider = StubProvider(dim=D_PRE, seed=0)
 
     def composed(self, seq, p, mode="eval", rng=None):
-        batch = encode_batch([seq], self.provider, dtype=np.float64)
+        batch = encode_batch([tokens_of(seq)], self.provider, dtype=np.float64)
         return compose_batch(batch, p, mode, rng).data[0], batch.attention_mask[0]
 
     @pytest.mark.parametrize("reals, padded, expected", [
@@ -288,7 +290,7 @@ class TestEncodeBatch:
         ((12,), 12, 12),
     ])
     def test_batch_length_follows_longest_real_window(self, reals, padded, expected):
-        windows = [window_of(r, padded) for r in reals]
+        windows = [padded_window(r, padded) for r in reals]
         batch = encode_batch(windows, self.provider)
         assert batch.feature_ids.shape[1] == expected
         assert batch.feature_ids.shape == batch.value_scale.shape == (len(reals), expected)
@@ -297,8 +299,8 @@ class TestEncodeBatch:
     def test_plan_targets_cut_with_the_batch(self):
         vocab = Vocabularies(features=("[CLS]", "[PAD]", "[MASK]", "lab: a"),
                              categorical_values=("[MASK]", "[UNK]"), per_feature_stats={})
-        windows = [window_of(4, 40), window_of(6, 40)]
-        plans = [plan_masking(w, vocab, np.random.default_rng(i), MaskingRates(select=1.0))
+        windows = [padded_window(4, 40, vocab), padded_window(6, 40, vocab)]
+        plans = [plan_masking(w, np.random.default_rng(i), MaskingRates(select=1.0))
                  for i, w in enumerate(windows)]
         batch = encode_batch(windows, self.provider, plans)
         assert batch.feature_target.shape == batch.cont_target.shape == (2, 8)
@@ -330,7 +332,7 @@ class TestEncodeBatch:
 
     def test_special_selectors(self):
         seq = sample_window()
-        batch = encode_batch([seq], self.provider)
+        batch = encode_batch([tokens_of(seq)], self.provider)
         assert batch.feature_ids[0, 0] == batch.value_ids[0, 0] == 0  # CLS row
         pad_positions = np.flatnonzero(batch.attention_mask[0] == 0)
         assert np.all(batch.feature_ids[0, pad_positions] == 1)
@@ -342,7 +344,7 @@ class TestEncodeBatch:
 
     def test_continuous_value_fill(self):
         seq = sample_window()
-        batch = encode_batch([seq], self.provider)
+        batch = encode_batch([tokens_of(seq)], self.provider)
         token = seq.tokens[2]
         assert token.is_continuous
         assert batch.value_ids[0, 2] == FILL_ID
@@ -353,17 +355,17 @@ class TestEncodeBatch:
         a = sample_window()
         b = truncate_and_pad(make_window([dyn_token("lab: a", 1.0, 0)]), 10)
         with pytest.raises(ShapeMismatch):
-            encode_batch([a, b], self.provider)
+            encode_batch([tokens_of(a), tokens_of(b)], self.provider)
 
     def test_non_finite_value_rejected(self):
         seq = truncate_and_pad(make_window([dyn_token("lab: a", float("nan"), 0)]), 8)
         with pytest.raises(NonFiniteValue):
-            encode_batch([seq], self.provider)
+            encode_batch([tokens_of(seq)], self.provider)
 
     def test_learned_special_vectors_feed_the_graph(self):
         seq = sample_window()
         p = params()
-        batch = encode_batch([seq], self.provider, dtype=np.float64)
+        batch = encode_batch([tokens_of(seq)], self.provider, dtype=np.float64)
         before = compose_batch(batch, p).data.copy()
         p.feature_specials.data = p.feature_specials.data + 5.0
         after = compose_batch(batch, p).data
@@ -374,7 +376,7 @@ class TestEncodeBatch:
         seq = sample_window()
         tokens = list(seq.tokens)
         tokens[1] = Token("lab: a", Special.MASK, 1, 0, False, False)
-        batch = encode_batch([seq.with_tokens(tokens)], self.provider)
+        batch = encode_batch([tokens_of(seq.with_tokens(tokens))], self.provider)
         assert batch.value_ids[0, 1] == 2
         assert batch.value_scale[0, 1] == 1.0
 
@@ -383,19 +385,19 @@ class TestEncodeBatch:
         shared = [dyn_token("lab: a", 1.0, 0), dyn_token("lab: a", "lab: b", 1), dyn_token("lab: b", "high", 2),
                   Token(MASK_TEXT, "high", 3, 0, False), Token("lab: a", Special.MASK, 4, 0, False)]
         windows = [truncate_and_pad(make_window(shared * k), 24) for k in (1, 2, 3)]
-        batch = encode_batch(windows, provider)
+        batch = encode_batch([tokens_of(w) for w in windows], provider)
         assert provider.calls == Counter({"lab: a": 1, "lab: b": 1, "high": 1})
         assert batch.feature_table.shape == (2, D_PRE)
         assert batch.value_table.shape == (3, D_PRE)  # fill, "lab: b", "high"
 
     def test_unseen_feature_gets_its_provider_vector(self):
         seq = truncate_and_pad(make_window([dyn_token("lab: never trained", 1.0, 0)]), 8)
-        batch = encode_batch([seq], self.provider)
+        batch = encode_batch([tokens_of(seq)], self.provider)
         np.testing.assert_array_equal(batch.feature_table[batch.feature_ids[0, 1] - 3],
                                       self.provider.embed_text("lab: never trained"))
 
     def test_no_per_token_vectors(self):
-        windows = [window_of(12, 16) for _ in range(4)]
+        windows = [padded_window(12, 16) for _ in range(4)]
         batch = encode_batch(windows, self.provider, dtype=np.float64)
         arrays = {k: v for k, v in vars(batch).items() if isinstance(v, np.ndarray)}
         assert all(v.ndim <= 2 for v in arrays.values())

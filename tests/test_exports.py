@@ -5,3 +5,17 @@ def test_every_public_name_resolves():
     missing = [name for name in icuseq.__all__ if not hasattr(icuseq, name)]
     assert missing == []
     assert len(set(icuseq.__all__)) == len(icuseq.__all__)
+
+
+def test_object_pipeline_names_are_gone():
+    """Windows are index ranges over token columns; the per-token objects live only in tests/reference.py."""
+    import icuseq.types
+    import icuseq.windows
+
+    for name in ("Token", "WindowSequence", "truncate_and_pad"):
+        assert name not in icuseq.__all__ and not hasattr(icuseq, name)
+    for module, names in ((icuseq.types, ("Token", "WindowSequence", "Special", "cls_token", "pad_token",
+                                          "token_from_registry")),
+                          (icuseq.windows, ("truncate_and_pad", "normalize_values"))):
+        assert [n for n in names if hasattr(module, n)] == []
+    assert {"Tokens", "Window"} <= set(icuseq.__all__)

@@ -1,11 +1,16 @@
+from datetime import timedelta
+
 import numpy as np
 import pytest
 
 from icuseq.errors import NoEligibleTokens
-from icuseq.masking import KEEP, MASK, RANDOM, MaskingRates, apply_masking, eligible_mask, plan_masking
-from icuseq.types import MASK_TEXT, FeatureStats, Special, Vocabularies, pad_token
+from icuseq.ingest import Stay
+from icuseq.masking import KEEP, MASK, RANDOM, MaskingRates, apply_masking, plan_masking
+from icuseq.types import MASK_TEXT, FeatureStats, Registry, Vocabularies
+from icuseq.windows import segment_windows
 
-from conftest import dyn_token, make_window, padded
+from conftest import BASE, dyn_token, make_window
+from reference import Special, cls_token, pad_token, sequence_of, tokens_of
 
 VOCAB = Vocabularies(
     features=("[CLS]", "[PAD]", "[MASK]", "lab: a", "lab: b", "lab: c"),
@@ -20,7 +25,11 @@ def window(n_cont=4, n_cat=4, pad_to=None):
     seq = make_window(tokens)
     if pad_to:
         seq = seq.with_tokens(list(seq.tokens) + [pad_token()] * (pad_to - len(seq.tokens)))
-    return seq
+    return tokens_of(seq, VOCAB)
+
+
+def tokens(cols):
+    return sequence_of(cols).tokens
 
 
 class TestPlanMasking:
@@ -28,34 +37,39 @@ class TestPlanMasking:
         seq = window(pad_to=16)
         rng = np.random.default_rng(0)
         for _ in range(50):
-            plan = plan_masking(seq, VOCAB, rng, MaskingRates(select=1.0))
+            plan = plan_masking(seq, rng, MaskingRates(select=1.0))
+            assert len(plan) == 16
             assert not plan.selected[0]
             assert not plan.selected[9:].any()
 
     def test_no_eligible_tokens(self):
-        seq = make_window([]).with_tokens([make_window([]).tokens[0], pad_token()])
+        seq = tokens_of(make_window([]).with_tokens([cls_token(), pad_token()]), VOCAB)
         with pytest.raises(NoEligibleTokens):
-            plan_masking(seq, VOCAB, np.random.default_rng(0))
+            plan_masking(seq, np.random.default_rng(0))
 
     def test_out_of_vocab_features_ineligible(self):
-        seq = make_window([dyn_token("lab: unseen", 1.0, 0), dyn_token("lab: a", 1.0, 1)])
-        mask = eligible_mask(seq, VOCAB)
-        assert mask.tolist() == [False, False, True]
+        stay = Stay("s0", "p0", (Registry("p0", "s0", "lab", "unseen", 1.0, BASE),
+                                 Registry("p0", "s0", "lab", "a", 1.0, BASE + timedelta(minutes=1))), ())
+        [win] = segment_windows(stay, VOCAB, 1440, 8)
+        assert (win.tokens().feature_id >= 0).tolist() == [False, False, True]
+        plan = plan_masking(win, np.random.default_rng(0), MaskingRates(select=1.0))
+        assert plan.selected.tolist() == [False, False, True] + [False] * 5
 
     def test_selected_implies_some_slot(self):
         seq = window()
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(1), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(1), MaskingRates(select=1.0))
         assert np.all(plan.selected == (plan.mask_feature | plan.mask_value))
         assert not (plan.mask_feature[~plan.selected]).any()
 
     def test_targets_recorded_from_original(self):
         seq = window()
+        before = tokens(seq)
         for seed in range(20):
-            plan = plan_masking(seq, VOCAB, np.random.default_rng(seed), MaskingRates(select=0.9))
+            plan = plan_masking(seq, np.random.default_rng(seed), MaskingRates(select=0.9))
             for i in np.flatnonzero(plan.mask_feature):
-                assert plan.feature_target[i] == VOCAB.feature_index(seq.tokens[i].feature_text)
+                assert plan.feature_target[i] == VOCAB.feature_index(before[i].feature_text)
             for i in np.flatnonzero(plan.mask_value):
-                tok = seq.tokens[i]
+                tok = before[i]
                 if tok.is_continuous:
                     assert plan.value_is_continuous[i]
                     assert plan.cont_target[i] == pytest.approx(float(tok.value))
@@ -64,8 +78,8 @@ class TestPlanMasking:
 
     def test_deterministic_given_seed(self):
         seq = window()
-        a = plan_masking(seq, VOCAB, np.random.default_rng(5))
-        b = plan_masking(seq, VOCAB, np.random.default_rng(5))
+        a = plan_masking(seq, np.random.default_rng(5))
+        b = plan_masking(seq, np.random.default_rng(5))
         assert np.array_equal(a.selected, b.selected)
         assert np.array_equal(a.feature_corruption, b.feature_corruption)
 
@@ -75,8 +89,8 @@ class TestPlanMasking:
         rng = np.random.default_rng(0)
         n_eligible = n_selected = n_both = 0
         for seq in seqs:
-            plan = plan_masking(seq, VOCAB, rng)
-            n_eligible += int(eligible_mask(seq, VOCAB).sum())
+            plan = plan_masking(seq, rng)
+            n_eligible += int((seq.feature_id >= 0).sum())
             n_selected += int(plan.selected.sum())
             n_both += int((plan.mask_feature & plan.mask_value).sum())
         sigma = np.sqrt(n_eligible * 0.15 * 0.85)
@@ -87,7 +101,7 @@ class TestPlanMasking:
 
 class TestApplyMasking:
     def all_keep_plan(self, seq):
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(0), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(0), MaskingRates(select=1.0))
         plan.feature_corruption[plan.mask_feature] = KEEP
         plan.value_corruption[plan.mask_value] = KEEP
         return plan
@@ -95,38 +109,38 @@ class TestApplyMasking:
     def test_all_keep_is_identity(self):
         seq = window()
         out = apply_masking(seq, self.all_keep_plan(seq), VOCAB, np.random.default_rng(1))
-        assert out.tokens == seq.tokens
+        assert tokens(out) == tokens(seq)
 
     def test_mask_token_feature_slot(self):
         seq = window()
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(0), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(0), MaskingRates(select=1.0))
         plan.feature_corruption[plan.mask_feature] = MASK
         plan.value_corruption[plan.mask_value] = KEEP
         out = apply_masking(seq, plan, VOCAB, np.random.default_rng(1))
         for i in np.flatnonzero(plan.mask_feature):
-            assert out.tokens[i].feature_text == MASK_TEXT
-            assert out.tokens[i].value == seq.tokens[i].value
+            assert tokens(out)[i].feature_text == MASK_TEXT
+            assert tokens(out)[i].value == tokens(seq)[i].value
 
     def test_mask_token_value_slot(self):
         seq = window()
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(2), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(2), MaskingRates(select=1.0))
         plan.value_corruption[plan.mask_value] = MASK
         plan.feature_corruption[plan.mask_feature] = KEEP
         out = apply_masking(seq, plan, VOCAB, np.random.default_rng(1))
         for i in np.flatnonzero(plan.mask_value):
-            assert out.tokens[i].value is Special.MASK
-            assert not out.tokens[i].is_continuous
+            assert tokens(out)[i].value is Special.MASK
+            assert not tokens(out)[i].is_continuous
 
     def test_random_replacements_from_vocab(self):
         seq = window()
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(3), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(3), MaskingRates(select=1.0))
         plan.feature_corruption[plan.mask_feature] = RANDOM
         plan.value_corruption[plan.mask_value] = RANDOM
         out = apply_masking(seq, plan, VOCAB, np.random.default_rng(4))
         for i in np.flatnonzero(plan.mask_feature):
-            assert out.tokens[i].feature_text in VOCAB.features[3:]
+            assert tokens(out)[i].feature_text in VOCAB.features[3:]
         for i in np.flatnonzero(plan.mask_value):
-            tok, orig = out.tokens[i], seq.tokens[i]
+            tok, orig = tokens(out)[i], tokens(seq)[i]
             if orig.is_continuous:
                 assert tok.is_continuous and isinstance(tok.value, float)
             else:
@@ -136,24 +150,33 @@ class TestApplyMasking:
         seq = window()
         for seed in range(10):
             rng = np.random.default_rng(seed)
-            plan = plan_masking(seq, VOCAB, rng, MaskingRates(select=0.8))
+            plan = plan_masking(seq, rng, MaskingRates(select=0.8))
             out = apply_masking(seq, plan, VOCAB, rng)
-            for before, after in zip(seq.tokens, out.tokens):
+            for before, after in zip(tokens(seq), tokens(out)):
                 assert before.tau_minutes == after.tau_minutes
                 assert before.delta_minutes == after.delta_minutes
 
     def test_unselected_tokens_bitwise_unchanged(self):
         seq = window()
         rng = np.random.default_rng(9)
-        plan = plan_masking(seq, VOCAB, rng)
+        plan = plan_masking(seq, rng)
         out = apply_masking(seq, plan, VOCAB, rng)
-        for i, (before, after) in enumerate(zip(seq.tokens, out.tokens)):
+        for i, (before, after) in enumerate(zip(tokens(seq), tokens(out))):
             if not plan.selected[i]:
                 assert before == after
 
     def test_seeded_determinism(self):
         seq = window()
-        plan = plan_masking(seq, VOCAB, np.random.default_rng(1), MaskingRates(select=1.0))
+        plan = plan_masking(seq, np.random.default_rng(1), MaskingRates(select=1.0))
         a = apply_masking(seq, plan, VOCAB, np.random.default_rng(42))
         b = apply_masking(seq, plan, VOCAB, np.random.default_rng(42))
-        assert a.tokens == b.tokens
+        assert tokens(a) == tokens(b)
+
+    def test_source_window_is_not_written(self):
+        stay = Stay("s0", "p0", tuple(Registry("p0", "s0", "lab", "a", float(i), BASE + timedelta(minutes=i))
+                                      for i in range(6)), ())
+        [win] = segment_windows(stay, VOCAB, 1440, 8)
+        table = {name: getattr(win.table, name).copy() for name in ("feature", "value", "scale")}
+        plan = plan_masking(win, np.random.default_rng(0), MaskingRates(select=1.0))
+        apply_masking(win, plan, VOCAB, np.random.default_rng(1))
+        assert all(np.array_equal(getattr(win.table, name), arr) for name, arr in table.items())

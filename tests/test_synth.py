@@ -1,8 +1,12 @@
+from datetime import datetime, timedelta
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icuseq.errors import InvalidSpec
-from icuseq.ingest import parse_event_lines
+from icuseq.ingest import Stay, parse_event_lines
 from icuseq.metrics import auroc
 from icuseq.synth import (
     ARCHETYPE_BOOST,
@@ -17,6 +21,9 @@ from icuseq.synth import (
     read_task_file,
     write_task_file,
 )
+from icuseq.types import Registry
+
+import reference
 
 
 class TestSpecValidation:
@@ -115,6 +122,51 @@ class TestOracles:
         labels = np.array([oracle_label(s, self.spec) for s in corpus.stays])
         assert targets[labels == 1].mean() - targets[labels == 0].mean() == pytest.approx(
             self.spec.cont_target_shift, abs=0.5)
+
+
+@st.composite
+def signal_stays(draw):
+    """Stays mixing signal, anchor and other events around the first window's end, in any order."""
+    spec = ORACLE_SPEC
+    window = spec.window_minutes
+    kinds = st.sampled_from(["signal", "benign", "anchor", "anchor text", "other"])
+    minutes = st.integers(0, 3 * window)
+
+    def registry(kind, minute, static=False):
+        ts = datetime(2023, 1, 1) + timedelta(minutes=minute, seconds=draw(st.sampled_from([0, 30])))
+        source, variable, value = {
+            "signal": ("microbiology", "blood culture", draw(st.sampled_from([SIGNAL_VALUE, f" {SIGNAL_VALUE} "]))),
+            "benign": ("microbiology", "blood culture", "no growth"),
+            "anchor": ("labevents", "creatinine (serum)", draw(st.floats(-10.0, 10.0, allow_nan=False))),
+            "anchor text": ("labevents", "creatinine (serum)", "hemolysed"),
+            "other": ("chartevents", "heart rate", SIGNAL_VALUE),
+        }[kind]
+        return Registry("p", "s", source, variable, value, ts, 0, static)
+
+    dynamics = [registry(draw(kinds), draw(st.sampled_from([0, window - 1, window, window + 1])) if draw(st.booleans())
+                         else draw(minutes)) for _ in range(draw(st.integers(0, 25)))]
+    statics = [registry(draw(kinds), 0, static=True) for _ in range(draw(st.integers(0 if dynamics else 1, 2)))]
+    return Stay("s", "p", tuple(dynamics), tuple(statics))
+
+
+class TestOraclesFromColumns:
+    """The oracles read the stay's columns; they agree with the registry loop in ``reference``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(signal_stays())
+    def test_equal_to_the_registry_loop(self, stay):
+        assert oracle_presence(stay, ORACLE_SPEC) == reference.oracle_presence(stay, ORACLE_SPEC)
+        assert oracle_cont_target(stay, ORACLE_SPEC) == reference.oracle_cont_target(stay, ORACLE_SPEC)
+
+    def test_equal_on_synth_corpora(self):
+        spec = GeneratorSpec(patients=60, features=12, rate=0.01, stay_hours=60.0, stay_jitter_hours=24.0,
+                             signal_incidence=0.5, window_minutes=720)
+        corpus = parse_event_lines(generate_lines(spec, seed=8))
+        labels = [oracle_label(s, spec) for s in corpus.stays]
+        assert 0 < sum(labels) < len(labels)
+        assert labels == [reference.oracle_presence(s, spec) for s in corpus.stays]
+        assert ([oracle_cont_target(s, spec) for s in corpus.stays]
+                == [reference.oracle_cont_target(s, spec) for s in corpus.stays])
 
 
 def test_task_file_roundtrip(tmp_path):

@@ -4,10 +4,9 @@ import pytest
 from icuseq.embedder import FILL_ID, encode_batch
 from icuseq.errors import CacheMiss, FormatError
 from icuseq.textvec import FileCacheProvider, StubProvider, read_cache, write_cache
-from icuseq.types import Token
-from icuseq.windows import truncate_and_pad
 
-from conftest import make_window
+from conftest import window_of
+from reference import Token
 
 
 class TestStubProvider:
@@ -106,7 +105,7 @@ class _ExplodingProvider:
 
 def encoded_value(token, provider):
     """Value id, scale and value-table row of ``token`` in a one-window batch."""
-    batch = encode_batch([truncate_and_pad(make_window([token]), 8)], provider)
+    batch = encode_batch([window_of([token], 8)], provider)
     value_id = batch.value_ids[0, 1]
     return value_id, batch.value_scale[0, 1], batch.value_table[value_id - FILL_ID]
 
@@ -127,6 +126,6 @@ class TestValuePreEmbedding:
         assert np.array_equal(row, provider.embed_text("positive"))
 
     def test_special_bypasses_provider(self):
-        batch = encode_batch([truncate_and_pad(make_window([]), 8)], _ExplodingProvider())
+        batch = encode_batch([window_of([], 8)], _ExplodingProvider())
         assert batch.value_ids[0].tolist() == [0] + [1] * 7  # CLS, then PAD
         assert batch.feature_table.shape == (0, 4)

@@ -12,7 +12,7 @@ from icuseq import autodiff as ad
 from icuseq import training
 from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig
-from icuseq.errors import DivergedLoss, InvalidSpec
+from icuseq.errors import ConfigMismatch, DivergedLoss, FormatError, IcuseqError, InvalidSpec
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.synth import GeneratorSpec, generate_lines, oracle_label
 from icuseq.textvec import StubProvider
@@ -31,9 +31,9 @@ from icuseq.training import (
     prepare_windows,
     pretrain,
 )
-from icuseq.windows import truncate_and_pad
 
-from conftest import dyn_token, make_window
+from conftest import dyn_token, window_of
+from reference import sequence_of
 
 
 def small_setup(patients=24, seed=2, ratios=(0.7, 0.15, 0.15)):
@@ -224,6 +224,10 @@ class TestFinetune:
         assert set(metrics) == {"auroc", "auprc"}
 
 
+def sample_view(samples):
+    return [(s.label, [(w.table.stay_id, w.index, sequence_of(w).tokens) for w in s.windows]) for s in samples]
+
+
 def per_fold_corpus_samples(corpus, task, vocab, config, seed, folds):
     """Fold samples built from a fresh Corpus per fold, every pool stay segmented again."""
     pool_stays = corpus.stays_in(Split.TRAIN) + corpus.stays_in(Split.VAL)
@@ -267,7 +271,7 @@ class TestFinetunePool:
         cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0, warmup_epochs=0)
         finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=3)
 
-        assert seen == expected
+        assert [tuple(map(sample_view, fold)) for fold in seen] == [tuple(map(sample_view, fold)) for fold in expected]
         stays = corpus.stays_in(Split.TRAIN) + corpus.stays_in(Split.VAL) + corpus.stays_in(Split.TEST)
         assert sorted(segmented) == sorted(s.stay_id for s in stays)
 
@@ -284,7 +288,8 @@ class TestPrepareWindows:
         _, corpus, vocab, provider, config = small_setup()
         windows = prepare_windows(corpus, Split.TRAIN, vocab, 1440, 48)
         assert windows
-        assert all(len(w.tokens) == 48 for w in windows)
+        assert all(w.real_length <= 48 and w.tokens().max_len == 48 for w in windows)
+        assert max(w.real_length for w in windows) == 48  # some were truncated
 
 
 INVARIANCE_PROVIDER = StubProvider(dim=8, seed=0)
@@ -307,11 +312,11 @@ class TestPaddingInvariance:
     @given(st.lists(window_tokens, min_size=1, max_size=4), st.integers(0, 24))
     def test_hidden_states_at_real_positions(self, token_lists, extra):
         longest = max(len(t) for t in token_lists) + 1
-        together = encode_batch([truncate_and_pad(make_window(t), longest + extra) for t in token_lists],
+        together = encode_batch([window_of(t, longest + extra) for t in token_lists],
                                 INVARIANCE_PROVIDER)
         joint = INVARIANCE_MODEL.hidden_states(together).data
         for row, tokens in zip(joint, token_lists):
-            alone = encode_batch([truncate_and_pad(make_window(tokens), len(tokens) + 1)], INVARIANCE_PROVIDER)
+            alone = encode_batch([window_of(tokens, len(tokens) + 1)], INVARIANCE_PROVIDER)
             real = len(tokens) + 1
             np.testing.assert_allclose(row[:real], INVARIANCE_MODEL.hidden_states(alone).data[0],
                                        atol=1e-6, rtol=0)
@@ -322,7 +327,7 @@ class TestPaddingInvariance:
         longest = max(len(t) for t in token_lists) + 1
 
         def samples(length):
-            return [Sample([truncate_and_pad(make_window(t), length)], 0) for t in token_lists]
+            return [Sample([window_of(t, length)], 0) for t in token_lists]
 
         together = predict_scores(INVARIANCE_MODEL, samples(longest + extra), INVARIANCE_PROVIDER,
                                   "binary", batch_size=len(token_lists))
@@ -338,6 +343,68 @@ CHECKPOINT_CONFIGS = st.builds(
         head_mode=head_mode, task_dim=task_dim),
     st.integers(1, 2), st.integers(1, 3), st.integers(1, 4), st.integers(1, 8),
     st.sampled_from(["pretrain", "task"]), st.integers(1, 3))
+
+
+def save_with_config(path, config, model):
+    from icuseq.encoder import save_checkpoint
+
+    save_checkpoint(path, config, model.parameters())
+
+
+FUZZ_MODEL = Model.build(ModelConfig(
+    encoder=EncoderConfig(layers=1, hidden=4, heads=2, ffn_dim=3, max_seq_len=8, dropout=0.1),
+    d_pre=2, window_minutes=6, feature_vocab=5, value_vocab=4), seed=0)
+
+
+class TestCheckpointRobustness:
+    """A malformed checkpoint loads, or raises an IcuseqError: never a raw exception or a huge allocation."""
+
+    @pytest.mark.parametrize("change, error", [
+        pytest.param(lambda c: [], FormatError, id="array"),
+        pytest.param(lambda c: "config", FormatError, id="string"),
+        pytest.param(lambda c: {**c, "layers": "a"}, ConfigMismatch, id="text-layers"),
+        pytest.param(lambda c: {**c, "hidden": 4.0}, ConfigMismatch, id="float-hidden"),
+        pytest.param(lambda c: {**c, "heads": True}, ConfigMismatch, id="bool-heads"),
+        pytest.param(lambda c: {**c, "window_minutes": -5}, ConfigMismatch, id="negative-window"),
+        pytest.param(lambda c: {**c, "dropout": None}, ConfigMismatch, id="null-dropout"),
+        pytest.param(lambda c: {**c, "task_dropout": 1.0}, ConfigMismatch, id="dropout-one"),
+        pytest.param(lambda c: {**c, "head_mode": "other"}, ConfigMismatch, id="head-mode"),
+        pytest.param(lambda c: {k: v for k, v in c.items() if k != "d_pre"}, ConfigMismatch, id="missing"),
+        # sizes the arrays in the file do not have; building them would need terabytes
+        pytest.param(lambda c: {**c, "window_minutes": 10**12}, ConfigMismatch, id="huge-window"),
+        pytest.param(lambda c: {**c, "feature_vocab": 10**12}, ConfigMismatch, id="huge-vocab"),
+        pytest.param(lambda c: {**c, "layers": 10**6}, ConfigMismatch, id="huge-depth"),
+    ])
+    def test_malformed_config_block(self, tmp_path, change, error):
+        path = str(tmp_path / "model.icub")
+        save_with_config(path, change(FUZZ_MODEL.config.to_dict()), FUZZ_MODEL)
+        with pytest.raises(error):
+            Model.load(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(["replace", "insert", "delete"]), st.integers(0, 2**20),
+                              st.integers(0, 255)), min_size=1, max_size=4), st.booleans())
+    def test_byte_mutations(self, mutations, in_config):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "model.icub")
+            FUZZ_MODEL.save(path)
+            data = bytearray(open(path, "rb").read())
+            config_end = 9 + int.from_bytes(data[5:9], "little")
+            for kind, at, byte in mutations:
+                at = at % config_end if in_config else at % (len(data) + 1)
+                if kind == "insert":
+                    data[at:at] = bytes([byte])
+                elif at < len(data):
+                    if kind == "replace":
+                        data[at] = byte
+                    else:
+                        del data[at]
+            open(path, "wb").write(bytes(data))
+            try:
+                loaded = Model.load(path)
+            except IcuseqError:
+                return
+        assert loaded.parameters().keys() == FUZZ_MODEL.parameters().keys()
 
 
 class TestCheckpointRoundTrip:
@@ -356,7 +423,7 @@ class TestCheckpointRoundTrip:
             assert tensor.data.dtype == params[name].data.dtype, name
             assert tensor.data.tobytes() == params[name].data.tobytes(), name
 
-        windows = [truncate_and_pad(make_window(t[:15]), 16) for t in token_lists]
+        windows = [window_of(t[:15], 16) for t in token_lists]
         if config.head_mode == "task":
             samples = [Sample([w], 0) for w in windows]
             kind = "binary" if config.task_dim == 1 else "multilabel"
@@ -449,7 +516,7 @@ class TestEvalTape:
 
     def test_detached_model(self):
         tokens = [dyn_token("lab: a", 1.5, 3), dyn_token("lab: b", "low", 9, 4)]
-        batch = encode_batch([truncate_and_pad(make_window(tokens), 8)], INVARIANCE_PROVIDER)
+        batch = encode_batch([window_of(tokens, 8)], INVARIANCE_PROVIDER)
         model = INVARIANCE_MODEL
         detached = model.detached()
         for forward in (lambda m: m.hidden_states(batch), lambda m: m.task_scores([batch])):
@@ -469,7 +536,7 @@ class TestEvalTape:
             return made[-1]
 
         monkeypatch.setattr(ad, "_make", recording)
-        samples = [Sample([truncate_and_pad(make_window([dyn_token("lab: a", x, 5)]), 8)], x > 0)
+        samples = [Sample([window_of([dyn_token("lab: a", x, 5)], 8)], x > 0)
                    for x in (-1.0, 0.5, 2.0)]
         predict_scores(INVARIANCE_MODEL, samples, INVARIANCE_PROVIDER, "binary", batch_size=2)
         task = Task("binary", lambda stay: 0)
@@ -658,7 +725,7 @@ class TestFrozenPrefixReuse:
             assert np.shares_memory(t.data, params[name].data) == (name not in trainable), name
 
     def test_bound_keeps_leading_batches_with_every_slot(self, monkeypatch):
-        window = lambda x: truncate_and_pad(make_window([dyn_token("lab: a", x, 5)]), 8)  # noqa: E731
+        window = lambda x: window_of([dyn_token("lab: a", x, 5)], 8)  # noqa: E731
         samples = [Sample([window(1.0), window(2.0)], 1), Sample([window(3.0)], 0), Sample([window(4.0)], 0)]
         token_bytes = INVARIANCE_MODEL.config.encoder.hidden * 8  # float64
         monkeypatch.setattr(training, "REUSE_BYTES", 2 * 8 * token_bytes)  # one batch: 2 slots of 8 tokens

@@ -5,17 +5,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from icuseq.errors import InvalidRegistry
-from icuseq.types import (
-    FeatureStats,
-    Registry,
-    Token,
-    Vocabularies,
-    WindowSequence,
-    cls_token,
-    feature_text,
-    pad_token,
-    validate_registry,
-)
+from icuseq.ingest import Stay
+from icuseq.types import FeatureStats, Registry, Vocabularies, feature_text, validate_registry
+from icuseq.windows import segment_windows
+
+from reference import Token, WindowSequence, cls_token, pad_token
 
 TS = datetime(2023, 1, 1, 12, 0)
 
@@ -93,6 +87,8 @@ class TestFeatureText:
 
 
 class TestWindowSequence:
+    """The reference window the golden tests compare against keeps CLS first and PAD last."""
+
     def test_must_start_with_cls(self):
         with pytest.raises(InvalidRegistry):
             WindowSequence("s1", 0, TS, (pad_token(),))
@@ -139,9 +135,9 @@ class TestVocabularies:
         assert v.value_index("never seen") == v.unk_value_index
 
     def test_normalize(self):
-        v = self.make()
-        assert v.normalize_value("lab: a", 3.0) == pytest.approx(2.0)
-        # zero stddev: centred only
-        assert v.normalize_value("lab: b", 6.0) == pytest.approx(1.0)
-        # unknown feature: pass through
-        assert v.normalize_value("lab: zz", 7.0) == pytest.approx(7.0)
+        """A window's continuous values are z-scored with the vocabulary's train-split statistics."""
+        values = {"a": 3.0, "b": 6.0, "zz": 7.0}
+        stay = Stay("s1", "p1", tuple(make_registry(source="lab", variable=k, value=x) for k, x in values.items()), ())
+        [window] = segment_windows(stay, self.make(), 1440, 8)
+        # lab: a is z-scored; lab: b has zero stddev and is centred only; lab: zz is unknown and passes through
+        assert window.tokens().scale[1:].tolist() == [2.0, 1.0, 7.0]
