@@ -230,6 +230,18 @@ def take_position(a: Tensor, pos: int) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def first_rows(a: Tensor, stop: int) -> Tensor:
+    """Positions ``:stop`` along axis 1 of a (B, L, d) tensor, keeping the axis."""
+    out = a.data[:, :stop, :]
+
+    def bwd(g):
+        grad = np.zeros_like(a.data)
+        grad[:, :stop, :] = g
+        a.accumulate(grad)
+
+    return _make(out, (a,), bwd)
+
+
 def squeeze_last(a: Tensor) -> Tensor:
     out = a.data[..., 0]
 
@@ -316,16 +328,33 @@ def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
     return _make(p, (scores,), bwd)
 
 
+def _dropout_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
+                  draw_rows: Optional[int]) -> np.ndarray:
+    """The boolean keep mask ``rng.random(shape) >= rate``.
+
+    With ``draw_rows``, the mask is drawn as if axis -2 had ``draw_rows``
+    entries and its leading ``shape[-2]`` rows are kept: the generator
+    advances as for the full mask, and every kept entry equals the full
+    mask's.
+    """
+    if draw_rows is None:
+        return rng.random(shape) >= rate
+    return (rng.random(shape[:-2] + (draw_rows, shape[-1])) >= rate)[..., :shape[-2], :]
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
-              rate: float, rng: Optional[np.random.Generator], training: bool) -> Tensor:
+              rate: float, rng: Optional[np.random.Generator], training: bool,
+              draw_rows: Optional[int] = None) -> Tensor:
     """Fused ``dropout(softmax_masked(q @ kᵀ · scale, keep)) @ v`` with one backward.
 
-    ``q``, ``k`` and ``v`` are (..., L, d); ``keep`` broadcasts against the
-    (..., L, L) scores and marks admissible keys. Dropout on the
-    probabilities draws ``rng.random(shape) >= rate`` exactly as
-    :func:`dropout` does, so the random stream is the same as the unfused
-    chain's, and the results are too. The tape keeps only the probabilities
-    and the dropout mask, not the raw or scaled scores.
+    ``q`` is (..., Lq, d) and ``k`` and ``v`` are (..., L, d); ``keep``
+    broadcasts against the (..., Lq, L) scores and marks admissible keys.
+    Dropout on the probabilities draws ``rng.random(shape) >= rate`` exactly
+    as :func:`dropout` does, so the random stream is the same as the unfused
+    chain's, and the results are too; ``draw_rows`` draws it at ``draw_rows``
+    query rows and keeps the leading ``Lq`` (see :func:`dropout`). The tape
+    keeps only the probabilities and the dropout mask, not the raw or scaled
+    scores.
     """
     c = q.data.dtype.type(scale)
     scores = q.data @ k.data.swapaxes(-1, -2)
@@ -333,7 +362,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
     p = _softmax_masked_inplace(scores, keep)
     dropped, factor, kept = p, None, None
     if training and rate > 0.0:
-        kept = rng.random(p.shape) >= rate
+        kept = _dropout_keep(rng, p.shape, rate, draw_rows)
         factor = p.dtype.type(1.0 / (1.0 - rate))
         dropped = p * kept * factor
     out = dropped @ v.data
@@ -355,10 +384,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
     return _make(out, (q, k, v), bwd)
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool) -> Tensor:
+def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
+            draw_rows: Optional[int] = None) -> Tensor:
+    """Inverted dropout. ``draw_rows`` draws the mask as if axis -2 of ``a``
+    had that many entries and keeps its leading rows, so a layer that
+    computes fewer rows advances ``rng`` exactly as the full layer does.
+    """
     if not training or rate <= 0.0:
         return a
-    keep = (rng.random(a.data.shape) >= rate).astype(a.data.dtype)
+    keep = _dropout_keep(rng, a.data.shape, rate, draw_rows).astype(a.data.dtype)
     factor = a.data.dtype.type(1.0 / (1.0 - rate))
     out = a.data * keep * factor
 

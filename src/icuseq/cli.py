@@ -50,6 +50,14 @@ def _bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _seed(text: str) -> int:
+    """A generator seed: numpy seeds with non-negative integers only."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"a seed must be non-negative, got {value}")
+    return value
+
+
 def _opt_int(text: str) -> Optional[int]:
     return None if str(text).strip().lower() in ("none", "") else int(text)
 
@@ -57,12 +65,12 @@ def _opt_int(text: str) -> Optional[int]:
 # dest -> (converter, default, required, help); None default means "no default"
 _COMMON_DATA = {
     "events": (str, None, True, "event-line file (one JSON record per line)"),
-    "split_seed": (int, 0, False, "seed for the patient-level split"),
+    "split_seed": (_seed, 0, False, "seed for the patient-level split"),
     "ratios": (_floats_csv, (0.7, 0.15, 0.15), False, "train,val,test fractions"),
 }
 _COMMON_EMBED = {
     "embed_cache": (str, None, False, "embedding cache file (EHRV1 format)"),
-    "embed_stub_seed": (int, 0, False, "seed for the deterministic embedding stub"),
+    "embed_stub_seed": (_seed, 0, False, "seed for the deterministic embedding stub"),
     "embed_dim": (int, 32, False, "stub embedding dimension"),
     "embed_stub_fallback": (_bool, False, False, "fall back to the stub on cache misses"),
 }
@@ -77,7 +85,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "stay_jitter_hours": (float, 0.0, False, "uniform jitter around the stay length"),
         "cat_fraction": (float, 0.4, False, "fraction of categorical features"),
         "stays_per_patient": (int, 1, False, "stays generated per patient"),
-        "seed": (int, 0, False, "generator seed"),
+        "seed": (_seed, 0, False, "generator seed"),
         "out": (str, None, True, "output event-line path"),
         "task_out": (str, None, False, "also write a planted-task description file"),
         "task_kind": (str, "binary", False, "task kind for --task-out (binary|regression)"),
@@ -107,7 +115,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "mask_value_only": (float, 0.25, False, "P(mask value only | selected)"),
         "mask_feature_only": (float, 0.25, False, "P(mask feature only | selected)"),
         "corrupt": (_floats_csv, (0.8, 0.1, 0.1), False, "mask,random,keep corruption split"),
-        "seed": (int, 0, False, "training seed"),
+        "seed": (_seed, 0, False, "training seed"),
         "metrics_out": (str, None, False, "write per-epoch CSV rows here"),
     },
     "finetune": {
@@ -126,7 +134,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "warmup_epochs": (_opt_int, 0, False, "linear warmup epochs"),
         "patience": (_opt_int, 10, False, "early-stop patience in epochs"),
         "class_weight": (str, "auto", False, "positive-class weight (auto or a number)"),
-        "seed": (int, 0, False, "training seed"),
+        "seed": (_seed, 0, False, "training seed"),
         "results_out": (str, None, False, "write the metric report here"),
     },
     "evaluate": {
@@ -151,7 +159,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "samples": (int, 6, False, "entries checked per parameter"),
         "alpha": (float, 3.0, False, "continuous-value loss weight"),
         "beta": (float, 1.0, False, "value-loss block weight"),
-        "seed": (int, 0, False, "problem seed"),
+        "seed": (_seed, 0, False, "problem seed"),
     },
     "inspect-cache": {
         "embed_cache": (str, None, True, "embedding cache file"),
@@ -175,23 +183,30 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _read_config_file(path: str, spec: dict) -> dict:
+    """``key=value`` lines of a UTF-8 file; bytes that are not UTF-8 or a NUL are a ``ConfigMismatch``."""
     values = {}
-    with open(path, "r", encoding="utf-8") as f:
-        for line_no, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ConfigMismatch(f"{path}:{line_no}: expected key=value")
-            key, _, raw = line.partition("=")
-            key = key.strip().replace("-", "_")
-            if key not in spec:
-                raise ConfigMismatch(f"{path}:{line_no}: unknown key {key!r}")
-            converter = spec[key][0]
-            try:
-                values[key] = converter(raw.strip())
-            except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ConfigMismatch(f"{path}:{line_no}: {exc}") from exc
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            lines = list(f)
+    except UnicodeDecodeError as exc:
+        raise ConfigMismatch(f"{path}: not valid UTF-8: {exc.reason}") from exc
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "\0" in line:  # no path or number holds one, and open() refuses it
+            raise ConfigMismatch(f"{path}:{line_no}: NUL character")
+        if "=" not in line:
+            raise ConfigMismatch(f"{path}:{line_no}: expected key=value")
+        key, _, raw = line.partition("=")
+        key = key.strip().replace("-", "_")
+        if key not in spec:
+            raise ConfigMismatch(f"{path}:{line_no}: unknown key {key!r}")
+        converter = spec[key][0]
+        try:
+            values[key] = converter(raw.strip())
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ConfigMismatch(f"{path}:{line_no}: {exc}") from exc
     return values
 
 
@@ -329,7 +344,7 @@ def _cmd_pretrain(cfg: dict) -> None:
 
 def _task_from_file(cfg: dict, window_minutes: int) -> Task:
     """The planted task, its oracle labels read from the window the model was built with."""
-    kind, gen_spec, _seed = read_task_file(cfg["task"])
+    kind, gen_spec, _ = read_task_file(cfg["task"])
     if gen_spec.window_minutes != window_minutes:
         raise ConfigMismatch(f"task file labels {gen_spec.window_minutes}-minute windows, "
                              f"the checkpoint has {window_minutes}-minute windows")

@@ -107,8 +107,16 @@ def init_encoder(rng: np.random.Generator, config: EncoderConfig, dtype=np.float
 
 def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
             params: EncoderParams, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None) -> Tensor:
-    """Post-norm encoder stack; PAD key positions are excluded from attention."""
+            rng: Optional[np.random.Generator] = None, cls_only: bool = False) -> Tensor:
+    """Post-norm encoder stack; PAD key positions are excluded from attention.
+
+    With ``cls_only`` the last layer computes the CLS row (position 0) only
+    and the result is (B, 1, d). Its keys and values still come from every
+    row, so that row equals the full stack's; its queries, attention output,
+    residuals, layer norms and FFN run on row 0 alone. In train mode that
+    layer's dropout masks are drawn at full-row shape and cut to row 0, so
+    ``rng`` advances as in the full stack and every kept entry is the same.
+    """
     b, length, d = x.shape
     if d != config.hidden:
         raise ShapeMismatch(f"input width {d} vs configured hidden {config.hidden}")
@@ -117,25 +125,30 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
         raise ShapeMismatch(f"mask shape {mask.shape} vs batch {(b, length)}")
     if mode == "train" and rng is None:
         raise ShapeMismatch("train mode needs an rng for dropout")
+    if cls_only and not params.layers:
+        return ad.first_rows(x, 1)
 
     heads, dh = config.heads, config.head_dim
     keep = (mask > 0)[:, None, None, :]  # admissible key positions
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
+    training = mode == "train"
+    top = len(params.layers) - 1 if cls_only else None
 
     def split_heads(t: Tensor) -> Tensor:
-        return ad.transpose(ad.reshape(t, (b, length, heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
     def drop(t: Tensor) -> Tensor:
-        return ad.dropout(t, config.dropout, rng, training=(mode == "train"))
+        return ad.dropout(t, config.dropout, rng, training, draw_rows=length)
 
-    for layer in params.layers:
-        q = split_heads(ad.add(ad.matmul(x, layer.wq), layer.bq))
+    for i, layer in enumerate(params.layers):
+        rows = ad.first_rows(x, 1) if i == top else x  # the query rows this layer outputs
+        q = split_heads(ad.add(ad.matmul(rows, layer.wq), layer.bq))
         k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
         v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
-        heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, mode == "train")
-        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), (b, length, d))
+        heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, training, draw_rows=length)
+        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), rows.shape)
         attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo))
-        x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
+        x = ad.layer_norm(ad.add(rows, attn_out), layer.ln1_gain, layer.ln1_bias)
         inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
         ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2))
         x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
@@ -207,7 +220,7 @@ def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor
 
 
 def cls_output(hidden: Tensor) -> Tensor:
-    """Final-layer representation of the CLS token (position 0)."""
+    """Final-layer representation of the CLS token (position 0) of (B, L, d) or cls-only (B, 1, d) states."""
     return ad.take_position(hidden, 0)
 
 

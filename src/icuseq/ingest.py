@@ -13,6 +13,9 @@ not be put in order. A stay's dynamic timestamps may span at most
 span, so one stray timestamp decades off would otherwise make thousands of
 windows. The stay is rejected at the first line that stretches it further.
 Static timestamps are not bounded, since statics repeat in every window.
+A registry's ``duration_minutes`` may not exceed ``MAX_STAY_SPAN`` either
+(525,600 minutes): durations are stored as 64-bit integers, and a longer one
+is rejected with a ``ParseError`` naming its line.
 
 Each ``Stay`` carries ``columns`` (``StayColumns``): numpy arrays of its
 registries that do not depend on the vocabulary, built once when the stay is
@@ -42,6 +45,7 @@ from .types import (
 )
 
 MAX_STAY_SPAN = timedelta(days=365)
+MAX_DURATION_MINUTES = MAX_STAY_SPAN // timedelta(minutes=1)
 
 
 class Split(enum.Enum):
@@ -237,6 +241,8 @@ def _registry_from_record(record: dict, line_no: int) -> Registry:
     duration = record.get("duration_minutes", 0)
     if isinstance(duration, bool) or not isinstance(duration, int):
         raise ParseError(line_no, "duration_minutes must be an integer")
+    if duration > MAX_DURATION_MINUTES:
+        raise ParseError(line_no, f"duration_minutes {duration} exceeds the {MAX_DURATION_MINUTES}-minute maximum")
     static = record.get("static", False)
     if not isinstance(static, bool):
         raise ParseError(line_no, "static must be a boolean")
@@ -267,6 +273,8 @@ def assign_splits(corpus: Corpus, ratios: Sequence[float], seed: int) -> Corpus:
     """
     if len(ratios) != 3:
         raise InvalidRatios(f"expected 3 ratios, got {len(ratios)}")
+    if not all(math.isfinite(r) for r in ratios):
+        raise InvalidRatios(f"ratios must be finite, got {tuple(ratios)!r}")
     if any(r < 0 for r in ratios):
         raise InvalidRatios("ratios must be non-negative")
     if abs(sum(ratios) - 1.0) > 1e-9:

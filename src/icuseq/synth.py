@@ -9,6 +9,8 @@ feature-value rule that fixes a binary outcome and shifts a regression target.
 from __future__ import annotations
 
 import json
+import math
+import numbers
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
 from typing import Optional
@@ -79,6 +81,15 @@ class GeneratorSpec:
     window_minutes: int = 1440
 
     def __post_init__(self):
+        for name, kind in self.__annotations__.items():  # "int" or "float": the module defers annotations
+            value = getattr(self, name)
+            if kind == "int":
+                ok = isinstance(value, numbers.Integral)
+            else:
+                ok = isinstance(value, numbers.Integral) or isinstance(value, numbers.Real) and math.isfinite(value)
+            if isinstance(value, bool) or not ok:
+                raise InvalidSpec(f"{name} must be {'an integer' if kind == 'int' else 'a finite number'}, "
+                                  f"got {value!r}")
         if self.patients < 1:
             raise InvalidSpec("need at least one patient")
         if self.features < 2:
@@ -181,15 +192,21 @@ def write_task_file(path: str, spec: GeneratorSpec, kind: str, seed: int) -> Non
 
 
 def read_task_file(path: str) -> tuple[str, GeneratorSpec, int]:
+    """The kind (text), generator spec and generator seed (a non-negative integer) of a task file."""
     with open(path, "r", encoding="utf-8") as f:
         try:
             payload = json.load(f)
         except ValueError as exc:  # bad JSON or bytes that are not UTF-8
             raise InvalidSpec(f"bad task file: {exc}") from exc
     try:
-        return payload["kind"], GeneratorSpec(**payload["generator_spec"]), payload["generator_seed"]
+        kind, spec, seed = payload["kind"], GeneratorSpec(**payload["generator_spec"]), payload["generator_seed"]
     except (KeyError, TypeError) as exc:
         raise InvalidSpec(f"bad task file: {exc}") from exc
+    if not isinstance(kind, str):
+        raise InvalidSpec(f"bad task file: kind {kind!r} is not text")
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise InvalidSpec(f"bad task file: generator_seed {seed!r} is not a non-negative integer")
+    return kind, spec, seed
 
 
 def _stay_lines(spec: GeneratorSpec, defs: list[FeatureDef], seed: int, stay_idx: int,

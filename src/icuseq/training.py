@@ -188,16 +188,18 @@ class Model:
     # forward paths ---------------------------------------------------------
 
     def hidden_states(self, batch: EncodedBatch, mode: str = "eval",
-                      rng: Optional[np.random.Generator] = None, below: Optional[Prefix] = None) -> Tensor:
-        """Final-layer states of ``batch``.
+                      rng: Optional[np.random.Generator] = None, below: Optional[Prefix] = None,
+                      cls_only: bool = False) -> Tensor:
+        """Final-layer states of ``batch``: every row, or with ``cls_only`` row 0 alone as (B, 1, d).
 
         ``below`` is this batch's prefix from a model with the same embedder
-        and bottom layers: only the layers above it run.
+        and bottom layers: only the layers above it run. ``cls_only`` is
+        passed to ``enc.forward``: the top layer computes the CLS row only.
         """
         if below is None:
             below = Prefix(0, compose_batch(batch, self.embedder, mode, rng))
         return enc.forward(below.hidden, batch.attention_mask, self.config.encoder,
-                           enc.EncoderParams(self.encoder.layers[below.depth:]), mode, rng)
+                           enc.EncoderParams(self.encoder.layers[below.depth:]), mode, rng, cls_only=cls_only)
 
     def prefix(self, batch: EncodedBatch, depth: int) -> Prefix:
         """The eval-mode input of encoder layer ``depth`` for ``batch``."""
@@ -215,10 +217,14 @@ class Model:
         """Task logits from the CLS outputs of one or more windows per sample.
 
         ``below`` holds one prefix per window batch (see ``hidden_states``).
+        Only the CLS row reaches the head, so the top encoder layer computes
+        that row alone, with keys and values from every row. Train-mode
+        dropout draws the same masks as a full-row pass and keeps their row
+        0, so the logits and gradients equal the full pass's up to rounding.
         """
         cls_sum = None
         for i, batch in enumerate(window_batches):
-            hidden = self.hidden_states(batch, mode, rng, None if below is None else below[i])
+            hidden = self.hidden_states(batch, mode, rng, None if below is None else below[i], cls_only=True)
             cls_vec = enc.cls_output(hidden)
             cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
         cls_avg = ad.scale(cls_sum, 1.0 / len(window_batches))
@@ -672,6 +678,8 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     running only the layers above and the head (see ``_reused_batches`` for
     the memory bound). Train-mode passes are never reused, since dropout
     acts in the frozen layers too. Nothing is kept once the call returns.
+    Every train, val and test pass goes through ``Model.task_scores``, whose
+    top encoder layer computes the CLS row only.
     """
     cfg = train_config
     window_minutes = pretrained.config.window_minutes

@@ -1,11 +1,16 @@
-"""The per-event object pipeline that columnar windows replaced, kept as the golden reference.
+"""Golden references: the per-event object pipeline, and the full-row task path.
 
 Quadruplet ``Token`` objects, ``WindowSequence``s padded to L with PAD
 tokens, and the functions that built, masked and encoded them one token at a
-time. Golden tests run the same stays through this pipeline and through
-``icuseq`` and compare the results bit for bit. ``tokens_of`` and
-``sequence_of`` translate between the two forms for unit tests that write
-tokens by hand or read a window token by token.
+time, are the pipeline that columnar windows replaced. Golden tests run the
+same stays through this pipeline and through ``icuseq`` and compare the
+results bit for bit. ``tokens_of`` and ``sequence_of`` translate between the
+two forms for unit tests that write tokens by hand or read a window token by
+token.
+
+``encoder_forward`` and ``task_scores`` are the task path as it was before
+the top encoder layer was cut to the CLS row: every layer computes every
+row, and the CLS vector is read from the (B, L, d) final states.
 """
 
 from __future__ import annotations
@@ -17,7 +22,9 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from icuseq.embedder import FILL_ID, N_SPECIALS, EncodedBatch
+from icuseq import autodiff as ad
+from icuseq import encoder as enc
+from icuseq.embedder import FILL_ID, N_SPECIALS, EncodedBatch, compose_batch
 from icuseq.errors import EmptyStay, InvalidRegistry, NoEligibleTokens, NonFiniteValue, ShapeMismatch, StaticsOverflow
 from icuseq.masking import KEEP, MASK, RANDOM, MaskingPlan, MaskingRates
 from icuseq.synth import SIGNAL_VALUE
@@ -436,3 +443,49 @@ def sequence_of(window: Union[Window, Tokens]) -> WindowSequence:
             value = _SPECIAL_OF_CODE[code]
         out.append(Token(feature, value, int(cols.tau[i]), int(cols.delta[i]), continuous, 1 <= i <= n_statics))
     return WindowSequence(cols.stay_id, index, None, tuple(out))
+
+
+# ---------------------------------------------------------------------------
+# the full-row task path
+
+
+def encoder_forward(x, attention_mask, config, params, mode="eval", rng=None):
+    """The post-norm encoder stack with every layer computing all L rows."""
+    b, length, d = x.shape
+    heads, dh = config.heads, config.head_dim
+    keep = (np.asarray(attention_mask) > 0)[:, None, None, :]
+    training = mode == "train"
+
+    def split_heads(t):
+        return ad.transpose(ad.reshape(t, (b, length, heads, dh)), (0, 2, 1, 3))
+
+    def drop(t):
+        return ad.dropout(t, config.dropout, rng, training)
+
+    for layer in params.layers:
+        q = split_heads(ad.add(ad.matmul(x, layer.wq), layer.bq))
+        k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
+        v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
+        heads_out = ad.attention(q, k, v, keep, 1.0 / np.sqrt(dh), config.dropout, rng, training)
+        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), (b, length, d))
+        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo))
+        x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
+        inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
+        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2))
+        x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
+    return x
+
+
+def task_scores(model, window_batches, mode="eval", rng=None, below=None):
+    """``Model.task_scores`` with the CLS vector read from full-row final states."""
+    cls_sum = None
+    for i, batch in enumerate(window_batches):
+        if below is None:
+            depth, x = 0, compose_batch(batch, model.embedder, mode, rng)
+        else:
+            depth, x = below[i].depth, below[i].hidden
+        hidden = encoder_forward(x, batch.attention_mask, model.config.encoder,
+                                 enc.EncoderParams(model.encoder.layers[depth:]), mode, rng)
+        cls_vec = enc.cls_output(hidden)
+        cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
+    return enc.task_output(ad.scale(cls_sum, 1.0 / len(window_batches)), model.heads, mode, rng)

@@ -86,6 +86,10 @@ class TestShapes:
     def test_take_position(self):
         check_op(lambda a: weighted(ad.take_position(a, 0)), (2, 3, 4))
 
+    @pytest.mark.parametrize("stop", [1, 2])
+    def test_first_rows(self, stop):
+        check_op(lambda a: weighted(ad.first_rows(a, stop)), (2, 3, 4))
+
     def test_squeeze_last(self):
         check_op(lambda a: weighted(ad.squeeze_last(a)), (3, 4, 1))
 
@@ -169,6 +173,31 @@ class TestAttention:
             (2, 2, 4, 3), (2, 2, 5, 3), (2, 2, 5, 3))
 
     @pytest.mark.parametrize("training", [False, True])
+    def test_gradient_of_one_query_row(self, training):
+        check_op(lambda q, k, v: weighted(ad.attention(
+            q, k, v, ATTENTION_KEEP, 0.7, 0.3, np.random.default_rng(5), training, draw_rows=5)),
+            (2, 2, 1, 3), (2, 2, 5, 3), (2, 2, 5, 3))
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_one_query_row_is_row_0_of_the_full_op(self, training):
+        """With ``draw_rows`` the cut op draws the full mask: the stream and the kept row are the full op's."""
+        rng = np.random.default_rng(8)
+        q, k, v = (rng.standard_normal((2, 2, 5, 3)) for _ in range(3))
+        outs, grads, after = [], [], []
+        for rows in (5, 1):
+            tensors = [ad.parameter(q[:, :, :rows].copy(), "q"), ad.parameter(k, "k"), ad.parameter(v, "v")]
+            draw = np.random.default_rng(4)
+            out = ad.attention(*tensors, ATTENTION_KEEP, 0.7, 0.4, draw, training, draw_rows=5)
+            ad.backward(ad.sum_all(ad.first_rows(ad.reshape(out, (4, rows, 3)), 1)))
+            outs.append(out.data[:, :, :1])
+            grads.append([tensors[0].grad[:, :, :1], tensors[1].grad, tensors[2].grad])
+            after.append(draw.random())
+        np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-12)
+        for cut, full in zip(grads[1], grads[0]):
+            np.testing.assert_allclose(cut, full, rtol=0, atol=1e-12)
+        assert after[0] == after[1]
+
+    @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_equals_unfused_chain(self, training, dtype):
         shapes = ((2, 3, 5, 4), (2, 3, 5, 4), (2, 3, 5, 4))
@@ -207,6 +236,18 @@ class TestDropout:
     def test_gradient_with_fixed_mask(self):
         check_op(lambda a: weighted(ad.dropout(a, 0.4, np.random.default_rng(3), training=True)),
                  (4, 4))
+
+    def test_gradient_with_draw_rows(self):
+        check_op(lambda a: weighted(ad.dropout(a, 0.4, np.random.default_rng(3), True, draw_rows=5)),
+                 (2, 1, 4))
+
+    def test_draw_rows_keeps_the_leading_rows_of_the_full_mask(self):
+        x = RNG.standard_normal((3, 6, 4))
+        full_rng, cut_rng = np.random.default_rng(9), np.random.default_rng(9)
+        full = ad.dropout(ad.constant(x), 0.5, full_rng, True).data
+        cut = ad.dropout(ad.constant(x[:, :2]), 0.5, cut_rng, True, draw_rows=6).data
+        np.testing.assert_array_equal(cut, full[:, :2])
+        assert full_rng.random() == cut_rng.random()
 
     def test_scaling_preserves_expectation(self):
         x = ad.constant(np.ones((200, 200)))

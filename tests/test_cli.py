@@ -69,6 +69,25 @@ class TestSynthIngest:
         assert len(errors) == 1 and "ParseError" in errors[0] and "line 1" in errors[0]
         assert "Traceback" not in err
 
+    def test_non_finite_ratios_are_one_error_line(self, synth_args, capsys):
+        events, _task, _ = synth_args
+        capsys.readouterr()
+        assert main(["ingest", "--events", events, "--ratios", "nan,0.5,0.5"]) == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "InvalidRatios" in errors[0]
+        assert "Traceback" not in err
+
+    def test_huge_duration_is_one_error_line(self, capsys, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text('{"patient_id": "p", "stay_id": "s", "source": "a", "variable": "b", "value": 1,'
+                        ' "timestamp": "2023-01-01T00:00", "duration_minutes": 1000000000000000000000000000000}\n')
+        assert main(["ingest", "--events", str(path)]) == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ParseError" in errors[0] and "line 1" in errors[0]
+        assert "Traceback" not in err
+
     def test_missing_events_file_is_domain_error(self, capsys, tmp_path):
         code = main(["ingest", "--events", str(tmp_path / "nope.jsonl")])
         assert code == 1
@@ -127,6 +146,27 @@ class TestConfigFile:
         assert code == 1
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert len(errors) == 1 and "InvalidSpec" in errors[0] and "unfrozen_layers" in errors[0]
+
+    def test_non_utf8_config_file_is_one_error_line(self, synth_args, capsys):
+        events, _task, tmp_path = synth_args
+        config = tmp_path / "bad.cfg"
+        config.write_bytes(b"\xff\xfesplit_seed=1\n")
+        capsys.readouterr()
+        assert main(["ingest", "--events", events, "--config", str(config)]) == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ConfigMismatch" in errors[0] and str(config) in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("line", ["split_seed=-1", "events=a\0b"])
+    def test_negative_seed_or_nul_in_config_is_one_error_line(self, synth_args, capsys, line):
+        events, _task, tmp_path = synth_args
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        capsys.readouterr()
+        assert main(["ingest", "--events", events, "--config", str(config)]) == 1
+        errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "ConfigMismatch" in errors[0]
 
     def test_unknown_key_rejected(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"

@@ -6,6 +6,7 @@ import pytest
 
 from icuseq.errors import EmptyTrainSplit, InvalidRatios, ParseError
 from icuseq.ingest import (
+    MAX_DURATION_MINUTES,
     MAX_STAY_SPAN,
     Split,
     assign_splits,
@@ -80,6 +81,15 @@ class TestParseEvents:
         with pytest.raises(ParseError, match="negative duration"):
             parse_event_lines([line(duration_minutes=-1)])
 
+    @pytest.mark.parametrize("duration", [MAX_DURATION_MINUTES + 1, 2**63, 10**30])
+    def test_duration_past_the_bound_names_its_line(self, duration):
+        with pytest.raises(ParseError, match=f"line 2: duration_minutes {duration} exceeds"):
+            parse_event_lines([line(), line(duration_minutes=duration)])
+
+    def test_duration_bound_is_inclusive(self):
+        corpus = parse_event_lines([line(duration_minutes=MAX_DURATION_MINUTES)])
+        assert corpus.stays[0].columns.duration.tolist() == [MAX_DURATION_MINUTES]
+
     def test_stay_spanning_decades_fails_at_its_line(self):
         def lines():
             yield line(timestamp="1990-01-01T00:00")
@@ -149,6 +159,12 @@ class TestAssignSplits:
             assign_splits(corpus, (0.5, 0.3, 0.3), seed=0)
         with pytest.raises(InvalidRatios):
             assign_splits(corpus, (-0.1, 0.6, 0.5), seed=0)
+
+    @pytest.mark.parametrize("ratios", [(float("nan"), 0.5, 0.5), (0.5, float("inf"), 0.5),
+                                        (float("nan"),) * 3])
+    def test_non_finite_ratios(self, ratios):
+        with pytest.raises(InvalidRatios, match="finite"):
+            assign_splits(multi_patient_corpus(10), ratios, seed=0)
 
 
 class TestBuildVocabularies:

@@ -37,6 +37,12 @@ class TestSpecValidation:
         with pytest.raises(InvalidSpec):
             GeneratorSpec(patients=1, features=5, rate=0.1, signal_incidence=1.5)
 
+    @pytest.mark.parametrize("field", [dict(patients=2.0), dict(patients=True), dict(features="5"),
+                                       dict(rate=float("nan")), dict(stay_hours=float("inf")), dict(rate=[1])])
+    def test_ill_typed_or_non_finite_fields(self, field):
+        with pytest.raises(InvalidSpec, match=next(iter(field))):
+            GeneratorSpec(**{"patients": 1, "features": 5, "rate": 0.1, **field})
+
 
 class TestGeneration:
     def test_deterministic_bytes(self):
