@@ -230,13 +230,23 @@ def take_position(a: Tensor, pos: int) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def first_rows(a: Tensor, stop: int) -> Tensor:
-    """Positions ``:stop`` along axis 1 of a (B, L, d) tensor, keeping the axis."""
-    out = a.data[:, :stop, :]
+def _rows_of(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Entries ``rows[b, j]`` of axis -2 of ``x`` for each batch entry ``b`` (axis 0), as a fresh array."""
+    idx = rows.reshape(rows.shape[:1] + (1,) * (x.ndim - 3) + rows.shape[1:] + (1,))
+    return np.take_along_axis(x, idx, axis=-2)
+
+
+def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
+    """Positions ``rows[b]`` along axis 1 of a (B, L, d) tensor: (B, m, d) for (B, m) ``rows``.
+
+    The backward scatter-adds, so a position taken twice gets both rows' gradients.
+    """
+    rows = np.asarray(rows)
+    out = _rows_of(a.data, rows)
 
     def bwd(g):
         grad = np.zeros_like(a.data)
-        grad[:, :stop, :] = g
+        np.add.at(grad, (np.arange(rows.shape[0])[:, None], rows), g)
         a.accumulate(grad)
 
     return _make(out, (a,), bwd)
@@ -298,7 +308,8 @@ def _softmax_masked_inplace(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
     The mask enters as a 0 / -inf bias, so masked entries come out exactly 0;
     a row with no admissible position yields all zeros instead of NaN.
     """
-    x += np.where(keep, 0.0, -np.inf).astype(x.dtype)
+    if not keep.all():
+        x += np.where(keep, 0.0, -np.inf).astype(x.dtype)
     m = x.max(axis=-1, keepdims=True)
     m[m == -np.inf] = 0.0
     x -= m
@@ -329,51 +340,60 @@ def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
 
 
 def _dropout_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
-                  draw_rows: Optional[int]) -> np.ndarray:
+                  rows: Optional[np.ndarray] = None) -> np.ndarray:
     """The boolean keep mask ``rng.random(shape) >= rate``.
 
-    With ``draw_rows``, the mask is drawn as if axis -2 had ``draw_rows``
-    entries and its leading ``shape[-2]`` rows are kept: the generator
-    advances as for the full mask, and every kept entry equals the full
-    mask's.
+    With ``rows`` (B, m), the mask is drawn at ``shape`` and its entries
+    ``rows[b]`` of axis -2 are kept (see ``_rows_of``): the generator advances
+    as for the full mask, and every kept entry equals the full mask's.
     """
-    if draw_rows is None:
-        return rng.random(shape) >= rate
-    return (rng.random(shape[:-2] + (draw_rows, shape[-1])) >= rate)[..., :shape[-2], :]
+    keep = rng.random(shape) >= rate
+    return keep if rows is None else _rows_of(keep, rows)
+
+
+def _scaled_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
+                 rows: Optional[np.ndarray], dtype) -> np.ndarray:
+    """The keep mask as ``1 / (1 - rate)`` where kept and 0 elsewhere, in ``dtype``.
+
+    ``x * mask`` equals ``x * keep * (1 / (1 - rate))`` bit for bit.
+    """
+    mask = _dropout_keep(rng, shape, rate, rows).astype(dtype)
+    mask *= mask.dtype.type(1.0 / (1.0 - rate))
+    return mask
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
               rate: float, rng: Optional[np.random.Generator], training: bool,
-              draw_rows: Optional[int] = None) -> Tensor:
+              rows: Optional[np.ndarray] = None) -> Tensor:
     """Fused ``dropout(softmax_masked(q @ kᵀ · scale, keep)) @ v`` with one backward.
 
     ``q`` is (..., Lq, d) and ``k`` and ``v`` are (..., L, d); ``keep``
     broadcasts against the (..., Lq, L) scores and marks admissible keys.
     Dropout on the probabilities draws ``rng.random(shape) >= rate`` exactly
     as :func:`dropout` does, so the random stream is the same as the unfused
-    chain's, and the results are too; ``draw_rows`` draws it at ``draw_rows``
-    query rows and keeps the leading ``Lq`` (see :func:`dropout`). The tape
-    keeps only the probabilities and the dropout mask, not the raw or scaled
-    scores.
+    chain's, and the results are too. With ``rows`` (B, Lq), the query rows
+    are those positions of a length-L sequence: the mask is drawn for all L
+    rows and the ``rows`` entries are kept (see :func:`dropout`). The tape
+    keeps only the probabilities and the scaled dropout mask, not the raw or
+    scaled scores.
     """
     c = q.data.dtype.type(scale)
     scores = q.data @ k.data.swapaxes(-1, -2)
     scores *= c
     p = _softmax_masked_inplace(scores, keep)
-    dropped, factor, kept = p, None, None
+    dropped, mask = p, None
     if training and rate > 0.0:
-        kept = _dropout_keep(rng, p.shape, rate, draw_rows)
-        factor = p.dtype.type(1.0 / (1.0 - rate))
-        dropped = p * kept * factor
+        full = p.shape if rows is None else p.shape[:-2] + (p.shape[-1], p.shape[-1])
+        mask = _scaled_keep(rng, full, rate, rows, p.dtype)
+        dropped = p * mask
     out = dropped @ v.data
 
     def bwd(g):
         if v.requires_grad:  # the dropped probabilities are rebuilt, not held by the tape
-            dropped = p if kept is None else p * kept * factor
-            v.accumulate(dropped.swapaxes(-1, -2) @ g)
+            v.accumulate((p if mask is None else p * mask).swapaxes(-1, -2) @ g)
         gp = g @ v.data.swapaxes(-1, -2)
-        if kept is not None:
-            gp = gp * kept * factor
+        if mask is not None:
+            gp *= mask
         gs = _softmax_backward(p, gp)
         gs *= c
         if q.requires_grad:
@@ -385,19 +405,22 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
-            draw_rows: Optional[int] = None) -> Tensor:
-    """Inverted dropout. ``draw_rows`` draws the mask as if axis -2 of ``a``
-    had that many entries and keeps its leading rows, so a layer that
-    computes fewer rows advances ``rng`` exactly as the full layer does.
+            rows: Optional[np.ndarray] = None, length: Optional[int] = None) -> Tensor:
+    """Inverted dropout.
+
+    With ``rows`` (B, m), ``a`` holds positions ``rows[b]`` of a sequence of
+    ``length``: the mask is drawn as if axis -2 of ``a`` had ``length``
+    entries and its ``rows`` entries are kept, so a layer that computes fewer
+    rows advances ``rng`` exactly as the full layer does.
     """
     if not training or rate <= 0.0:
         return a
-    keep = _dropout_keep(rng, a.data.shape, rate, draw_rows).astype(a.data.dtype)
-    factor = a.data.dtype.type(1.0 / (1.0 - rate))
-    out = a.data * keep * factor
+    shape = a.data.shape if rows is None else a.data.shape[:-2] + (length, a.data.shape[-1])
+    mask = _scaled_keep(rng, shape, rate, rows, a.data.dtype)
+    out = a.data * mask
 
     def bwd(g):
-        a.accumulate(g * keep * factor)
+        a.accumulate(g * mask)
 
     return _make(out, (a,), bwd)
 

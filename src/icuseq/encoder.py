@@ -107,14 +107,17 @@ def init_encoder(rng: np.random.Generator, config: EncoderConfig, dtype=np.float
 
 def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
             params: EncoderParams, mode: str = "eval",
-            rng: Optional[np.random.Generator] = None, cls_only: bool = False) -> Tensor:
+            rng: Optional[np.random.Generator] = None, rows: Optional[np.ndarray] = None) -> Tensor:
     """Post-norm encoder stack; PAD key positions are excluded from attention.
 
-    With ``cls_only`` the last layer computes the CLS row (position 0) only
-    and the result is (B, 1, d). Its keys and values still come from every
-    row, so that row equals the full stack's; its queries, attention output,
-    residuals, layer norms and FFN run on row 0 alone. In train mode that
-    layer's dropout masks are drawn at full-row shape and cut to row 0, so
+    Without ``rows`` every layer computes every row and the result is
+    (B, L, d). With ``rows``, a (B, m) int array of positions, the last
+    layer outputs those rows only and the result is (B, m, d), row ``j`` of
+    batch entry ``b`` being position ``rows[b, j]``. That layer's keys and
+    values still come from every row, so each output row equals the full
+    stack's; its queries, attention, out-projection, residuals, layer norms
+    and FFN run on the gathered rows. In train mode that layer's dropout
+    masks are drawn at full-row shape and only the gathered rows are kept, so
     ``rng`` advances as in the full stack and every kept entry is the same.
     """
     b, length, d = x.shape
@@ -125,32 +128,37 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
         raise ShapeMismatch(f"mask shape {mask.shape} vs batch {(b, length)}")
     if mode == "train" and rng is None:
         raise ShapeMismatch("train mode needs an rng for dropout")
-    if cls_only and not params.layers:
-        return ad.first_rows(x, 1)
+    if rows is not None:
+        rows = np.asarray(rows)
+        if rows.ndim != 2 or rows.shape[0] != b or (rows.size and not 0 <= rows.min() <= rows.max() < length):
+            raise ShapeMismatch(f"rows of shape {rows.shape} must be (B, m) positions below {length} for B {b}")
+        if not params.layers:
+            return ad.take_rows(x, rows)
 
     heads, dh = config.heads, config.head_dim
     keep = (mask > 0)[:, None, None, :]  # admissible key positions
     inv_sqrt_dh = 1.0 / np.sqrt(dh)
     training = mode == "train"
-    top = len(params.layers) - 1 if cls_only else None
+    top = len(params.layers) - 1
 
     def split_heads(t: Tensor) -> Tensor:
         return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
-    def drop(t: Tensor) -> Tensor:
-        return ad.dropout(t, config.dropout, rng, training, draw_rows=length)
+    def drop(t: Tensor, cut: Optional[np.ndarray]) -> Tensor:
+        return ad.dropout(t, config.dropout, rng, training, rows=cut, length=length)
 
     for i, layer in enumerate(params.layers):
-        rows = ad.first_rows(x, 1) if i == top else x  # the query rows this layer outputs
-        q = split_heads(ad.add(ad.matmul(rows, layer.wq), layer.bq))
+        cut = rows if i == top else None  # the positions this layer outputs; None: every row
+        h = x if cut is None else ad.take_rows(x, cut)
+        q = split_heads(ad.add(ad.matmul(h, layer.wq), layer.bq))
         k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
         v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
-        heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, training, draw_rows=length)
-        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), rows.shape)
-        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo))
-        x = ad.layer_norm(ad.add(rows, attn_out), layer.ln1_gain, layer.ln1_bias)
+        heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, training, rows=cut)
+        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), h.shape)
+        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo), cut)
+        x = ad.layer_norm(ad.add(h, attn_out), layer.ln1_gain, layer.ln1_bias)
         inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2))
+        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2), cut)
         x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
     return x
 
@@ -210,7 +218,7 @@ def init_task_head(rng: np.random.Generator, hidden: int, out_dim: int,
 
 
 def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor]:
-    """Per-position feature logits, categorical logits, and continuous predictions."""
+    """Feature logits, categorical logits, and continuous predictions for each row of (B, m, d) states."""
     if heads.mode != "pretrain":
         raise ModeMismatch("reconstruction outputs need the pre-training heads")
     feature_logits = ad.add(ad.matmul(hidden, heads.feature_w), heads.feature_b)
@@ -220,7 +228,7 @@ def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor
 
 
 def cls_output(hidden: Tensor) -> Tensor:
-    """Final-layer representation of the CLS token (position 0) of (B, L, d) or cls-only (B, 1, d) states."""
+    """Row 0 of (B, m, d) final states: the CLS token's, for full-row states or those of rows ``[[0]] * B``."""
     return ad.take_position(hidden, 0)
 
 

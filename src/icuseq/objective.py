@@ -49,8 +49,26 @@ def combine_losses(l_f: float, l_cat: float, n_cat: int, l_cont: float, n_cont: 
     return l_f + c_cat * l_cat + c_cont * l_cont
 
 
+def masked_rows(plans: Sequence[MaskingPlan], length: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (B, m) positions below ``length`` where each plan masks a feature or a value, and which are real.
+
+    Each row lists its plan's masked positions in ascending order and is
+    padded with position 0 to the batch's largest count; ``valid`` is False
+    on the padding. ``mlvm_loss`` reads outputs and targets at these rows.
+    """
+    positions = [np.flatnonzero((p.mask_feature[:length] | p.mask_value[:length])) for p in plans]
+    m = max((len(x) for x in positions), default=0)
+    rows = np.zeros((len(plans), m), dtype=np.intp)
+    valid = np.zeros((len(plans), m), dtype=bool)
+    for i, x in enumerate(positions):
+        rows[i, :len(x)] = x
+        valid[i, :len(x)] = True
+    return rows, valid
+
+
 def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPlan],
-              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> LossBreakdown:
+              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
+              rows: Optional[np.ndarray] = None, valid: Optional[np.ndarray] = None) -> LossBreakdown:
     """Reconstruction loss over every masked slot, keep-corrupted ones included.
 
     Feature and categorical slots use mean cross-entropy, continuous slots use
@@ -58,20 +76,43 @@ def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPla
     with the continuous side scaled by ``alpha``. Plans may be longer than the
     outputs (a batch cut to its real tokens) as long as they mask nothing past
     the output length; the rest is cut off.
+
+    ``rows=None`` means the outputs are (B, L, ·), one row per position.
+    Otherwise output row ``j`` of batch entry ``b`` is position
+    ``rows[b, j]``, as ``masked_rows`` builds them, and entries where
+    ``valid`` is False are ignored; the valid rows must hold every masked
+    slot once. Slots are taken in (b, position) order either way, so both
+    forms give the same loss for the same states.
     """
     feature_logits, cat_logits, cont_pred = outputs
     b, length = feature_logits.shape[:2]
     if len(plans) != b:
         raise ShapeMismatch(f"{b} output rows but {len(plans)} plans")
-    if any(len(p) < length or (p.mask_feature[length:] | p.mask_value[length:]).any() for p in plans):
-        raise ShapeMismatch("plan length disagrees with output length")
+    if rows is None:
+        if any(len(p) < length or (p.mask_feature[length:] | p.mask_value[length:]).any() for p in plans):
+            raise ShapeMismatch("plan length disagrees with output length")
 
-    def stacked(field: str) -> np.ndarray:
-        return np.stack([getattr(p, field)[:length] for p in plans])
+        def stacked(field: str) -> np.ndarray:
+            return np.stack([getattr(p, field)[:length] for p in plans])
+    else:
+        rows = np.asarray(rows)
+        valid = np.ones(rows.shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
+        if rows.shape != (b, length) or valid.shape != rows.shape:
+            raise ShapeMismatch(f"rows {rows.shape} and valid {valid.shape} vs outputs {(b, length)}")
+        if rows.size and (rows.min() < 0 or any(len(p) <= rows[i].max() for i, p in enumerate(plans))):
+            raise ShapeMismatch("rows reach past their plan")
+
+        def stacked(field: str) -> np.ndarray:
+            return np.stack([getattr(p, field)[r] for p, r in zip(plans, rows)])
 
     mask_feature = stacked("mask_feature")
     mask_value = stacked("mask_value")
     value_cont = stacked("value_is_continuous")
+    if rows is not None:
+        mask_feature &= valid
+        mask_value &= valid
+        if mask_feature.sum() + mask_value.sum() != sum(int(p.mask_feature.sum() + p.mask_value.sum()) for p in plans):
+            raise ShapeMismatch("the valid rows do not hold every masked slot once")
 
     feat_slots = np.flatnonzero(mask_feature.reshape(-1))
     cat_slots = np.flatnonzero((mask_value & ~value_cont).reshape(-1))
@@ -85,15 +126,15 @@ def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPla
 
     if n_feat:
         targets = stacked("feature_target").reshape(-1)[feat_slots]
-        rows = ad.gather_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
-        l_f_node = ad.cross_entropy_mean(rows, targets)
+        picked = ad.gather_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
+        l_f_node = ad.cross_entropy_mean(picked, targets)
     else:
         l_f_node = zero
 
     if n_cat:
         targets = stacked("cat_target").reshape(-1)[cat_slots]
-        rows = ad.gather_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
-        l_cat_node = ad.cross_entropy_mean(rows, targets)
+        picked = ad.gather_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
+        l_cat_node = ad.cross_entropy_mean(picked, targets)
     else:
         l_cat_node = zero
 

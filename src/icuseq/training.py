@@ -18,7 +18,15 @@ from .errors import ConfigMismatch, DivergedLoss, InvalidSpec, MissingLabels, Sh
 from .ingest import Corpus, Split, Stay
 from .masking import MaskingRates, apply_masking, plan_masking
 from .metrics import MetricReport, auprc, auroc, mae
-from .objective import DEFAULT_ALPHA, DEFAULT_BETA, LossBreakdown, combine_losses, finetune_loss, mlvm_loss
+from .objective import (
+    DEFAULT_ALPHA,
+    DEFAULT_BETA,
+    LossBreakdown,
+    combine_losses,
+    finetune_loss,
+    masked_rows,
+    mlvm_loss,
+)
 from .textvec import EmbeddingProvider
 from .types import Registry, Vocabularies
 from .windows import Window, maskable, segment_windows
@@ -61,11 +69,15 @@ class ModelConfig:
                 raise ConfigMismatch(f"checkpoint config missing {key!r}")
             if not check(d[key]):
                 raise ConfigMismatch(f"checkpoint config has {key}={d[key]!r}")
-        return cls(
-            encoder=enc.EncoderConfig(
+        try:
+            encoder = enc.EncoderConfig(
                 layers=d["layers"], hidden=d["hidden"], heads=d["heads"],
                 ffn_dim=d["ffn_dim"], max_seq_len=d["max_seq_len"], dropout=d["dropout"],
-            ),
+            )
+        except ShapeMismatch as exc:  # heads that do not divide hidden
+            raise ConfigMismatch(f"checkpoint config: {exc}") from exc
+        return cls(
+            encoder=encoder,
             d_pre=d["d_pre"], window_minutes=d["window_minutes"],
             feature_vocab=d["feature_vocab"], value_vocab=d["value_vocab"],
             head_mode=d["head_mode"], task_dim=d["task_dim"], task_dropout=d["task_dropout"],
@@ -83,7 +95,7 @@ class ModelConfig:
 
 _CONFIG_FIELDS: dict[str, Callable[[object], bool]] = {
     **dict.fromkeys(("layers", "hidden", "heads", "ffn_dim", "max_seq_len", "d_pre", "window_minutes",
-                     "feature_vocab", "value_vocab", "task_dim"), lambda x: type(x) is int and x >= 1),
+                     "feature_vocab", "value_vocab", "task_dim"), lambda x: type(x) is int and 1 <= x < 2**31),
     **dict.fromkeys(("dropout", "task_dropout"), lambda x: type(x) in (int, float) and 0 <= x < 1),
     "head_mode": lambda x: x in ("pretrain", "task"),
 }
@@ -189,17 +201,17 @@ class Model:
 
     def hidden_states(self, batch: EncodedBatch, mode: str = "eval",
                       rng: Optional[np.random.Generator] = None, below: Optional[Prefix] = None,
-                      cls_only: bool = False) -> Tensor:
-        """Final-layer states of ``batch``: every row, or with ``cls_only`` row 0 alone as (B, 1, d).
+                      rows: Optional[np.ndarray] = None) -> Tensor:
+        """Final-layer states of ``batch``: every row, or with (B, m) ``rows`` those positions as (B, m, d).
 
         ``below`` is this batch's prefix from a model with the same embedder
-        and bottom layers: only the layers above it run. ``cls_only`` is
-        passed to ``enc.forward``: the top layer computes the CLS row only.
+        and bottom layers: only the layers above it run. ``rows`` is passed
+        to ``enc.forward``: the top layer computes those rows only.
         """
         if below is None:
             below = Prefix(0, compose_batch(batch, self.embedder, mode, rng))
         return enc.forward(below.hidden, batch.attention_mask, self.config.encoder,
-                           enc.EncoderParams(self.encoder.layers[below.depth:]), mode, rng, cls_only=cls_only)
+                           enc.EncoderParams(self.encoder.layers[below.depth:]), mode, rng, rows=rows)
 
     def prefix(self, batch: EncodedBatch, depth: int) -> Prefix:
         """The eval-mode input of encoder layer ``depth`` for ``batch``."""
@@ -208,8 +220,14 @@ class Model:
                                          enc.EncoderParams(self.encoder.layers[:depth])))
 
     def pretrain_outputs(self, batch: EncodedBatch, mode: str = "eval",
-                         rng: Optional[np.random.Generator] = None) -> tuple[Tensor, Tensor, Tensor]:
-        return enc.mlvm_outputs(self.hidden_states(batch, mode, rng), self.heads)
+                         rng: Optional[np.random.Generator] = None,
+                         rows: Optional[np.ndarray] = None) -> tuple[Tensor, Tensor, Tensor]:
+        """The three heads' outputs at (B, m) ``rows`` of ``batch``, or at every row when ``rows`` is None.
+
+        The top encoder layer and the heads compute the given rows only (see
+        ``enc.forward``); ``mlvm_loss`` reads them with the same ``rows``.
+        """
+        return enc.mlvm_outputs(self.hidden_states(batch, mode, rng, rows=rows), self.heads)
 
     def task_scores(self, window_batches: Sequence[EncodedBatch], mode: str = "eval",
                     rng: Optional[np.random.Generator] = None,
@@ -224,7 +242,8 @@ class Model:
         """
         cls_sum = None
         for i, batch in enumerate(window_batches):
-            hidden = self.hidden_states(batch, mode, rng, None if below is None else below[i], cls_only=True)
+            cls_row = np.zeros((batch.attention_mask.shape[0], 1), dtype=np.intp)
+            hidden = self.hidden_states(batch, mode, rng, None if below is None else below[i], rows=cls_row)
             cls_vec = enc.cls_output(hidden)
             cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
         cls_avg = ad.scale(cls_sum, 1.0 / len(window_batches))
@@ -421,6 +440,13 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     validation windows there is nothing to compare, so every one of
     ``epochs`` runs whatever ``patience`` is, and the last epoch's model is
     returned with ``best_epoch`` 0.
+
+    The loss reads the masked slots only, so in every train step and val
+    pass the top encoder layer and the heads compute each batch's masked
+    positions alone (``masked_rows``), with keys and values from every row.
+    Train-mode dropout draws the same masks as a full-row pass and keeps
+    those rows, so the losses and the parameters equal the full-row path's
+    up to rounding.
     """
     cfg = train_config
     train_windows = prepare_windows(corpus, Split.TRAIN, vocab,
@@ -443,7 +469,8 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         chunk = slice(start, start + cfg.batch_size)
         masked = [apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
                   for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
-        val_batches.append((encode_batch(masked, provider, val_plans[chunk]), val_plans[chunk]))
+        batch = encode_batch(masked, provider, val_plans[chunk])
+        val_batches.append((batch, val_plans[chunk], *masked_rows(val_plans[chunk], batch.attention_mask.shape[1])))
 
     rows: list[LossRow] = []
     best_val = np.inf
@@ -466,9 +493,10 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
                 windows.append(apply_masking(train_windows[i], plan, vocab, rng))
                 plans.append(plan)
             batch = encode_batch(windows, provider, plans)
+            positions, valid = masked_rows(plans, batch.attention_mask.shape[1])
             rng = np.random.default_rng([cfg.seed, 70, epoch, start])
-            outputs = model.pretrain_outputs(batch, mode="train", rng=rng)
-            breakdown = mlvm_loss(outputs, plans, cfg.alpha, cfg.beta)
+            outputs = model.pretrain_outputs(batch, mode="train", rng=rng, rows=positions)
+            breakdown = mlvm_loss(outputs, plans, cfg.alpha, cfg.beta, positions, valid)
             if not np.isfinite(breakdown.l_total):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             # layernorm keeps float32 activations finite under almost any step
@@ -492,9 +520,9 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         if val_batches:
             val_agg = _LossAggregator(cfg.alpha, cfg.beta)
             eval_model = model.detached()
-            for batch, plans in val_batches:
-                outputs = eval_model.pretrain_outputs(batch, mode="eval")
-                val_agg.add(mlvm_loss(outputs, plans, cfg.alpha, cfg.beta))
+            for batch, plans, positions, valid in val_batches:
+                outputs = eval_model.pretrain_outputs(batch, mode="eval", rows=positions)
+                val_agg.add(mlvm_loss(outputs, plans, cfg.alpha, cfg.beta, positions, valid))
             val_row = LossRow(epoch, "val", *val_agg.totals(), lr)
             rows.append(val_row)
             if on_row:
@@ -819,7 +847,9 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     """A float64 model plus a multi-task loss closure on a tiny masked batch.
 
     The masking seed is searched so the batch exercises all three heads
-    (feature, categorical, continuous slots all non-empty).
+    (feature, categorical, continuous slots all non-empty). The loss goes
+    through the masked-row path that ``pretrain`` runs: the top layer and
+    the heads compute the batch's ``masked_rows`` only.
     """
     from datetime import datetime, timedelta
 
@@ -870,9 +900,10 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     )
     model = Model.build(config, seed, dtype=np.float64)
     encoded = encode_batch(corrupted, provider, plans, dtype=np.float64)
+    rows, valid = masked_rows(plans, encoded.attention_mask.shape[1])
 
     def loss_fn() -> Tensor:
-        return mlvm_loss(model.pretrain_outputs(encoded, mode="eval"), plans, alpha, beta).node
+        return mlvm_loss(model.pretrain_outputs(encoded, "eval", None, rows), plans, alpha, beta, rows, valid).node
 
     return model, loss_fn
 

@@ -11,6 +11,9 @@ token.
 ``encoder_forward`` and ``task_scores`` are the task path as it was before
 the top encoder layer was cut to the CLS row: every layer computes every
 row, and the CLS vector is read from the (B, L, d) final states.
+``pretrain`` is the pre-training loop as it was before the top layer and
+the heads were cut to the masked rows: every row reaches the heads, and the
+loss picks the masked slots from the (B, L, ·) outputs.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import numpy as np
 
 from icuseq import autodiff as ad
 from icuseq import encoder as enc
+from icuseq import masking, training
 from icuseq.embedder import FILL_ID, N_SPECIALS, EncodedBatch, compose_batch
 from icuseq.errors import EmptyStay, InvalidRegistry, NoEligibleTokens, NonFiniteValue, ShapeMismatch, StaticsOverflow
+from icuseq.ingest import Split
 from icuseq.masking import KEEP, MASK, RANDOM, MaskingPlan, MaskingRates
+from icuseq.objective import mlvm_loss
 from icuseq.synth import SIGNAL_VALUE
 from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Registry, Vocabularies
 from icuseq.windows import CLS_CODE, FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window
@@ -489,3 +495,73 @@ def task_scores(model, window_batches, mode="eval", rng=None, below=None):
         cls_vec = enc.cls_output(hidden)
         cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
     return enc.task_output(ad.scale(cls_sum, 1.0 / len(window_batches)), model.heads, mode, rng)
+
+
+# ---------------------------------------------------------------------------
+# the full-row pre-training loop
+
+
+def pretrain_outputs(model, batch, mode="eval", rng=None):
+    """The three heads' outputs at every row of ``batch``."""
+    x = compose_batch(batch, model.embedder, mode, rng)
+    hidden = encoder_forward(x, batch.attention_mask, model.config.encoder, model.encoder, mode, rng)
+    return enc.mlvm_outputs(hidden, model.heads)
+
+
+def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), dtype=np.float32, drawn=None):
+    """``training.pretrain`` with full-row outputs: returns the model and the loss rows.
+
+    Each train step's dropout generator is appended to ``drawn`` after use.
+    The divergence checks are left out; they do not change what a run does.
+    """
+    shape = (model_config.window_minutes, model_config.encoder.max_seq_len)
+    train_windows = training.prepare_windows(corpus, Split.TRAIN, vocab, *shape)
+    val_windows = training.prepare_windows(corpus, Split.VAL, vocab, *shape)
+    model = training.Model.build(model_config, cfg.seed, dtype)
+    optimizer = training.AdamW(model.parameters(), weight_decay=cfg.weight_decay)
+    val_plans = [masking.plan_masking(w, np.random.default_rng([cfg.seed, 40, i]), rates)
+                 for i, w in enumerate(val_windows)]
+    val_batches = []
+    for start in range(0, len(val_windows), cfg.batch_size):
+        chunk = slice(start, start + cfg.batch_size)
+        masked = [masking.apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
+                  for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
+        val_batches.append((training.encode_batch(masked, provider, val_plans[chunk], dtype), val_plans[chunk]))
+
+    rows, best_val, best_state, since_best = [], np.inf, {}, 0
+    for epoch in range(1, cfg.epochs + 1):
+        lr = training.linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
+        order = np.random.default_rng([cfg.seed, 50, epoch]).permutation(len(train_windows))
+        agg = training._LossAggregator(cfg.alpha, cfg.beta)
+        for start in range(0, len(order), cfg.batch_size):
+            windows, plans = [], []
+            for i in order[start:start + cfg.batch_size]:
+                rng = np.random.default_rng([cfg.seed, 60, epoch, int(i)])
+                plans.append(masking.plan_masking(train_windows[i], rng, rates))
+                windows.append(masking.apply_masking(train_windows[i], plans[-1], vocab, rng))
+            rng = np.random.default_rng([cfg.seed, 70, epoch, start])
+            outputs = pretrain_outputs(model, training.encode_batch(windows, provider, plans, dtype), "train", rng)
+            breakdown = mlvm_loss(outputs, plans, cfg.alpha, cfg.beta)
+            if drawn is not None:
+                drawn.append(rng)
+            optimizer.zero_grad()
+            ad.backward(breakdown.node)
+            optimizer.step(lr)
+            agg.add(breakdown)
+        rows.append(training.LossRow(epoch, "train", *agg.totals(), lr))
+        if not val_batches:
+            continue
+        agg = training._LossAggregator(cfg.alpha, cfg.beta)
+        for batch, plans in val_batches:
+            agg.add(mlvm_loss(pretrain_outputs(model.detached(), batch), plans, cfg.alpha, cfg.beta))
+        rows.append(training.LossRow(epoch, "val", *agg.totals(), lr))
+        if rows[-1].l_total < best_val:
+            best_val, since_best = rows[-1].l_total, 0
+            best_state = {k: t.data.copy() for k, t in model.parameters().items()}
+        else:
+            since_best += 1
+            if cfg.patience is not None and since_best > cfg.patience:
+                break
+    for name, tensor in model.parameters().items():
+        tensor.data = best_state.get(name, tensor.data)
+    return model, rows

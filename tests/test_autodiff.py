@@ -86,9 +86,24 @@ class TestShapes:
     def test_take_position(self):
         check_op(lambda a: weighted(ad.take_position(a, 0)), (2, 3, 4))
 
-    @pytest.mark.parametrize("stop", [1, 2])
-    def test_first_rows(self, stop):
-        check_op(lambda a: weighted(ad.first_rows(a, stop)), (2, 3, 4))
+    @pytest.mark.parametrize("rows", [[[0], [0]], [[0, 1], [2, 0]], [[2, 2, 0], [1, 1, 1]]],
+                             ids=["cls", "two", "repeated"])
+    def test_take_rows(self, rows):
+        check_op(lambda a: weighted(ad.take_rows(a, np.array(rows))), (2, 3, 4))
+
+    def test_take_rows_gradient_sums_repeated_positions(self):
+        rng = np.random.default_rng(6)
+        rows = rng.integers(0, 5, size=(3, 12))  # positions repeat within a batch entry
+        a = ad.parameter(rng.standard_normal((3, 5, 4)), "a")
+        g = rng.standard_normal((3, 12, 4))
+        out = ad.take_rows(a, rows)
+        np.testing.assert_array_equal(out.data, a.data[np.arange(3)[:, None], rows])
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        expected = np.zeros_like(a.data)
+        for b in range(3):
+            for j, pos in enumerate(rows[b]):
+                expected[b, pos] += g[b, j]
+        np.testing.assert_array_equal(a.grad, expected)
 
     def test_squeeze_last(self):
         check_op(lambda a: weighted(ad.squeeze_last(a)), (3, 4, 1))
@@ -163,6 +178,40 @@ def unfused_attention(q, k, v, keep, scale, rate, rng, training):
 
 ATTENTION_KEEP = np.array([[True, False, True, True, False],
                            [False] * 5])[:, None, None, :]  # batch row 1 has no admissible key
+CLS_ROWS = np.zeros((2, 1), dtype=np.intp)
+GATHERED_ROWS = np.array([[3, 0, 3], [1, 4, 2]])  # batch entry 0 repeats a position
+
+
+def previous_attention(q, k, v, keep, scale, rate, rng, training):
+    """``ad.attention`` as it was: the -inf bias added for every batch, dropout as ``p * kept * factor``."""
+    c = q.data.dtype.type(scale)
+    p = q.data @ k.data.swapaxes(-1, -2)
+    p *= c
+    p += np.where(keep, 0.0, -np.inf).astype(p.dtype)
+    m = p.max(axis=-1, keepdims=True)
+    m[m == -np.inf] = 0.0
+    p -= m
+    np.exp(p, out=p)
+    s = p.sum(axis=-1, keepdims=True)
+    s[s == 0.0] = 1.0
+    p /= s
+    dropped, factor, kept = p, None, None
+    if training and rate > 0.0:
+        kept = rng.random(p.shape) >= rate
+        factor = p.dtype.type(1.0 / (1.0 - rate))
+        dropped = p * kept * factor
+
+    def bwd(g):
+        v.accumulate((p if kept is None else p * kept * factor).swapaxes(-1, -2) @ g)
+        gp = g @ v.data.swapaxes(-1, -2)
+        if kept is not None:
+            gp = gp * kept * factor
+        gs = p * (gp - (gp * p).sum(axis=-1, keepdims=True))
+        gs *= c
+        q.accumulate(gs @ k.data)
+        k.accumulate((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+
+    return ad._make(dropped @ v.data, (q, k, v), bwd)
 
 
 class TestAttention:
@@ -175,27 +224,70 @@ class TestAttention:
     @pytest.mark.parametrize("training", [False, True])
     def test_gradient_of_one_query_row(self, training):
         check_op(lambda q, k, v: weighted(ad.attention(
-            q, k, v, ATTENTION_KEEP, 0.7, 0.3, np.random.default_rng(5), training, draw_rows=5)),
+            q, k, v, ATTENTION_KEEP, 0.7, 0.3, np.random.default_rng(5), training, rows=CLS_ROWS)),
             (2, 2, 1, 3), (2, 2, 5, 3), (2, 2, 5, 3))
 
     @pytest.mark.parametrize("training", [False, True])
+    def test_gradient_of_gathered_rows(self, training):
+        check_op(lambda q, k, v: weighted(ad.attention(
+            q, k, v, ATTENTION_KEEP, 0.7, 0.3, np.random.default_rng(5), training, rows=GATHERED_ROWS)),
+            (2, 2, 3, 3), (2, 2, 5, 3), (2, 2, 5, 3))
+
+    @pytest.mark.parametrize("training", [False, True])
     def test_one_query_row_is_row_0_of_the_full_op(self, training):
-        """With ``draw_rows`` the cut op draws the full mask: the stream and the kept row are the full op's."""
+        """With ``rows`` the cut op draws the full mask: the stream and the kept row are the full op's."""
+        self.check_rows_of_the_full_op(CLS_ROWS, training)
+
+    @pytest.mark.parametrize("training", [False, True])
+    def test_gathered_rows_are_those_rows_of_the_full_op(self, training):
+        self.check_rows_of_the_full_op(GATHERED_ROWS, training)
+
+    @staticmethod
+    def check_rows_of_the_full_op(rows, training):
         rng = np.random.default_rng(8)
         q, k, v = (rng.standard_normal((2, 2, 5, 3)) for _ in range(3))
-        outs, grads, after = [], [], []
-        for rows in (5, 1):
-            tensors = [ad.parameter(q[:, :, :rows].copy(), "q"), ad.parameter(k, "k"), ad.parameter(v, "v")]
+        weights = rng.standard_normal((2, 2, rows.shape[1], 3))
+        pick = (np.arange(2)[:, None, None], np.arange(2)[None, :, None], rows[:, None, :])
+        results = []
+        for cut in (None, rows):
+            tensors = [ad.parameter(q if cut is None else q[pick], "q"), ad.parameter(k, "k"), ad.parameter(v, "v")]
             draw = np.random.default_rng(4)
-            out = ad.attention(*tensors, ATTENTION_KEEP, 0.7, 0.4, draw, training, draw_rows=5)
-            ad.backward(ad.sum_all(ad.first_rows(ad.reshape(out, (4, rows, 3)), 1)))
-            outs.append(out.data[:, :, :1])
-            grads.append([tensors[0].grad[:, :, :1], tensors[1].grad, tensors[2].grad])
-            after.append(draw.random())
-        np.testing.assert_allclose(outs[1], outs[0], rtol=0, atol=1e-12)
-        for cut, full in zip(grads[1], grads[0]):
-            np.testing.assert_allclose(cut, full, rtol=0, atol=1e-12)
-        assert after[0] == after[1]
+            out = ad.attention(*tensors, ATTENTION_KEEP, 0.7, 0.4, draw, training, rows=cut)
+            out_rows = out if cut is not None else ad.reshape(ad.take_rows(
+                ad.reshape(out, (4, 5, 3)), np.repeat(rows, 2, axis=0)), (2, 2, rows.shape[1], 3))
+            ad.backward(ad.sum_all(ad.mul(out_rows, ad.constant(weights))))
+            q_grad = tensors[0].grad if cut is not None else tensors[0].grad[pick]
+            results.append((out_rows.data, q_grad, tensors[1].grad, tensors[2].grad, draw.random()))
+        (out, q_grad, k_grad, v_grad, after), full = results[1], results[0]
+        for got, want in ((out, full[0]), (k_grad, full[2]), (v_grad, full[3])):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for b in range(2):  # a repeated row's q gradient in the full op sums over its copies
+            if len(np.unique(rows[b])) == rows.shape[1]:
+                np.testing.assert_allclose(q_grad[b], full[1][b], rtol=0, atol=1e-12)
+        assert after == full[4]
+
+    @pytest.mark.parametrize("training", [False, True])
+    @pytest.mark.parametrize("keep", [ATTENTION_KEEP, np.ones((2, 1, 1, 5), dtype=bool)], ids=["pad", "no-pad"])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_previous_formula(self, training, keep, dtype):
+        """Skipping the zero bias without PAD and one pre-scaled dropout mask change no bit."""
+        results = []
+        for op in (ad.attention, previous_attention):
+            rng = np.random.default_rng(12)
+            q, k, v = (ad.parameter(rng.standard_normal((2, 3, 5, 4)).astype(dtype), n) for n in "qkv")
+            out = op(q, k, v, keep, 0.5, 0.2, np.random.default_rng(3), training)
+            ad.backward(weighted(out))
+            results.append([out.data, q.grad, k.grad, v.grad])
+        for new, old in zip(*results):
+            assert new.dtype == old.dtype
+            assert np.array_equal(new, old)
+
+    def test_tape_keeps_a_compact_mask_of_the_gathered_rows(self):
+        q, k, v = (ad.parameter(RNG.standard_normal((2, 2, n, 3)), name) for n, name in ((3, "q"), (5, "k"), (5, "v")))
+        out = ad.attention(q, k, v, ATTENTION_KEEP, 0.7, 0.4, np.random.default_rng(1), True, rows=GATHERED_ROWS)
+        held = dict(zip(out._backward.__code__.co_freevars, (c.cell_contents for c in out._backward.__closure__)))
+        assert held["mask"].shape == (2, 2, 3, 5)
+        assert held["mask"].base is None
 
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -237,17 +329,24 @@ class TestDropout:
         check_op(lambda a: weighted(ad.dropout(a, 0.4, np.random.default_rng(3), training=True)),
                  (4, 4))
 
-    def test_gradient_with_draw_rows(self):
-        check_op(lambda a: weighted(ad.dropout(a, 0.4, np.random.default_rng(3), True, draw_rows=5)),
-                 (2, 1, 4))
+    def test_gradient_with_rows(self):
+        check_op(lambda a: weighted(ad.dropout(a, 0.4, np.random.default_rng(3), True, rows=GATHERED_ROWS, length=5)),
+                 (2, 3, 4))
 
-    def test_draw_rows_keeps_the_leading_rows_of_the_full_mask(self):
-        x = RNG.standard_normal((3, 6, 4))
+    def test_rows_keep_those_rows_of_the_full_mask(self):
+        x = RNG.standard_normal((2, 6, 4))
+        rows = np.array([[5, 0, 5], [2, 3, 1]])
         full_rng, cut_rng = np.random.default_rng(9), np.random.default_rng(9)
         full = ad.dropout(ad.constant(x), 0.5, full_rng, True).data
-        cut = ad.dropout(ad.constant(x[:, :2]), 0.5, cut_rng, True, draw_rows=6).data
-        np.testing.assert_array_equal(cut, full[:, :2])
+        cut = ad.dropout(ad.constant(x[np.arange(2)[:, None], rows]), 0.5, cut_rng, True, rows=rows, length=6).data
+        np.testing.assert_array_equal(cut, full[np.arange(2)[:, None], rows])
         assert full_rng.random() == cut_rng.random()
+
+    def test_equals_the_unscaled_mask_formula(self):
+        x = RNG.standard_normal((3, 5, 4)).astype(np.float32)
+        keep = np.random.default_rng(2).random(x.shape) >= 0.3
+        out = ad.dropout(ad.constant(x), 0.3, np.random.default_rng(2), True).data
+        assert np.array_equal(out, x * keep.astype(np.float32) * np.float32(1.0 / 0.7))
 
     def test_scaling_preserves_expectation(self):
         x = ad.constant(np.ones((200, 200)))

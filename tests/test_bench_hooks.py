@@ -93,5 +93,6 @@ def test_a_traced_round_counts_real_work(bench_modules, tmp_path):
     assert counters.masked_slots > 0 and counters.batches > 0 and counters.batch_bytes > 0
     assert counters.tape_nodes > 0 and counters.embed_calls > 0
     for span in ("windows.segment", "masking.plan", "masking.apply", "embedder.encode_batch",
-                 "embedder.compose", "windows.prepare", "windows.build_samples"):
+                 "embedder.compose", "windows.prepare", "windows.build_samples", "encoder.heads",
+                 "objective.mlvm_loss", "encoder.forward_train", "encoder.forward_eval"):
         assert tracer.calls(span) > 0, span

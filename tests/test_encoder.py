@@ -17,7 +17,8 @@ from icuseq.encoder import (
     task_output,
 )
 from icuseq.errors import ConfigMismatch, FormatError, GradMismatch, ModeMismatch, ShapeMismatch
-from icuseq.training import gradcheck_problem
+from icuseq import training
+from icuseq.training import Model, gradcheck_problem
 
 CFG = EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=6, max_seq_len=6, dropout=0.0)
 
@@ -130,6 +131,29 @@ class TestGradCheck:
         assert report.ok
         checked = {e.param for e in report.entries}
         assert checked == set(model.parameters())
+
+    def test_problem_runs_the_masked_row_path(self, monkeypatch):
+        """The loss reads the top layer at the masked rows only, and equals the full-row loss."""
+        batches, losses = [], []
+        pretrain_outputs, mlvm_loss = Model.pretrain_outputs, training.mlvm_loss
+
+        def outputs(model, batch, mode="eval", rng=None, rows=None):
+            batches.append((batch, rows))
+            return pretrain_outputs(model, batch, mode, rng, rows)
+
+        def loss(outputs, plans, *args):
+            losses.append((plans, args))
+            return mlvm_loss(outputs, plans, *args)
+
+        monkeypatch.setattr(Model, "pretrain_outputs", outputs)
+        monkeypatch.setattr(training, "mlvm_loss", loss)
+        model, loss_fn = gradcheck_problem(layers=2)
+        masked = loss_fn().item()
+        ((batch, rows),), ((plans, (alpha, beta, loss_rows, _)),) = batches, losses
+        assert loss_rows is rows and 0 < rows.shape[1] < batch.attention_mask.shape[1]
+        assert masked == pytest.approx(mlvm_loss(pretrain_outputs(model, batch), plans, alpha, beta).l_total,
+                                       rel=1e-12, abs=0.0)
+        assert grad_check(loss_fn, model.parameters(), rng=np.random.default_rng(0)).ok
 
     def test_corrupted_gradient_detected(self):
         w = ad.parameter(np.array([2.0, -1.0]), "w")

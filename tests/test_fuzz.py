@@ -8,6 +8,14 @@ be usable: a corpus goes through splitting, vocabularies and windowing, a
 task file yields a well-typed spec and seed, a cache a table of equal-width
 float32 vectors. ``icuseq ingest`` reading a mutated ``--config`` exits 0,
 or 1 with exactly one ``error:`` line and no traceback.
+
+Checkpoints are mutated by structure: a config-block field replaced by null,
+a boolean, ±10^30, NaN, a list or a string, or a blob header's rank, one
+dimension, name length or the parameter count set to a drawn value. Each
+mutant is framed again, so its config block's length prefix is right and the
+mutation reaches the checks behind it. ``Model.load`` must return a model that
+scores a batch, or raise ``FormatError`` or ``ConfigMismatch``, and
+``icuseq evaluate`` must exit 0, or 1 with one ``error:`` line.
 """
 
 import contextlib
@@ -22,11 +30,14 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from icuseq import cli
-from icuseq.errors import IcuseqError
+from icuseq.encoder import CHECKPOINT_MAGIC, EncoderConfig, load_checkpoint
+from icuseq.errors import ConfigMismatch, FormatError, IcuseqError
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines, parse_events
 from icuseq.synth import GeneratorSpec, generate_lines, read_task_file, write_task_file
-from icuseq.textvec import CACHE_MAGIC, FileCacheProvider, read_cache, write_cache
-from icuseq.training import prepare_windows
+from icuseq.textvec import CACHE_MAGIC, FileCacheProvider, StubProvider, read_cache, write_cache
+from icuseq.training import Model, ModelConfig, Sample, predict_scores, prepare_windows
+
+from conftest import dyn_token, window_of
 
 REPLACEMENTS = (None, True, False, 10**30, -10**30, 2**63, math.nan, [1, 2])
 CONFIG_TOKENS = ("null", "true", "1" + "0" * 30, "-1" + "0" * 30, "nan", "[1, 2]")
@@ -242,3 +253,110 @@ class TestConfigFile:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert (code, len(errors)) in ((0, 0), (1, 1)), err
         assert "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# checkpoints, mutated by structure
+
+CHECKPOINT_VALUES = REPLACEMENTS + ("text",)
+BLOB_VALUES = (0, 1, 2, 3, 8, 2**31, 2**32 - 1)
+CHECKPOINT_SPEC = GeneratorSpec(patients=12, features=5, rate=0.01, stay_hours=8.0, signal_incidence=0.5)
+TASK_MODEL = Model.build(ModelConfig(
+    encoder=EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=4, max_seq_len=16, dropout=0.1),
+    d_pre=8, window_minutes=1440, feature_vocab=9, value_vocab=5, head_mode="task"), seed=2)
+SCORED = [Sample([window_of([dyn_token("lab: a", x, 5), dyn_token("lab: b", "low", 9)], 16)], 0)
+          for x in (-1.0, 2.5)]
+
+
+def framed(config, blobs, n_params=None) -> bytes:
+    """A checkpoint file: ``blobs`` are dicts of header fields and data, written as given."""
+    out = bytearray(CHECKPOINT_MAGIC)
+    raw = json.dumps(config, sort_keys=True).encode("utf-8")
+    out += struct.pack("<I", len(raw)) + raw
+    out += struct.pack("<I", len(blobs) if n_params is None else n_params)
+    for blob in blobs:
+        out += struct.pack("<I", blob["name_len"]) + blob["name"]
+        out += struct.pack("<I", blob["rank"]) + struct.pack(f"<{len(blob['dims'])}I", *blob["dims"])
+        out += blob["data"]
+    return bytes(out)
+
+
+def checkpoint_mutations():
+    config = st.tuples(st.just("config"), st.integers(0, MAX), st.integers(0, len(CHECKPOINT_VALUES) - 1))
+    header = st.tuples(st.just("header"), st.integers(0, MAX),
+                       st.sampled_from(["rank", "dim", "name_len", "n_params"]), st.sampled_from(BLOB_VALUES),
+                       st.integers(0, MAX))
+    return st.lists(st.one_of(config, header), min_size=1, max_size=3)
+
+
+def config_field(key, value) -> tuple:
+    """The mutation that sets config field ``key`` of ``TASK_MODEL``'s checkpoint to ``value``."""
+    return "config", sorted(TASK_MODEL.config.to_dict()).index(key), CHECKPOINT_VALUES.index(value)
+
+
+def mutated_checkpoint(base: str, muts) -> bytes:
+    config, arrays = load_checkpoint(base)
+    blobs = [{"name_len": len(name.encode("utf-8")), "name": name.encode("utf-8"), "rank": arrays[name].ndim,
+              "dims": list(arrays[name].shape), "data": arrays[name].astype("<f4").tobytes()}
+             for name in sorted(arrays)]
+    n_params = None
+    for kind, which, *rest in muts:
+        if kind == "config":
+            keys = sorted(config)
+            config[keys[which % len(keys)]] = CHECKPOINT_VALUES[rest[0]]
+            continue
+        field, value, dim = rest
+        blob = blobs[which % len(blobs)]
+        if field == "n_params":
+            n_params = value
+        elif field == "dim":
+            if blob["dims"]:
+                blob["dims"][dim % len(blob["dims"])] = value
+        else:
+            blob[field] = value
+    return framed(config, blobs, n_params)
+
+
+@pytest.fixture(scope="module")
+def checkpoint_files(fuzz_dir):
+    events, task, base = (str(fuzz_dir / name) for name in ("ckpt-events.jsonl", "ckpt-task.json", "base.icub"))
+    with open(events, "w", encoding="utf-8") as f:
+        f.write("\n".join(generate_lines(CHECKPOINT_SPEC, seed=4)) + "\n")
+    write_task_file(task, CHECKPOINT_SPEC, "binary", 4)
+    TASK_MODEL.save(base)
+    return events, task, base
+
+
+def evaluate_exit(events, task, checkpoint) -> tuple[int, str]:
+    code, err = run_cli(["evaluate", "--events", events, "--task", task, "--checkpoint", checkpoint,
+                         "--embed-dim", "8", "--ratios", "0.2,0.2,0.6"])
+    assert "Traceback" not in err
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert (code, len(errors)) in ((0, 0), (1, 1)), err
+    return code, err
+
+
+class TestCheckpointStructure:
+    def test_base_file_frames_and_evaluates(self, fuzz_dir, checkpoint_files):
+        events, task, base = checkpoint_files
+        path = fuzz_dir / "reframed.icub"
+        path.write_bytes(mutated_checkpoint(base, []))
+        assert path.read_bytes() == open(base, "rb").read()
+        assert evaluate_exit(events, task, str(path))[0] == 0
+
+    @settings(max_examples=200, deadline=None)
+    @given(checkpoint_mutations())
+    @example([config_field("heads", 10**30)]).via("heads that do not divide hidden")
+    @example([config_field("max_seq_len", 10**30)]).via("a window length past int64")
+    def test_mutations(self, fuzz_dir, checkpoint_files, muts):
+        events, task, base = checkpoint_files
+        path = fuzz_dir / "mutant.icub"
+        path.write_bytes(mutated_checkpoint(base, muts))
+        try:
+            model = Model.load(str(path))
+        except (FormatError, ConfigMismatch):
+            assert evaluate_exit(events, task, str(path))[0] == 1
+            return
+        scores = predict_scores(model, SCORED, StubProvider(model.config.d_pre, 0), "binary")
+        assert scores.shape == (2,) and np.isfinite(scores).all()
+        evaluate_exit(events, task, str(path))

@@ -1,0 +1,212 @@
+"""Masked-row pre-training against the full-row loop kept in ``reference``.
+
+``pretrain`` runs its top encoder layer and the heads on each batch's masked
+positions only. The reference runs every row of every layer through the
+heads and picks the masked slots from the full outputs. Corpora are drawn so
+that batches carry PAD and some windows are truncated. Every ``LossRow``
+and every final parameter must match within 1e-10 in float64 and 1e-5
+relative in float32 (relative to the largest parameter entry, since a key
+bias's gradient is zero up to rounding), and each train step's dropout
+generator must be left in the same state.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+from hypothesis import event, given, settings
+from hypothesis import strategies as st
+
+from icuseq import autodiff as ad
+from icuseq import training
+from icuseq.embedder import encode_batch
+from icuseq.encoder import EncoderConfig
+from icuseq.errors import IcuseqError
+from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_event_lines
+from icuseq.masking import MaskingRates, apply_masking, plan_masking
+from icuseq.objective import masked_rows, mlvm_loss
+from icuseq.synth import GeneratorSpec, generate_lines
+from icuseq.textvec import StubProvider
+from icuseq.training import Model, ModelConfig, TrainConfig, pretrain
+
+import reference
+
+PROVIDER = StubProvider(dim=8, seed=0)
+BOUNDS = {np.float64: (1e-10, 0.0), np.float32: (0.0, 1e-5)}  # (absolute, relative)
+
+
+@st.composite
+def runs(draw):
+    """A small corpus, a model config and a train config."""
+    spec = GeneratorSpec(patients=draw(st.integers(5, 9)), features=draw(st.integers(3, 6)),
+                         rate=draw(st.sampled_from([0.004, 0.01, 0.02])),
+                         stay_hours=draw(st.sampled_from([6.0, 20.0, 40.0])), stay_jitter_hours=4.0)
+    corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=draw(st.integers(0, 2**16)))),
+                           (0.6, 0.25, 0.15), seed=0)
+    vocab = build_vocabularies(corpus)
+    config = ModelConfig(
+        encoder=EncoderConfig(layers=draw(st.integers(1, 2)), hidden=16, heads=2, ffn_dim=8,
+                              max_seq_len=draw(st.sampled_from([16, 24, 40])), dropout=0.2),
+        d_pre=8, window_minutes=draw(st.sampled_from([360, 1440])),
+        feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
+    )
+    cfg = TrainConfig(epochs=2, batch_size=draw(st.integers(2, 6)), lr=1e-3, seed=draw(st.integers(0, 2**16)))
+    return corpus, vocab, config, cfg, draw(st.sampled_from([MaskingRates(), MaskingRates(select=0.5)]))
+
+
+def run_pretrain(corpus, vocab, config, cfg, dtype, rates=MaskingRates()):
+    """``pretrain`` in ``dtype``: the model, the rows, and each train step's generator's next draw."""
+    drawn, outputs, build = [], Model.pretrain_outputs, Model.build.__func__
+
+    def recording(model, batch, mode="eval", rng=None, rows=None):
+        if mode == "train":
+            drawn.append(rng)
+        return outputs(model, batch, mode, rng, rows)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Model, "pretrain_outputs", recording)
+        mp.setattr(Model, "build", classmethod(lambda cls, c, seed, _=None: build(cls, c, seed, dtype)))
+        mp.setattr(training, "encode_batch", functools.partial(encode_batch, dtype=dtype))
+        result = pretrain(corpus, vocab, PROVIDER, config, cfg, rates)
+    return result.model, result.rows, [rng.random() for rng in drawn]
+
+
+def run_reference(corpus, vocab, config, cfg, dtype, rates=MaskingRates()):
+    drawn = []
+    model, rows = reference.pretrain(corpus, vocab, PROVIDER, config, cfg, rates, dtype, drawn)
+    return model, rows, [rng.random() for rng in drawn]
+
+
+def assert_close(got, want, dtype, what, scale=0.0):
+    atol, rtol = BOUNDS[dtype]
+    want = np.asarray(want, dtype=np.float64)
+    bound = atol + rtol * max(float(np.abs(want).max(initial=0.0)), scale)
+    err = float(np.abs(np.asarray(got, dtype=np.float64) - want).max(initial=0.0))
+    assert err <= bound, f"{what}: error {err:.3e} above {bound:.3e}"
+
+
+def assert_same_run(got, want, dtype):
+    (model, rows, draws), (ref_model, ref_rows, ref_draws) = got, want
+    assert draws == ref_draws  # every step's generator advanced by the same number of draws
+    assert [(r.epoch, r.split, r.lr) for r in rows] == [(r.epoch, r.split, r.lr) for r in ref_rows]
+    for row, ref in zip(rows, ref_rows):
+        for name in ("l_f", "l_cat", "l_cont", "l_total"):
+            assert_close(getattr(row, name), getattr(ref, name), dtype, f"{row.split} {name}")
+    ref_params = ref_model.parameters()
+    scale = max(float(np.abs(t.data).max()) for t in ref_params.values())
+    for name, tensor in model.parameters().items():
+        assert tensor.data.dtype == ref_params[name].data.dtype
+        assert_close(tensor.data, ref_params[name].data, dtype, name, scale)
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+class TestPretrainGolden:
+    @settings(max_examples=30, deadline=None)
+    @given(runs())
+    def test_rows_parameters_and_streams(self, dtype, run):
+        try:
+            want = run_reference(*run[:4], dtype, run[4])
+        except IcuseqError as exc:  # a batch with no masked slot, say: the masked-row path fails alike
+            event(f"both raise {type(exc).__name__}")
+            with pytest.raises(type(exc)):
+                run_pretrain(*run[:4], dtype, run[4])
+            return
+        event("compared")
+        assert_same_run(run_pretrain(*run[:4], dtype, run[4]), want, dtype)
+
+
+@functools.lru_cache(maxsize=None)
+def golden_setup():
+    spec = GeneratorSpec(patients=8, features=5, rate=0.006, stay_hours=30.0)
+    corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=3)), (0.6, 0.25, 0.15), seed=0)
+    vocab = build_vocabularies(corpus)
+    config = ModelConfig(encoder=EncoderConfig(layers=2, hidden=16, heads=2, ffn_dim=8, max_seq_len=32, dropout=0.2),
+                         d_pre=8, window_minutes=1440, feature_vocab=vocab.feature_size, value_vocab=vocab.value_size)
+    return corpus, vocab, config, TrainConfig(epochs=2, batch_size=3, lr=1e-3, seed=3)
+
+
+def test_golden_setup_carries_pad_and_matches():
+    corpus, vocab, config, cfg = golden_setup()
+    windows = training.prepare_windows(corpus, Split.TRAIN, vocab, 1440, 32)
+    assert len({w.real_length for w in windows}) > 1  # batches carry PAD
+    assert_same_run(run_pretrain(corpus, vocab, config, cfg, np.float64),
+                    run_reference(corpus, vocab, config, cfg, np.float64), np.float64)
+
+
+def test_cut_shape_masks_change_the_run(monkeypatch):
+    """Drawing the top layer's dropout masks at the cut shape is caught by the golden comparison."""
+    corpus, vocab, config, cfg = golden_setup()
+    want = run_reference(corpus, vocab, config, cfg, np.float64)
+    keep = ad._dropout_keep
+
+    def cut_shape(rng, shape, rate, rows=None):
+        return keep(rng, shape if rows is None else shape[:-2] + (rows.shape[1], shape[-1]), rate)
+
+    monkeypatch.setattr(ad, "_dropout_keep", cut_shape)
+    _, rows, draws = run_pretrain(corpus, vocab, config, cfg, np.float64)
+    assert draws != want[2]
+    assert abs(rows[0].l_total - want[1][0].l_total) > 1e-6
+
+
+# ---------------------------------------------------------------------------
+# padding rows
+
+
+PAD_MODEL = Model.build(golden_setup()[2], seed=5, dtype=np.float64)
+
+
+@st.composite
+def padded_rows(draw):
+    """A masked batch's (rows, valid) with extra invalid entries at drawn places and positions."""
+    corpus, vocab, _, _ = golden_setup()
+    windows = training.prepare_windows(corpus, Split.TRAIN, vocab, 1440, 32)
+    picked = draw(st.lists(st.integers(0, len(windows) - 1), min_size=1, max_size=4))
+    seed = draw(st.integers(0, 2**16))
+    rates = MaskingRates(select=0.4)
+    plans = [plan_masking(windows[i], np.random.default_rng([seed, j]), rates) for j, i in enumerate(picked)]
+    masked = [apply_masking(windows[i], p, vocab, np.random.default_rng([seed, j, 1]))
+              for j, (i, p) in enumerate(zip(picked, plans))]
+    batch = encode_batch(masked, PROVIDER, plans, dtype=np.float64)
+    length = batch.attention_mask.shape[1]
+    rows, valid = masked_rows(plans, length)
+    extra = draw(st.integers(1, 4))
+    wide_rows = np.zeros((len(plans), rows.shape[1] + extra), dtype=np.intp)
+    wide_valid = np.zeros(wide_rows.shape, dtype=bool)
+    for b in range(len(plans)):
+        real = rows[b][valid[b]]
+        slots = sorted(draw(st.lists(st.integers(0, wide_rows.shape[1] - 1), min_size=len(real),
+                                     max_size=len(real), unique=True)))
+        wide_rows[b] = draw(st.lists(st.integers(0, length - 1), min_size=wide_rows.shape[1],
+                                     max_size=wide_rows.shape[1]))
+        wide_rows[b, slots] = real
+        wide_valid[b, slots] = True
+    return batch, plans, (rows, valid), (wide_rows, wide_valid), seed
+
+
+def masked_step(batch, plans, rows, valid, seed):
+    """Train-mode loss at ``rows``, every parameter gradient, and the generator's next draw."""
+    params = PAD_MODEL.parameters()
+    for t in params.values():
+        t.zero_grad()
+    rng = np.random.default_rng(seed)
+    loss = mlvm_loss(PAD_MODEL.pretrain_outputs(batch, "train", rng, rows), plans, rows=rows, valid=valid)
+    ad.backward(loss.node)
+    grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy() for n, t in params.items()}
+    return loss, grads, rng.random()
+
+
+@settings(max_examples=40, deadline=None)
+@given(padded_rows())
+def test_invalid_padding_rows_change_nothing(case):
+    batch, plans, (rows, valid), (wide_rows, wide_valid), seed = case
+    if not valid.any():
+        return
+    loss, grads, after = masked_step(batch, plans, rows, valid, seed)
+    wide_loss, wide_grads, wide_after = masked_step(batch, plans, wide_rows, wide_valid, seed)
+    assert wide_after == after
+    assert (wide_loss.n_feature_slots, wide_loss.n_cat, wide_loss.n_cont) == \
+        (loss.n_feature_slots, loss.n_cat, loss.n_cont)
+    assert wide_loss.l_total == pytest.approx(loss.l_total, rel=1e-12, abs=0.0)
+    scale = max(float(np.abs(g).max()) for g in grads.values())
+    for name, g in grads.items():
+        assert np.abs(wide_grads[name] - g).max() <= 1e-12 * scale, name

@@ -1,11 +1,11 @@
 """The cls-only task path against the full-row reference kept in ``reference``.
 
-``Model.task_scores`` runs its top encoder layer on the CLS row only. The
-reference computes every row of every layer and reads the CLS vector from
-the full final states. Batches carry PAD; samples have one or two windows;
-the model's trainable set is each fine-tuning choice of ``unfrozen_layers``
-and ``unfreeze_embedder``, with and without the kept eval prefix below the
-freeze boundary. Eval logits must match within 1e-10 in float64 and 1e-5
+``Model.task_scores`` runs its top encoder layer on the CLS row only, as
+``rows`` of zeros. The reference computes every row of every layer and
+reads the CLS vector from the full final states. Batches carry PAD; samples
+have one or two windows; the model's trainable set is each fine-tuning
+choice of ``unfrozen_layers`` and ``unfreeze_embedder``, with and without
+the kept eval prefix below the freeze boundary. Eval logits must match within 1e-10 in float64 and 1e-5
 relative in float32. In train mode, with dropout on and the same seed, so
 must the logits and every trainable gradient, and both paths must leave the
 generator in the same state.
@@ -134,7 +134,11 @@ def test_cut_shape_masks_change_the_train_pass(monkeypatch):
     logits, _, after = train_pass(new_scores, model, batches, 0, weights)
     assert np.abs(logits - ref_logits).max() <= 1e-10 and after == ref_after
     keep = ad._dropout_keep
-    monkeypatch.setattr(ad, "_dropout_keep", lambda rng, shape, rate, draw_rows: keep(rng, shape, rate, None))
+
+    def cut_shape(rng, shape, rate, rows=None):
+        return keep(rng, shape if rows is None else shape[:-2] + (rows.shape[1], shape[-1]), rate)
+
+    monkeypatch.setattr(ad, "_dropout_keep", cut_shape)
     logits, _, after = train_pass(new_scores, model, batches, 0, weights)
     assert np.abs(logits - ref_logits).max() > 1e-3 and after != ref_after
 
@@ -142,8 +146,9 @@ def test_cut_shape_masks_change_the_train_pass(monkeypatch):
 def test_top_layer_outputs_the_cls_row_only():
     batches = encode([[[dyn_token("lab: a", 0.5, 3)] * 5]], np.float32, 4)
     model = fine_tune_model(np.float32, 1, False)
-    assert model.hidden_states(batches[0], cls_only=True).shape == (1, 1, CONFIG.encoder.hidden)
+    cls_row = np.zeros((1, 1), dtype=np.intp)
+    assert model.hidden_states(batches[0], rows=cls_row).shape == (1, 1, CONFIG.encoder.hidden)
     assert model.hidden_states(batches[0]).shape == (1, batches[0].attention_mask.shape[1], CONFIG.encoder.hidden)
     below = model.prefix(batches[0], LAYERS)  # no layer above the prefix: row 0 is cut from it
-    np.testing.assert_array_equal(model.hidden_states(batches[0], below=below, cls_only=True).data,
+    np.testing.assert_array_equal(model.hidden_states(batches[0], below=below, rows=cls_row).data,
                                   below.hidden.data[:, :1])

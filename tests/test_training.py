@@ -374,6 +374,8 @@ class TestCheckpointRobustness:
         pytest.param(lambda c: {**c, "window_minutes": 10**12}, ConfigMismatch, id="huge-window"),
         pytest.param(lambda c: {**c, "feature_vocab": 10**12}, ConfigMismatch, id="huge-vocab"),
         pytest.param(lambda c: {**c, "layers": 10**6}, ConfigMismatch, id="huge-depth"),
+        pytest.param(lambda c: {**c, "heads": 10**30}, ConfigMismatch, id="heads-not-dividing-hidden"),
+        pytest.param(lambda c: {**c, "max_seq_len": 2**31}, ConfigMismatch, id="huge-seq-len"),
     ])
     def test_malformed_config_block(self, tmp_path, change, error):
         path = str(tmp_path / "model.icub")
@@ -550,8 +552,8 @@ class TestEvalTape:
         _, corpus, vocab, provider, config = small_setup()
         outputs, pretrain_outputs = [], Model.pretrain_outputs
 
-        def recording(model, batch, mode="eval", rng=None):
-            out = pretrain_outputs(model, batch, mode, rng)
+        def recording(model, batch, mode="eval", rng=None, rows=None):
+            out = pretrain_outputs(model, batch, mode, rng, rows)
             if mode == "eval":
                 outputs.extend(out)
             return out
