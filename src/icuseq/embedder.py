@@ -34,7 +34,6 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Tensor
 from .errors import IndexOutOfRange, NonFiniteValue, ShapeMismatch
-from .masking import MaskingPlan
 from .textvec import EmbeddingProvider
 from .types import DEFAULT_WINDOW_MINUTES
 from .windows import FILL_CODE, PAD_CODE, Tokens, Window, as_tokens
@@ -120,7 +119,7 @@ def init_embedder(rng: np.random.Generator, d_pre: int, hidden: int,
 
 @dataclass
 class EncodedBatch:
-    """Ids into per-batch text tables for a batch of windows cut to a common length, plus MLVM targets."""
+    """Ids into per-batch text tables for a batch of windows cut to a common length."""
 
     feature_ids: np.ndarray    # (B, L) int rows of [feature_specials; feature_table]
     value_ids: np.ndarray      # (B, L) int rows of [value_specials; value_table]
@@ -130,22 +129,15 @@ class EncodedBatch:
     tau: np.ndarray            # (B, L) int
     delta: np.ndarray          # (B, L) int
     attention_mask: np.ndarray  # (B, L) 1 for real tokens, 0 for PAD
-    feature_target: Optional[np.ndarray] = None  # (B, L) int, -1 outside masked slots
-    cat_target: Optional[np.ndarray] = None
-    cont_target: Optional[np.ndarray] = None
-    value_is_continuous: Optional[np.ndarray] = None
 
 
 def encode_batch(windows: Sequence[Union[Window, Tokens]], provider: EmbeddingProvider,
-                 plans: Optional[Sequence[MaskingPlan]] = None,
                  dtype=np.float32) -> EncodedBatch:
     """Turn windows cut to one ``max_len`` into ids, scales and text tables.
 
     The batch is as long as its longest window, rounded up to a multiple of
     ``PAD_MULTIPLE`` and never longer than ``max_len``; shorter windows are
-    padded with PAD ids, so attention cost follows the real tokens. The
-    plans' targets are cut to the same length; a plan never selects a slot
-    past its window, so the cut loses no target.
+    padded with PAD ids, so attention cost follows the real tokens.
     """
     tokens = [as_tokens(w) for w in windows]
     caps = {t.max_len for t in tokens}
@@ -176,20 +168,12 @@ def encode_batch(windows: Sequence[Union[Window, Tokens]], provider: EmbeddingPr
         attention[i, :n] = 1.0
 
     vectors = {text: provider.embed_text(text) for text in dict.fromkeys([*feature_texts, *value_texts])}
-    batch = EncodedBatch(
+    return EncodedBatch(
         feature_ids=feature_ids, value_ids=value_ids, value_scale=value_scale,
         feature_table=np.array([vectors[t] for t in feature_texts], dtype=dtype).reshape(-1, provider.dim),
         value_table=np.array([np.ones(provider.dim), *(vectors[t] for t in value_texts)], dtype=dtype),
         tau=tau, delta=delta, attention_mask=attention,
     )
-    if plans is not None:
-        if len(plans) != b:
-            raise ShapeMismatch(f"{b} windows but {len(plans)} masking plans")
-        batch.feature_target = np.stack([p.feature_target[:length] for p in plans])
-        batch.cat_target = np.stack([p.cat_target[:length] for p in plans])
-        batch.cont_target = np.stack([p.cont_target[:length] for p in plans]).astype(dtype)
-        batch.value_is_continuous = np.stack([p.value_is_continuous[:length] for p in plans])
-    return batch
 
 
 def _table_ids(codes: np.ndarray, texts: Sequence[str], table: dict[str, int], first_row: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Multi-task pre-training loss and the fine-tuning losses."""
+"""Multi-task pre-training loss over a batch's masked slots, and the fine-tuning losses."""
 
 from __future__ import annotations
 
@@ -24,8 +24,6 @@ class LossBreakdown:
     n_cat: int
     n_cont: int
     l_total: float
-    alpha: float
-    beta: float
     n_feature_slots: int = 0
     node: Optional[Tensor] = field(default=None, repr=False, compare=False)
 
@@ -49,109 +47,77 @@ def combine_losses(l_f: float, l_cat: float, n_cat: int, l_cont: float, n_cont: 
     return l_f + c_cat * l_cat + c_cont * l_cont
 
 
-def masked_rows(plans: Sequence[MaskingPlan], length: int) -> tuple[np.ndarray, np.ndarray]:
-    """The (B, m) positions below ``length`` where each plan masks a feature or a value, and which are real.
+@dataclass(frozen=True)
+class MaskedSlots:
+    """A batch's masked feature and value slots: one (B, m) row of entries per window.
 
-    Each row lists its plan's masked positions in ascending order and is
-    padded with position 0 to the batch's largest count; ``valid`` is False
-    on the padding. ``mlvm_loss`` reads outputs and targets at these rows.
+    ``rows[b]`` lists window ``b``'s masked positions in ascending order,
+    padded with position 0 to the batch's largest count. Each entry's
+    targets are those of the slots its position masks; a padding entry masks
+    none, so its targets are -1 and ``cont`` is False there.
     """
-    positions = [np.flatnonzero((p.mask_feature[:length] | p.mask_value[:length])) for p in plans]
-    m = max((len(x) for x in positions), default=0)
-    rows = np.zeros((len(plans), m), dtype=np.intp)
-    valid = np.zeros((len(plans), m), dtype=bool)
-    for i, x in enumerate(positions):
-        rows[i, :len(x)] = x
-        valid[i, :len(x)] = True
-    return rows, valid
+
+    rows: np.ndarray            # (B, m) intp positions
+    feature_target: np.ndarray  # (B, m) int64 feature id, -1 where no feature slot
+    cat_target: np.ndarray      # (B, m) int64 categorical value id, -1 where no categorical slot
+    cont: np.ndarray            # (B, m) bool, a continuous value slot
+    cont_target: np.ndarray     # (B, m) float32 value, 0 where not ``cont``
 
 
-def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], plans: Sequence[MaskingPlan],
-              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-              rows: Optional[np.ndarray] = None, valid: Optional[np.ndarray] = None) -> LossBreakdown:
+def masked_slots(plans: Sequence[MaskingPlan]) -> MaskedSlots:
+    """The masked slots of a batch's plans, one row per plan."""
+    positions = [np.flatnonzero(p.mask_feature | p.mask_value) for p in plans]
+    shape = (len(plans), max((len(x) for x in positions), default=0))
+    slots = MaskedSlots(rows=np.zeros(shape, dtype=np.intp),
+                        feature_target=np.full(shape, -1, dtype=np.int64),
+                        cat_target=np.full(shape, -1, dtype=np.int64),
+                        cont=np.zeros(shape, dtype=bool),
+                        cont_target=np.zeros(shape, dtype=np.float32))
+    for i, (p, x) in enumerate(zip(plans, positions)):
+        n = len(x)
+        slots.rows[i, :n] = x
+        slots.feature_target[i, :n] = p.feature_target[x]
+        slots.cat_target[i, :n] = p.cat_target[x]
+        slots.cont[i, :n] = p.value_is_continuous[x]
+        slots.cont_target[i, :n] = p.cont_target[x]
+    return slots
+
+
+def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], slots: MaskedSlots,
+              alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA) -> LossBreakdown:
     """Reconstruction loss over every masked slot, keep-corrupted ones included.
 
-    Feature and categorical slots use mean cross-entropy, continuous slots use
-    mean absolute error, and the two value losses are blended by slot counts
-    with the continuous side scaled by ``alpha``. Plans may be longer than the
-    outputs (a batch cut to its real tokens) as long as they mask nothing past
-    the output length; the rest is cut off.
-
-    ``rows=None`` means the outputs are (B, L, ·), one row per position.
-    Otherwise output row ``j`` of batch entry ``b`` is position
-    ``rows[b, j]``, as ``masked_rows`` builds them, and entries where
-    ``valid`` is False are ignored; the valid rows must hold every masked
-    slot once. Slots are taken in (b, position) order either way, so both
-    forms give the same loss for the same states.
+    ``outputs`` are the heads' outputs at ``slots.rows``: output row ``j``
+    of batch entry ``b`` is position ``slots.rows[b, j]``. Feature and
+    categorical slots use mean cross-entropy, continuous slots use mean
+    absolute error, and the two value losses are blended by slot counts with
+    the continuous side scaled by ``alpha``. Slots are taken in
+    (b, position) order.
     """
     feature_logits, cat_logits, cont_pred = outputs
-    b, length = feature_logits.shape[:2]
-    if len(plans) != b:
-        raise ShapeMismatch(f"{b} output rows but {len(plans)} plans")
-    if rows is None:
-        if any(len(p) < length or (p.mask_feature[length:] | p.mask_value[length:]).any() for p in plans):
-            raise ShapeMismatch("plan length disagrees with output length")
-
-        def stacked(field: str) -> np.ndarray:
-            return np.stack([getattr(p, field)[:length] for p in plans])
-    else:
-        rows = np.asarray(rows)
-        valid = np.ones(rows.shape, dtype=bool) if valid is None else np.asarray(valid, dtype=bool)
-        if rows.shape != (b, length) or valid.shape != rows.shape:
-            raise ShapeMismatch(f"rows {rows.shape} and valid {valid.shape} vs outputs {(b, length)}")
-        if rows.size and (rows.min() < 0 or any(len(p) <= rows[i].max() for i, p in enumerate(plans))):
-            raise ShapeMismatch("rows reach past their plan")
-
-        def stacked(field: str) -> np.ndarray:
-            return np.stack([getattr(p, field)[r] for p, r in zip(plans, rows)])
-
-    mask_feature = stacked("mask_feature")
-    mask_value = stacked("mask_value")
-    value_cont = stacked("value_is_continuous")
-    if rows is not None:
-        mask_feature &= valid
-        mask_value &= valid
-        if mask_feature.sum() + mask_value.sum() != sum(int(p.mask_feature.sum() + p.mask_value.sum()) for p in plans):
-            raise ShapeMismatch("the valid rows do not hold every masked slot once")
-
-    feat_slots = np.flatnonzero(mask_feature.reshape(-1))
-    cat_slots = np.flatnonzero((mask_value & ~value_cont).reshape(-1))
-    cont_slots = np.flatnonzero((mask_value & value_cont).reshape(-1))
-    n_feat, n_cat, n_cont = len(feat_slots), len(cat_slots), len(cont_slots)
+    b, m = feature_logits.shape[:2]
+    if slots.rows.shape != (b, m):
+        raise ShapeMismatch(f"slot rows {slots.rows.shape} vs outputs {(b, m)}")
+    feature_target, cat_target = slots.feature_target.reshape(-1), slots.cat_target.reshape(-1)
+    feat, cat, cont = np.flatnonzero(feature_target >= 0), np.flatnonzero(cat_target >= 0), np.flatnonzero(slots.cont)
+    n_feat, n_cat, n_cont = len(feat), len(cat), len(cont)
     if n_feat == 0 and n_cat == 0 and n_cont == 0:
         raise NoMaskedSlots("batch contains no masked slots")
 
-    dtype = feature_logits.dtype
-    zero = ad.constant(np.zeros((), dtype=dtype))
+    def at(out: Tensor, entries: np.ndarray) -> Tensor:  # rows of a (B, m, ...) output at flat slot entries
+        return ad.gather_rows(ad.reshape(out, (b * m, -1)), entries)
 
-    if n_feat:
-        targets = stacked("feature_target").reshape(-1)[feat_slots]
-        picked = ad.gather_rows(ad.reshape(feature_logits, (b * length, feature_logits.shape[2])), feat_slots)
-        l_f_node = ad.cross_entropy_mean(picked, targets)
-    else:
-        l_f_node = zero
-
-    if n_cat:
-        targets = stacked("cat_target").reshape(-1)[cat_slots]
-        picked = ad.gather_rows(ad.reshape(cat_logits, (b * length, cat_logits.shape[2])), cat_slots)
-        l_cat_node = ad.cross_entropy_mean(picked, targets)
-    else:
-        l_cat_node = zero
-
-    if n_cont:
-        targets = stacked("cont_target").reshape(-1)[cont_slots]
-        preds = ad.gather_rows(ad.reshape(cont_pred, (b * length, 1)), cont_slots)
-        l_cont_node = ad.mae_mean(ad.squeeze_last(preds), targets)
-    else:
-        l_cont_node = zero
-
+    zero = ad.constant(np.zeros((), dtype=feature_logits.dtype))
+    l_f = ad.cross_entropy_mean(at(feature_logits, feat), feature_target[feat]) if n_feat else zero
+    l_cat = ad.cross_entropy_mean(at(cat_logits, cat), cat_target[cat]) if n_cat else zero
+    l_cont = ad.mae_mean(ad.squeeze_last(at(cont_pred, cont)), slots.cont_target.reshape(-1)[cont]) if n_cont else zero
     c_cat, c_cont = value_term_coefficients(n_cat, n_cont, alpha, beta)
-    total = ad.add(l_f_node, ad.add(ad.scale(l_cat_node, c_cat), ad.scale(l_cont_node, c_cont)))
+    total = ad.add(l_f, ad.add(ad.scale(l_cat, c_cat), ad.scale(l_cont, c_cont)))
 
     return LossBreakdown(
-        l_f=l_f_node.item(), l_cat=l_cat_node.item(), l_cont=l_cont_node.item(),
+        l_f=l_f.item(), l_cat=l_cat.item(), l_cont=l_cont.item(),
         n_cat=n_cat, n_cont=n_cont, l_total=total.item(),
-        alpha=alpha, beta=beta, n_feature_slots=n_feat, node=total,
+        n_feature_slots=n_feat, node=total,
     )
 
 

@@ -14,7 +14,7 @@ from . import autodiff as ad
 from . import encoder as enc
 from .autodiff import Tensor
 from .embedder import EmbedderParams, EncodedBatch, compose_batch, encode_batch, init_embedder
-from .errors import ConfigMismatch, DivergedLoss, InvalidSpec, MissingLabels, ShapeMismatch, UnknownTask
+from .errors import ConfigMismatch, DivergedLoss, InvalidSpec, MissingLabels, NoMaskedSlots, ShapeMismatch, UnknownTask
 from .ingest import Corpus, Split, Stay
 from .masking import MaskingRates, apply_masking, plan_masking
 from .metrics import MetricReport, auprc, auroc, mae
@@ -22,9 +22,10 @@ from .objective import (
     DEFAULT_ALPHA,
     DEFAULT_BETA,
     LossBreakdown,
+    MaskedSlots,
     combine_losses,
     finetune_loss,
-    masked_rows,
+    masked_slots,
     mlvm_loss,
 )
 from .textvec import EmbeddingProvider
@@ -225,7 +226,7 @@ class Model:
         """The three heads' outputs at (B, m) ``rows`` of ``batch``, or at every row when ``rows`` is None.
 
         The top encoder layer and the heads compute the given rows only (see
-        ``enc.forward``); ``mlvm_loss`` reads them with the same ``rows``.
+        ``enc.forward``); pre-training passes a batch's ``MaskedSlots.rows``.
         """
         return enc.mlvm_outputs(self.hidden_states(batch, mode, rng, rows=rows), self.heads)
 
@@ -443,10 +444,15 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
 
     The loss reads the masked slots only, so in every train step and val
     pass the top encoder layer and the heads compute each batch's masked
-    positions alone (``masked_rows``), with keys and values from every row.
-    Train-mode dropout draws the same masks as a full-row pass and keeps
+    positions alone (``MaskedSlots.rows``), with keys and values from every
+    row. Train-mode dropout draws the same masks as a full-row pass and keeps
     those rows, so the losses and the parameters equal the full-row path's
     up to rounding.
+
+    A batch without a masked slot carries no loss: a train batch takes no
+    step, and a val batch is dropped when the val batches are built. A val
+    split left with no batches behaves like one with no windows. An epoch
+    in which no train batch has a masked slot raises ``NoMaskedSlots``.
     """
     cfg = train_config
     train_windows = prepare_windows(corpus, Split.TRAIN, vocab,
@@ -460,17 +466,14 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     optimizer = AdamW(model.parameters(), weight_decay=cfg.weight_decay)
 
     # validation masking is frozen once so epochs stay comparable: every epoch scores the same batches
-    val_plans = [
-        plan_masking(w, np.random.default_rng([cfg.seed, 40, i]), rates)
-        for i, w in enumerate(val_windows)
-    ]
     val_batches = []
     for start in range(0, len(val_windows), cfg.batch_size):
-        chunk = slice(start, start + cfg.batch_size)
-        masked = [apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
-                  for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
-        batch = encode_batch(masked, provider, val_plans[chunk])
-        val_batches.append((batch, val_plans[chunk], *masked_rows(val_plans[chunk], batch.attention_mask.shape[1])))
+        chunk = val_windows[start : start + cfg.batch_size]
+        rngs = [(np.random.default_rng([cfg.seed, 40, start + j]), np.random.default_rng([cfg.seed, 41, start, j]))
+                for j in range(len(chunk))]
+        batch, slots = _masked_batch(chunk, rngs, vocab, provider, rates)
+        if slots.rows.shape[1]:
+            val_batches.append((batch, slots))
 
     rows: list[LossRow] = []
     best_val = np.inf
@@ -483,20 +486,17 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         lr = linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
         order = np.random.default_rng([cfg.seed, 50, epoch]).permutation(len(train_windows))
         train_agg = _LossAggregator(cfg.alpha, cfg.beta)
+        steps = 0
 
         for start in range(0, len(order), cfg.batch_size):
             idx = order[start : start + cfg.batch_size]
-            windows, plans = [], []
-            for i in idx:
-                rng = np.random.default_rng([cfg.seed, 60, epoch, int(i)])
-                plan = plan_masking(train_windows[i], rng, rates)
-                windows.append(apply_masking(train_windows[i], plan, vocab, rng))
-                plans.append(plan)
-            batch = encode_batch(windows, provider, plans)
-            positions, valid = masked_rows(plans, batch.attention_mask.shape[1])
+            rngs = [np.random.default_rng([cfg.seed, 60, epoch, int(i)]) for i in idx]
+            batch, slots = _masked_batch([train_windows[i] for i in idx], zip(rngs, rngs), vocab, provider, rates)
+            if not slots.rows.shape[1]:  # nothing to predict: no loss, no step
+                continue
             rng = np.random.default_rng([cfg.seed, 70, epoch, start])
-            outputs = model.pretrain_outputs(batch, mode="train", rng=rng, rows=positions)
-            breakdown = mlvm_loss(outputs, plans, cfg.alpha, cfg.beta, positions, valid)
+            outputs = model.pretrain_outputs(batch, mode="train", rng=rng, rows=slots.rows)
+            breakdown = mlvm_loss(outputs, slots, cfg.alpha, cfg.beta)
             if not np.isfinite(breakdown.l_total):
                 raise DivergedLoss(f"non-finite loss at epoch {epoch}")
             # layernorm keeps float32 activations finite under almost any step
@@ -511,6 +511,9 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
             ad.backward(breakdown.node)
             optimizer.step(lr)
             train_agg.add(breakdown)
+            steps += 1
+        if not steps:
+            raise NoMaskedSlots(f"no train batch of epoch {epoch} has a masked slot")
 
         row = LossRow(epoch, "train", *train_agg.totals(), lr)
         rows.append(row)
@@ -520,9 +523,9 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         if val_batches:
             val_agg = _LossAggregator(cfg.alpha, cfg.beta)
             eval_model = model.detached()
-            for batch, plans, positions, valid in val_batches:
-                outputs = eval_model.pretrain_outputs(batch, mode="eval", rows=positions)
-                val_agg.add(mlvm_loss(outputs, plans, cfg.alpha, cfg.beta, positions, valid))
+            for batch, slots in val_batches:
+                outputs = eval_model.pretrain_outputs(batch, mode="eval", rows=slots.rows)
+                val_agg.add(mlvm_loss(outputs, slots, cfg.alpha, cfg.beta))
             val_row = LossRow(epoch, "val", *val_agg.totals(), lr)
             rows.append(val_row)
             if on_row:
@@ -542,6 +545,21 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         for name, tensor in model.parameters().items():
             tensor.data = best_state[name]
     return PretrainResult(model, rows, best_epoch, float(best_val))
+
+
+def _masked_batch(windows: Sequence[Window], rngs: Iterable[tuple[np.random.Generator, np.random.Generator]],
+                  vocab: Vocabularies, provider: EmbeddingProvider, rates: MaskingRates,
+                  dtype=np.float32) -> tuple[EncodedBatch, MaskedSlots]:
+    """The corrupted windows' batch and their masked slots.
+
+    Window ``i`` is planned with ``rngs[i][0]`` and then corrupted with
+    ``rngs[i][1]``, in window order; the two may be one generator.
+    """
+    plans, corrupted = [], []
+    for window, (plan_rng, apply_rng) in zip(windows, rngs):
+        plans.append(plan_masking(window, plan_rng, rates))
+        corrupted.append(apply_masking(window, plans[-1], vocab, apply_rng))
+    return encode_batch(corrupted, provider, dtype=dtype), masked_slots(plans)
 
 
 # ---------------------------------------------------------------------------
@@ -849,7 +867,7 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     The masking seed is searched so the batch exercises all three heads
     (feature, categorical, continuous slots all non-empty). The loss goes
     through the masked-row path that ``pretrain`` runs: the top layer and
-    the heads compute the batch's ``masked_rows`` only.
+    the heads compute the batch's masked slots only.
     """
     from datetime import datetime, timedelta
 
@@ -877,19 +895,12 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
         windows += segment_windows(Stay(f"s{b}", f"p{b}", tuple(events), ()), vocab, window_minutes, max_seq_len)
 
     rates = MaskingRates(select=0.6)
-    plans = None
     for attempt in range(500):
-        plan_rng = np.random.default_rng([seed, 7, attempt])
-        candidate = [plan_masking(w, plan_rng, rates) for w in windows]
-        n_cat = sum(p.n_cat_slots for p in candidate)
-        n_cont = sum(p.n_cont_slots for p in candidate)
-        n_feat = sum(p.n_feature_slots for p in candidate)
-        if n_cat > 0 and n_cont > 0 and n_feat > 0:
-            apply_rng = np.random.default_rng([seed, 8, attempt])
-            corrupted = [apply_masking(w, p, vocab, apply_rng) for w, p in zip(windows, candidate)]
-            plans = candidate
+        rngs = (np.random.default_rng([seed, 7, attempt]), np.random.default_rng([seed, 8, attempt]))
+        encoded, slots = _masked_batch(windows, [rngs] * len(windows), vocab, provider, rates, np.float64)
+        if (slots.feature_target >= 0).any() and (slots.cat_target >= 0).any() and slots.cont.any():
             break
-    if plans is None:
+    else:
         raise ShapeMismatch("could not draw a masking plan covering all three heads")
 
     config = ModelConfig(
@@ -899,11 +910,9 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
         feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
     )
     model = Model.build(config, seed, dtype=np.float64)
-    encoded = encode_batch(corrupted, provider, plans, dtype=np.float64)
-    rows, valid = masked_rows(plans, encoded.attention_mask.shape[1])
 
     def loss_fn() -> Tensor:
-        return mlvm_loss(model.pretrain_outputs(encoded, "eval", None, rows), plans, alpha, beta, rows, valid).node
+        return mlvm_loss(model.pretrain_outputs(encoded, "eval", None, slots.rows), slots, alpha, beta).node
 
     return model, loss_fn
 

@@ -29,10 +29,18 @@ from icuseq import autodiff as ad
 from icuseq import encoder as enc
 from icuseq import masking, training
 from icuseq.embedder import FILL_ID, N_SPECIALS, EncodedBatch, compose_batch
-from icuseq.errors import EmptyStay, InvalidRegistry, NoEligibleTokens, NonFiniteValue, ShapeMismatch, StaticsOverflow
+from icuseq.errors import (
+    EmptyStay,
+    InvalidRegistry,
+    NoEligibleTokens,
+    NoMaskedSlots,
+    NonFiniteValue,
+    ShapeMismatch,
+    StaticsOverflow,
+)
 from icuseq.ingest import Split
 from icuseq.masking import KEEP, MASK, RANDOM, MaskingPlan, MaskingRates
-from icuseq.objective import mlvm_loss
+from icuseq.objective import masked_slots, mlvm_loss
 from icuseq.synth import SIGNAL_VALUE
 from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Registry, Vocabularies
 from icuseq.windows import CLS_CODE, FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window
@@ -309,7 +317,7 @@ _SPECIAL_ROW = {CLS_TEXT: 0, PAD_TEXT: 1, MASK_TEXT: 2}
 _SPECIAL_VALUE_ROW = {Special.CLS: 0, Special.PAD: 1, Special.MASK: 2}
 
 
-def encode_batch(windows: Sequence[WindowSequence], provider, plans=None, dtype=np.float32) -> EncodedBatch:
+def encode_batch(windows: Sequence[WindowSequence], provider, dtype=np.float32) -> EncodedBatch:
     """Equal-length padded windows to ids, scales and text tables, one token at a time."""
     lengths = {len(w.tokens) for w in windows}
     if len(lengths) != 1:
@@ -347,18 +355,12 @@ def encode_batch(windows: Sequence[WindowSequence], provider, plans=None, dtype=
                 value_ids[i, j] = value_texts.setdefault(str(tok.value), FILL_ID + 1 + len(value_texts))
 
     vectors = {text: provider.embed_text(text) for text in dict.fromkeys([*feature_texts, *value_texts])}
-    batch = EncodedBatch(
+    return EncodedBatch(
         feature_ids=feature_ids, value_ids=value_ids, value_scale=value_scale,
         feature_table=np.array([vectors[t] for t in feature_texts], dtype=dtype).reshape(-1, provider.dim),
         value_table=np.array([np.ones(provider.dim), *(vectors[t] for t in value_texts)], dtype=dtype),
         tau=tau, delta=delta, attention_mask=attention,
     )
-    if plans is not None:
-        batch.feature_target = np.stack([p.feature_target[:length] for p in plans])
-        batch.cat_target = np.stack([p.cat_target[:length] for p in plans])
-        batch.cont_target = np.stack([p.cont_target[:length] for p in plans]).astype(dtype)
-        batch.value_is_continuous = np.stack([p.value_is_continuous[:length] for p in plans])
-    return batch
 
 
 # ---------------------------------------------------------------------------
@@ -501,16 +503,26 @@ def task_scores(model, window_batches, mode="eval", rng=None, below=None):
 # the full-row pre-training loop
 
 
-def pretrain_outputs(model, batch, mode="eval", rng=None):
-    """The three heads' outputs at every row of ``batch``."""
+def pretrain_outputs(model, batch, rows, mode="eval", rng=None):
+    """The three heads' outputs at (B, m) ``rows`` of the final states of every row of ``batch``.
+
+    The heads act on each row alone, so they run on the taken rows: their
+    bias gradients then sum the same (B, m) entries in the same order as the
+    masked-row path's. A sum whose terms cancel exactly (the continuous
+    head's ±1/n under the MAE) is 0 in one order and a rounding residue in
+    another, and AdamW makes either a step of about ``lr``.
+    """
     x = compose_batch(batch, model.embedder, mode, rng)
     hidden = encoder_forward(x, batch.attention_mask, model.config.encoder, model.encoder, mode, rng)
-    return enc.mlvm_outputs(hidden, model.heads)
+    return enc.mlvm_outputs(ad.take_rows(hidden, rows), model.heads)
 
 
 def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), dtype=np.float32, drawn=None):
-    """``training.pretrain`` with full-row outputs: returns the model and the loss rows.
+    """``training.pretrain`` with full-row encoder passes: returns the model and the loss rows.
 
+    Every layer runs every row, and the masked slots' rows are taken from the
+    final states before the heads and the loss. A batch without a masked
+    slot is skipped.
     Each train step's dropout generator is appended to ``drawn`` after use.
     The divergence checks are left out; they do not change what a run does.
     """
@@ -526,7 +538,9 @@ def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), d
         chunk = slice(start, start + cfg.batch_size)
         masked = [masking.apply_masking(w, p, vocab, np.random.default_rng([cfg.seed, 41, start, j]))
                   for j, (w, p) in enumerate(zip(val_windows[chunk], val_plans[chunk]))]
-        val_batches.append((training.encode_batch(masked, provider, val_plans[chunk], dtype), val_plans[chunk]))
+        slots = masked_slots(val_plans[chunk])
+        if slots.rows.shape[1]:
+            val_batches.append((training.encode_batch(masked, provider, dtype=dtype), slots))
 
     rows, best_val, best_state, since_best = [], np.inf, {}, 0
     for epoch in range(1, cfg.epochs + 1):
@@ -539,21 +553,27 @@ def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), d
                 rng = np.random.default_rng([cfg.seed, 60, epoch, int(i)])
                 plans.append(masking.plan_masking(train_windows[i], rng, rates))
                 windows.append(masking.apply_masking(train_windows[i], plans[-1], vocab, rng))
+            slots = masked_slots(plans)
+            if not slots.rows.shape[1]:
+                continue
             rng = np.random.default_rng([cfg.seed, 70, epoch, start])
-            outputs = pretrain_outputs(model, training.encode_batch(windows, provider, plans, dtype), "train", rng)
-            breakdown = mlvm_loss(outputs, plans, cfg.alpha, cfg.beta)
+            outputs = pretrain_outputs(model, training.encode_batch(windows, provider, dtype=dtype), slots.rows,
+                                       "train", rng)
+            breakdown = mlvm_loss(outputs, slots, cfg.alpha, cfg.beta)
             if drawn is not None:
                 drawn.append(rng)
             optimizer.zero_grad()
             ad.backward(breakdown.node)
             optimizer.step(lr)
             agg.add(breakdown)
+        if not agg.n_f + agg.n_cat + agg.n_cont:
+            raise NoMaskedSlots(f"no train batch of epoch {epoch} has a masked slot")
         rows.append(training.LossRow(epoch, "train", *agg.totals(), lr))
         if not val_batches:
             continue
         agg = training._LossAggregator(cfg.alpha, cfg.beta)
-        for batch, plans in val_batches:
-            agg.add(mlvm_loss(pretrain_outputs(model.detached(), batch), plans, cfg.alpha, cfg.beta))
+        for batch, slots in val_batches:
+            agg.add(mlvm_loss(pretrain_outputs(model.detached(), batch, slots.rows), slots, cfg.alpha, cfg.beta))
         rows.append(training.LossRow(epoch, "val", *agg.totals(), lr))
         if rows[-1].l_total < best_val:
             best_val, since_best = rows[-1].l_total, 0

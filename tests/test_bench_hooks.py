@@ -88,7 +88,7 @@ def test_a_traced_round_counts_real_work(bench_modules, tmp_path):
     assert all(isinstance(s.windows, list) and s.windows for _, out in outputs.samples for s in out)
     plan = training.plan_masking(windows[0], np.random.default_rng(0))
     assert all(type(getattr(plan, n)) is int for n in ("n_feature_slots", "n_cat_slots", "n_cont_slots"))
-    batch = training.encode_batch(windows[:2], data.provider, [plan, plan])
+    batch = training.encode_batch(windows[:2], data.provider)
     assert all(isinstance(v, np.ndarray) for v in vars(batch).values())
     assert counters.masked_slots > 0 and counters.batches > 0 and counters.batch_bytes > 0
     assert counters.tape_nodes > 0 and counters.embed_calls > 0

@@ -11,7 +11,7 @@ from icuseq import encoder as enc
 from icuseq.embedder import FILL_ID, EncodedBatch, compose_batch, encode_batch, init_embedder
 from icuseq.errors import IndexOutOfRange, NonFiniteValue, ShapeMismatch
 from icuseq.masking import MaskingRates, plan_masking
-from icuseq.objective import mlvm_loss
+from icuseq.objective import masked_slots, mlvm_loss
 from icuseq.textvec import EmbeddingProvider, StubProvider
 from icuseq.training import Model, ModelConfig
 from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Vocabularies
@@ -135,10 +135,10 @@ def golden_window(draw):
     return truncate_and_pad(make_window(tokens), GOLDEN_PADDED)
 
 
-def loss_and_grads(model, hidden, plans):
+def loss_and_grads(model, hidden, slots):
     for t in model.parameters().values():
         t.zero_grad()
-    loss = mlvm_loss(enc.mlvm_outputs(hidden, model.heads), plans)
+    loss = mlvm_loss(enc.mlvm_outputs(ad.take_rows(hidden, slots.rows), model.heads), slots)
     ad.backward(loss.node)
     return loss.l_total, {name: t.grad for name, t in model.parameters().items()}
 
@@ -156,7 +156,7 @@ class TestGoldenAgainstDenseFill:
         columns = [tokens_of(w, GOLDEN_VOCAB) for w in windows]
         plans = [plan_masking(w, np.random.default_rng([seed, i]), MaskingRates(select=0.7))
                  for i, w in enumerate(columns)]
-        batch = encode_batch(columns, self.provider, plans, dtype=np.float64)
+        batch = encode_batch(columns, self.provider, dtype=np.float64)
 
         hidden = model.hidden_states(batch, mode, np.random.default_rng(seed))
         rng = np.random.default_rng(seed)  # the same draws, in the same order
@@ -165,10 +165,11 @@ class TestGoldenAgainstDenseFill:
         reference = enc.forward(embedded, batch.attention_mask, GOLDEN_CONFIG.encoder, model.encoder, mode, rng)
         np.testing.assert_allclose(hidden.data, reference.data, rtol=1e-10, atol=1e-10)
 
-        if not any(p.n_feature_slots + p.n_cat_slots + p.n_cont_slots for p in plans):
+        slots = masked_slots(plans)
+        if not slots.rows.shape[1]:
             return
-        loss, grads = loss_and_grads(model, hidden, plans)
-        ref_loss, ref_grads = loss_and_grads(model, reference, plans)
+        loss, grads = loss_and_grads(model, hidden, slots)
+        ref_loss, ref_grads = loss_and_grads(model, reference, slots)
         assert loss == pytest.approx(ref_loss, rel=1e-10, abs=1e-10)
         assert grads.keys() == ref_grads.keys()
         for name, grad in grads.items():
@@ -255,10 +256,10 @@ def sample_window(n=5):
     return truncate_and_pad(make_window(tokens), 12)
 
 
-def padded_window(real, padded, vocab=None):
+def padded_window(real, padded):
     """Token columns of a window of ``real`` tokens (CLS included) cut to ``padded``."""
     tokens = [dyn_token("lab: a", float(i), i) for i in range(real - 1)]
-    return tokens_of(truncate_and_pad(make_window(tokens), padded), vocab)
+    return tokens_of(truncate_and_pad(make_window(tokens), padded))
 
 
 class CountingProvider(EmbeddingProvider):
@@ -295,18 +296,6 @@ class TestEncodeBatch:
         assert batch.feature_ids.shape[1] == expected
         assert batch.feature_ids.shape == batch.value_scale.shape == (len(reals), expected)
         assert batch.attention_mask.sum(axis=1).tolist() == list(reals)
-
-    def test_plan_targets_cut_with_the_batch(self):
-        vocab = Vocabularies(features=("[CLS]", "[PAD]", "[MASK]", "lab: a"),
-                             categorical_values=("[MASK]", "[UNK]"), per_feature_stats={})
-        windows = [padded_window(4, 40, vocab), padded_window(6, 40, vocab)]
-        plans = [plan_masking(w, np.random.default_rng(i), MaskingRates(select=1.0))
-                 for i, w in enumerate(windows)]
-        batch = encode_batch(windows, self.provider, plans)
-        assert batch.feature_target.shape == batch.cont_target.shape == (2, 8)
-        for got, plan in zip(batch.feature_target, plans):
-            np.testing.assert_array_equal(got, plan.feature_target[:8])
-            assert np.all(plan.feature_target[8:] == -1)
 
     def test_eval_deterministic(self):
         seq = sample_window()

@@ -20,6 +20,8 @@ from icuseq.errors import ConfigMismatch, FormatError, GradMismatch, ModeMismatc
 from icuseq import training
 from icuseq.training import Model, gradcheck_problem
 
+import reference
+
 CFG = EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=6, max_seq_len=6, dropout=0.0)
 
 
@@ -141,18 +143,18 @@ class TestGradCheck:
             batches.append((batch, rows))
             return pretrain_outputs(model, batch, mode, rng, rows)
 
-        def loss(outputs, plans, *args):
-            losses.append((plans, args))
-            return mlvm_loss(outputs, plans, *args)
+        def loss(outputs, slots, *args):
+            losses.append((slots, args))
+            return mlvm_loss(outputs, slots, *args)
 
         monkeypatch.setattr(Model, "pretrain_outputs", outputs)
         monkeypatch.setattr(training, "mlvm_loss", loss)
         model, loss_fn = gradcheck_problem(layers=2)
         masked = loss_fn().item()
-        ((batch, rows),), ((plans, (alpha, beta, loss_rows, _)),) = batches, losses
-        assert loss_rows is rows and 0 < rows.shape[1] < batch.attention_mask.shape[1]
-        assert masked == pytest.approx(mlvm_loss(pretrain_outputs(model, batch), plans, alpha, beta).l_total,
-                                       rel=1e-12, abs=0.0)
+        ((batch, rows),), ((slots, (alpha, beta)),) = batches, losses
+        assert slots.rows is rows and 0 < rows.shape[1] < batch.attention_mask.shape[1]
+        full = reference.pretrain_outputs(model, batch, rows)  # every row of every layer
+        assert masked == pytest.approx(mlvm_loss(full, slots, alpha, beta).l_total, rel=1e-12, abs=0.0)
         assert grad_check(loss_fn, model.parameters(), rng=np.random.default_rng(0)).ok
 
     def test_corrupted_gradient_detected(self):

@@ -19,3 +19,16 @@ def test_object_pipeline_names_are_gone():
                           (icuseq.windows, ("truncate_and_pad", "normalize_values"))):
         assert [n for n in names if hasattr(module, n)] == []
     assert {"Tokens", "Window"} <= set(icuseq.__all__)
+
+
+def test_masked_slots_are_the_only_slot_record():
+    """The loss reads one ``MaskedSlots`` record; batches carry no targets and ``masked_rows`` is gone."""
+    import dataclasses
+
+    import icuseq.embedder
+    import icuseq.objective
+
+    assert {"MaskedSlots", "masked_slots", "mlvm_loss"} <= set(icuseq.__all__)
+    assert not hasattr(icuseq.objective, "masked_rows") and "masked_rows" not in icuseq.__all__
+    fields = {f.name for f in dataclasses.fields(icuseq.embedder.EncodedBatch)}
+    assert not fields & {"feature_target", "cat_target", "cont_target", "value_is_continuous"}

@@ -135,8 +135,8 @@ class TestPretrainPath:
                     ref_masked.append(reference.apply_masking(r, ref_plans[-1], vocab, rng_ref))
                     assert rng_new.random() == rng_ref.random()  # the same number of draws
                 providers = RecordingProvider(), RecordingProvider()
-                batches = run_both(lambda: encode_batch(new_masked, providers[0], new_plans),
-                                   lambda: reference.encode_batch(ref_masked, providers[1], ref_plans))
+                batches = run_both(lambda: encode_batch(new_masked, providers[0]),
+                                   lambda: reference.encode_batch(ref_masked, providers[1]))
                 if batches[1] is not None:
                     assert_batches_equal(*batches)
                 assert providers[0].calls == providers[1].calls

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icuseq import autodiff as ad
 from icuseq.errors import NoMaskedSlots, ShapeMismatch, UnknownTask
 from icuseq.masking import MaskingPlan
-from icuseq.objective import combine_losses, finetune_loss, mlvm_loss, value_term_coefficients
+from icuseq.objective import combine_losses, finetune_loss, masked_slots, mlvm_loss, value_term_coefficients
 
 
 def make_plan(length, feature_targets=(), cat_targets=(), cont_targets=()):
@@ -33,14 +33,54 @@ def make_plan(length, feature_targets=(), cat_targets=(), cont_targets=()):
                        f_target, is_cont, c_target, x_target)
 
 
-def outputs(b, length, n_feat, n_val, feature=None, cat=None, cont=None, dtype=np.float64):
+def outputs(slots, length, n_feat, n_val, feature=None, cat=None, cont=None, dtype=np.float64):
+    """The heads' outputs at ``slots.rows``, cut from full-row (B, L, ·) arrays that are random where not given."""
     rng = np.random.default_rng(0)
-    f = feature if feature is not None else rng.standard_normal((b, length, n_feat))
-    c = cat if cat is not None else rng.standard_normal((b, length, n_val))
-    x = cont if cont is not None else rng.standard_normal((b, length))
-    return (ad.parameter(np.asarray(f, dtype=dtype), "f"),
-            ad.parameter(np.asarray(c, dtype=dtype), "c"),
-            ad.parameter(np.asarray(x, dtype=dtype), "x"))
+    b = slots.rows.shape[0]
+    full = (feature if feature is not None else rng.standard_normal((b, length, n_feat)),
+            cat if cat is not None else rng.standard_normal((b, length, n_val)),
+            cont if cont is not None else rng.standard_normal((b, length)))
+    return tuple(ad.parameter(np.asarray(a, dtype=dtype)[np.arange(b)[:, None], slots.rows], name)
+                 for a, name in zip(full, "fcx"))
+
+
+@st.composite
+def random_plans(draw):
+    """One to three plans of a common length, each position masking nothing, a feature, a value, or both."""
+    length = draw(st.integers(1, 10))
+    plans = []
+    for _ in range(draw(st.integers(1, 3))):
+        slots = {"feature_targets": {}, "cat_targets": {}, "cont_targets": {}}
+        for pos in range(length):
+            kind = draw(st.sampled_from(["", "f", "c", "x", "fc", "fx"]))
+            if "f" in kind:
+                slots["feature_targets"][pos] = draw(st.integers(0, 4))
+            if "c" in kind:
+                slots["cat_targets"][pos] = draw(st.integers(0, 2))
+            if "x" in kind:
+                slots["cont_targets"][pos] = draw(st.floats(-3.0, 3.0, width=32))
+        plans.append(make_plan(length, **slots))
+    return plans
+
+
+def full_row_loss(plans, feature, cat, cont, alpha, beta):
+    """The MLVM loss straight from the plans and (B, L, ·) outputs: (l_f, l_cat, l_cont, n_cat, n_cont, l_total)."""
+    def cross_entropy(logits, targets):
+        shifted = logits - logits.max(axis=1, keepdims=True)
+        log_p = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+        return float(-log_p[np.arange(len(targets)), targets].mean()) if len(targets) else 0.0
+
+    stacked = {name: np.stack([getattr(p, name) for p in plans]) for name in
+               ("mask_feature", "mask_value", "value_is_continuous", "feature_target", "cat_target", "cont_target")}
+    feat = stacked["mask_feature"]
+    cat_slot = stacked["mask_value"] & ~stacked["value_is_continuous"]
+    cont_slot = stacked["mask_value"] & stacked["value_is_continuous"]
+    l_f = cross_entropy(feature[feat], stacked["feature_target"][feat])
+    l_cat = cross_entropy(cat[cat_slot], stacked["cat_target"][cat_slot])
+    diff = np.abs(cont[cont_slot] - stacked["cont_target"][cont_slot])
+    l_cont = float(diff.mean()) if diff.size else 0.0
+    n_cat, n_cont = int(cat_slot.sum()), int(cont_slot.sum())
+    return l_f, l_cat, l_cont, n_cat, n_cont, combine_losses(l_f, l_cat, n_cat, l_cont, n_cont, alpha, beta)
 
 
 class TestCombination:
@@ -72,62 +112,100 @@ class TestCombination:
         assert lo - 1e-12 <= term <= hi + 1e-12
 
 
+class TestMaskedSlots:
+    @given(random_plans())
+    def test_every_masked_position_once_in_order(self, plans):
+        slots = masked_slots(plans)
+        fields = ("rows", "feature_target", "cat_target", "cont", "cont_target")
+        assert {getattr(slots, f).shape for f in fields} == {(len(plans), slots.rows.shape[1])}
+        for b, plan in enumerate(plans):
+            positions = np.flatnonzero(plan.mask_feature | plan.mask_value)
+            n = len(positions)
+            np.testing.assert_array_equal(slots.rows[b, :n], positions)
+            np.testing.assert_array_equal(slots.feature_target[b, :n], plan.feature_target[positions])
+            np.testing.assert_array_equal(slots.cat_target[b, :n], plan.cat_target[positions])
+            np.testing.assert_array_equal(slots.cont[b, :n], plan.value_is_continuous[positions])
+            np.testing.assert_array_equal(slots.cont_target[b, :n], plan.cont_target[positions])
+            # a padding entry masks no slot
+            assert not slots.rows[b, n:].any() and not slots.cont[b, n:].any() and not slots.cont_target[b, n:].any()
+            assert (slots.feature_target[b, n:] == -1).all() and (slots.cat_target[b, n:] == -1).all()
+        assert slots.rows.shape[1] == max(int((p.mask_feature | p.mask_value).sum()) for p in plans)
+
+    @settings(max_examples=60)
+    @given(random_plans(), st.integers(0, 2**16), st.floats(0.5, 4.0), st.floats(0.5, 2.0))
+    def test_loss_equals_full_row_loss(self, plans, seed, alpha, beta):
+        slots = masked_slots(plans)
+        rng = np.random.default_rng(seed)
+        b, length = len(plans), len(plans[0])
+        full = rng.standard_normal((b, length, 5)), rng.standard_normal((b, length, 3)), rng.standard_normal((b, length))
+        want = full_row_loss(plans, *full, alpha, beta)
+        if slots.rows.shape[1] == 0:
+            with pytest.raises(NoMaskedSlots):
+                mlvm_loss(outputs(slots, length, 5, 3, *full), slots, alpha, beta)
+            return
+        got = mlvm_loss(outputs(slots, length, 5, 3, *full), slots, alpha, beta)
+        assert (got.n_cat, got.n_cont) == want[3:5]
+        assert got.n_feature_slots == sum(int(p.mask_feature.sum()) for p in plans)
+        for value, expected in zip((got.l_f, got.l_cat, got.l_cont, got.l_total), want[:3] + want[5:]):
+            assert value == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
 class TestMlvmLoss:
     def test_perfect_predictions_zero_loss(self):
-        plan = make_plan(4, feature_targets={1: 2}, cat_targets={2: 1}, cont_targets={3: 0.25})
+        slots = masked_slots([make_plan(4, feature_targets={1: 2}, cat_targets={2: 1}, cont_targets={3: 0.25})])
         feature = np.zeros((1, 4, 5))
         feature[0, 1] = 1000.0 * np.eye(5)[2]
         cat = np.zeros((1, 4, 3))
         cat[0, 2] = 1000.0 * np.eye(3)[1]
         cont = np.zeros((1, 4))
         cont[0, 3] = 0.25
-        out = outputs(1, 4, 5, 3, feature, cat, cont)
-        breakdown = mlvm_loss(out, [plan])
+        breakdown = mlvm_loss(outputs(slots, 4, 5, 3, feature, cat, cont), slots)
         assert breakdown.l_f == 0.0
         assert breakdown.l_cat == 0.0
         assert breakdown.l_cont == 0.0
         assert breakdown.l_total == 0.0
 
     def test_uniform_feature_logits(self):
-        plan = make_plan(3, feature_targets={1: 0})
-        out = outputs(1, 3, 4, 3, feature=np.zeros((1, 3, 4)))
-        breakdown = mlvm_loss(out, [plan])
+        slots = masked_slots([make_plan(3, feature_targets={1: 0})])
+        breakdown = mlvm_loss(outputs(slots, 3, 4, 3, feature=np.zeros((1, 3, 4))), slots)
         assert breakdown.l_f == pytest.approx(np.log(4.0))
 
     def test_slot_counts(self):
-        plans = [make_plan(4, feature_targets={1: 0}, cat_targets={2: 1}),
-                 make_plan(4, cont_targets={1: 0.5, 3: -1.0})]
-        breakdown = mlvm_loss(outputs(2, 4, 5, 3), plans)
+        slots = masked_slots([make_plan(4, feature_targets={1: 0}, cat_targets={2: 1}),
+                              make_plan(4, cont_targets={1: 0.5, 3: -1.0})])
+        breakdown = mlvm_loss(outputs(slots, 4, 5, 3), slots)
         assert breakdown.n_cat == 1
         assert breakdown.n_cont == 2
         assert breakdown.n_feature_slots == 1
 
     def test_no_masked_slots(self):
+        slots = masked_slots([make_plan(4)])
+        assert slots.rows.shape == (1, 0)
         with pytest.raises(NoMaskedSlots):
-            mlvm_loss(outputs(1, 4, 5, 3), [make_plan(4)])
+            mlvm_loss(outputs(slots, 4, 5, 3), slots)
 
     def test_zero_count_value_terms_no_nan(self):
-        plan = make_plan(4, feature_targets={1: 0})
-        breakdown = mlvm_loss(outputs(1, 4, 5, 3), [plan])
+        slots = masked_slots([make_plan(4, feature_targets={1: 0})])
+        breakdown = mlvm_loss(outputs(slots, 4, 5, 3), slots)
         assert breakdown.l_cat == 0.0 and breakdown.l_cont == 0.0
         assert np.isfinite(breakdown.l_total)
         assert breakdown.l_total == pytest.approx(breakdown.l_f)
 
     def test_total_matches_plain_combination(self):
-        plans = [make_plan(6, feature_targets={1: 0, 2: 3}, cat_targets={3: 2},
-                           cont_targets={4: 1.5, 5: -0.5})]
-        breakdown = mlvm_loss(outputs(1, 6, 5, 4), plans, alpha=3.0, beta=1.0)
+        slots = masked_slots([make_plan(6, feature_targets={1: 0, 2: 3}, cat_targets={3: 2},
+                                        cont_targets={4: 1.5, 5: -0.5})])
+        breakdown = mlvm_loss(outputs(slots, 6, 5, 4), slots, alpha=3.0, beta=1.0)
         assert breakdown.l_total == pytest.approx(
             combine_losses(breakdown.l_f, breakdown.l_cat, breakdown.n_cat,
                            breakdown.l_cont, breakdown.n_cont, 3.0, 1.0))
 
     def test_gradients_match_central_differences(self):
-        plans = [make_plan(5, feature_targets={1: 0}, cat_targets={2: 1},
-                           cont_targets={3: 0.75})]
-        out = outputs(1, 5, 4, 3)
+        slots = masked_slots([make_plan(5, feature_targets={1: 0}, cat_targets={2: 1},
+                                        cont_targets={3: 0.75})])
+        out = outputs(slots, 5, 4, 3)
 
         def loss():
-            return mlvm_loss(out, plans, alpha=3.0, beta=1.0).node
+            return mlvm_loss(out, slots, alpha=3.0, beta=1.0).node
 
         node = loss()
         ad.backward(node)
@@ -147,20 +225,25 @@ class TestMlvmLoss:
             np.testing.assert_allclose(analytic.reshape(-1), numeric, atol=1e-6, rtol=1e-6)
 
     def test_longer_plans_cut_to_the_outputs(self):
+        """A plan covering more positions than its batch keeps gives the same slots and loss."""
         targets = dict(feature_targets={1: 0}, cat_targets={2: 1}, cont_targets={3: 0.5})
-        out = outputs(1, 4, 5, 3)
-        cut = mlvm_loss(out, [make_plan(10, **targets)])
-        exact = mlvm_loss(out, [make_plan(4, **targets)])
-        assert (cut.l_total, cut.n_cat, cut.n_cont) == (exact.l_total, exact.n_cat, exact.n_cont)
+        long, exact = masked_slots([make_plan(10, **targets)]), masked_slots([make_plan(4, **targets)])
+        for name in ("rows", "feature_target", "cat_target", "cont", "cont_target"):
+            np.testing.assert_array_equal(getattr(long, name), getattr(exact, name))
+        cut = mlvm_loss(outputs(long, 4, 5, 3), long)
+        want = mlvm_loss(outputs(exact, 4, 5, 3), exact)
+        assert (cut.l_total, cut.n_cat, cut.n_cont) == (want.l_total, want.n_cat, want.n_cont)
 
     @pytest.mark.parametrize("plan", [
-        make_plan(3, feature_targets={1: 0}),        # shorter than the outputs
-        make_plan(6, feature_targets={4: 0}),        # masks a feature past the outputs
-        make_plan(6, cont_targets={1: 0.5, 5: 1.0}),  # masks a value past the outputs
+        make_plan(3, feature_targets={1: 0}),        # one slot
+        make_plan(6, feature_targets={4: 0}),        # one slot, past the outputs' length
+        make_plan(6, cont_targets={1: 0.5, 5: 1.0}),  # two slots
     ])
-    def test_plan_length_mismatch_rejected(self, plan):
+    def test_outputs_not_at_the_slots_rejected(self, plan):
+        """Full-row (1, 4, ·) outputs are refused: they are not one row per slot entry."""
+        full = tuple(ad.parameter(np.zeros(shape), "o") for shape in ((1, 4, 5), (1, 4, 3), (1, 4)))
         with pytest.raises(ShapeMismatch):
-            mlvm_loss(outputs(1, 4, 5, 3), [plan])
+            mlvm_loss(full, masked_slots([plan]))
 
 
 class TestFinetuneLoss:

@@ -1,8 +1,8 @@
 """Masked-row pre-training against the full-row loop kept in ``reference``.
 
 ``pretrain`` runs its top encoder layer and the heads on each batch's masked
-positions only. The reference runs every row of every layer through the
-heads and picks the masked slots from the full outputs. Corpora are drawn so
+positions only. The reference runs every row of every layer and takes the
+masked slots' rows from the final states before the heads. Corpora are drawn so
 that batches carry PAD and some windows are truncated. Every ``LossRow``
 and every final parameter must match within 1e-10 in float64 and 1e-5
 relative in float32 (relative to the largest parameter entry, since a key
@@ -19,12 +19,11 @@ from hypothesis import strategies as st
 
 from icuseq import autodiff as ad
 from icuseq import training
-from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig
 from icuseq.errors import IcuseqError
 from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_event_lines
-from icuseq.masking import MaskingRates, apply_masking, plan_masking
-from icuseq.objective import masked_rows, mlvm_loss
+from icuseq.masking import MaskingRates
+from icuseq.objective import MaskedSlots, mlvm_loss
 from icuseq.synth import GeneratorSpec, generate_lines
 from icuseq.textvec import StubProvider
 from icuseq.training import Model, ModelConfig, TrainConfig, pretrain
@@ -66,7 +65,7 @@ def run_pretrain(corpus, vocab, config, cfg, dtype, rates=MaskingRates()):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Model, "pretrain_outputs", recording)
         mp.setattr(Model, "build", classmethod(lambda cls, c, seed, _=None: build(cls, c, seed, dtype)))
-        mp.setattr(training, "encode_batch", functools.partial(encode_batch, dtype=dtype))
+        mp.setattr(training, "_masked_batch", functools.partial(training._masked_batch, dtype=dtype))
         result = pretrain(corpus, vocab, PROVIDER, config, cfg, rates)
     return result.model, result.rows, [rng.random() for rng in drawn]
 
@@ -106,7 +105,7 @@ class TestPretrainGolden:
     def test_rows_parameters_and_streams(self, dtype, run):
         try:
             want = run_reference(*run[:4], dtype, run[4])
-        except IcuseqError as exc:  # a batch with no masked slot, say: the masked-row path fails alike
+        except IcuseqError as exc:  # an epoch without a masked slot, say: the masked-row path fails alike
             event(f"both raise {type(exc).__name__}")
             with pytest.raises(type(exc)):
                 run_pretrain(*run[:4], dtype, run[4])
@@ -157,39 +156,36 @@ PAD_MODEL = Model.build(golden_setup()[2], seed=5, dtype=np.float64)
 
 @st.composite
 def padded_rows(draw):
-    """A masked batch's (rows, valid) with extra invalid entries at drawn places and positions."""
+    """A masked batch's slots, and the same slots widened by padding entries at drawn places and positions."""
     corpus, vocab, _, _ = golden_setup()
     windows = training.prepare_windows(corpus, Split.TRAIN, vocab, 1440, 32)
     picked = draw(st.lists(st.integers(0, len(windows) - 1), min_size=1, max_size=4))
     seed = draw(st.integers(0, 2**16))
-    rates = MaskingRates(select=0.4)
-    plans = [plan_masking(windows[i], np.random.default_rng([seed, j]), rates) for j, i in enumerate(picked)]
-    masked = [apply_masking(windows[i], p, vocab, np.random.default_rng([seed, j, 1]))
-              for j, (i, p) in enumerate(zip(picked, plans))]
-    batch = encode_batch(masked, PROVIDER, plans, dtype=np.float64)
+    rngs = [(np.random.default_rng([seed, j]), np.random.default_rng([seed, j, 1])) for j in range(len(picked))]
+    batch, slots = training._masked_batch([windows[i] for i in picked], rngs, vocab, PROVIDER,
+                                          MaskingRates(select=0.4), np.float64)
     length = batch.attention_mask.shape[1]
-    rows, valid = masked_rows(plans, length)
-    extra = draw(st.integers(1, 4))
-    wide_rows = np.zeros((len(plans), rows.shape[1] + extra), dtype=np.intp)
-    wide_valid = np.zeros(wide_rows.shape, dtype=bool)
-    for b in range(len(plans)):
-        real = rows[b][valid[b]]
-        slots = sorted(draw(st.lists(st.integers(0, wide_rows.shape[1] - 1), min_size=len(real),
-                                     max_size=len(real), unique=True)))
-        wide_rows[b] = draw(st.lists(st.integers(0, length - 1), min_size=wide_rows.shape[1],
-                                     max_size=wide_rows.shape[1]))
-        wide_rows[b, slots] = real
-        wide_valid[b, slots] = True
-    return batch, plans, (rows, valid), (wide_rows, wide_valid), seed
+    b, m = slots.rows.shape
+    width = m + draw(st.integers(1, 4))
+    wide = MaskedSlots(rows=np.zeros((b, width), dtype=np.intp), feature_target=np.full((b, width), -1),
+                       cat_target=np.full((b, width), -1), cont=np.zeros((b, width), dtype=bool),
+                       cont_target=np.zeros((b, width), dtype=np.float32))
+    for i in range(b):
+        real = int(((slots.feature_target[i] >= 0) | (slots.cat_target[i] >= 0) | slots.cont[i]).sum())
+        places = sorted(draw(st.lists(st.integers(0, width - 1), min_size=real, max_size=real, unique=True)))
+        wide.rows[i] = draw(st.lists(st.integers(0, length - 1), min_size=width, max_size=width))
+        for name in ("rows", "feature_target", "cat_target", "cont", "cont_target"):
+            getattr(wide, name)[i, places] = getattr(slots, name)[i, :real]
+    return batch, slots, wide, seed
 
 
-def masked_step(batch, plans, rows, valid, seed):
-    """Train-mode loss at ``rows``, every parameter gradient, and the generator's next draw."""
+def masked_step(batch, slots, seed):
+    """Train-mode loss at ``slots.rows``, every parameter gradient, and the generator's next draw."""
     params = PAD_MODEL.parameters()
     for t in params.values():
         t.zero_grad()
     rng = np.random.default_rng(seed)
-    loss = mlvm_loss(PAD_MODEL.pretrain_outputs(batch, "train", rng, rows), plans, rows=rows, valid=valid)
+    loss = mlvm_loss(PAD_MODEL.pretrain_outputs(batch, "train", rng, slots.rows), slots)
     ad.backward(loss.node)
     grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy() for n, t in params.items()}
     return loss, grads, rng.random()
@@ -198,11 +194,11 @@ def masked_step(batch, plans, rows, valid, seed):
 @settings(max_examples=40, deadline=None)
 @given(padded_rows())
 def test_invalid_padding_rows_change_nothing(case):
-    batch, plans, (rows, valid), (wide_rows, wide_valid), seed = case
-    if not valid.any():
+    batch, slots, wide, seed = case
+    if not slots.rows.shape[1]:
         return
-    loss, grads, after = masked_step(batch, plans, rows, valid, seed)
-    wide_loss, wide_grads, wide_after = masked_step(batch, plans, wide_rows, wide_valid, seed)
+    loss, grads, after = masked_step(batch, slots, seed)
+    wide_loss, wide_grads, wide_after = masked_step(batch, wide, seed)
     assert wide_after == after
     assert (wide_loss.n_feature_slots, wide_loss.n_cat, wide_loss.n_cont) == \
         (loss.n_feature_slots, loss.n_cat, loss.n_cont)

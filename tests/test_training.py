@@ -12,8 +12,9 @@ from icuseq import autodiff as ad
 from icuseq import training
 from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig
-from icuseq.errors import ConfigMismatch, DivergedLoss, FormatError, IcuseqError, InvalidSpec
+from icuseq.errors import ConfigMismatch, DivergedLoss, FormatError, IcuseqError, InvalidSpec, NoMaskedSlots
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
+from icuseq.masking import MaskingRates
 from icuseq.synth import GeneratorSpec, generate_lines, oracle_label
 from icuseq.textvec import StubProvider
 from icuseq.training import (
@@ -130,6 +131,48 @@ class TestPretrain:
                           for split in (Split.TRAIN, Split.VAL))
         assert n_val and len(sizes) == 3 * -(-n_train // 8) + -(-n_val // 8)
         assert sum(sizes) == 3 * n_train + n_val
+
+    def test_batches_without_a_masked_slot_are_skipped(self, monkeypatch):
+        """A train batch with nothing to predict takes no step, and a val batch with nothing is dropped."""
+        _, corpus, vocab, provider, config = small_setup()
+        passes, pretrain_outputs = [], Model.pretrain_outputs
+
+        def recording(model, batch, mode="eval", rng=None, rows=None):
+            passes.append(mode)
+            return pretrain_outputs(model, batch, mode, rng, rows)
+
+        monkeypatch.setattr(Model, "pretrain_outputs", recording)
+        result = pretrain(corpus, vocab, provider, config, TrainConfig(epochs=1, batch_size=1, lr=3e-4, seed=1),
+                          MaskingRates(select=0.02))
+        n_train, n_val = (len(prepare_windows(corpus, split, vocab, 1440, 48)) for split in (Split.TRAIN, Split.VAL))
+        assert 0 < passes.count("train") < n_train and 0 < passes.count("eval") < n_val
+        assert [r.split for r in result.rows] == ["train", "val"]
+        assert all(np.isfinite(r.l_total) for r in result.rows)
+
+    def test_an_epoch_without_a_masked_slot_raises(self):
+        _, corpus, vocab, provider, config = small_setup()
+        with pytest.raises(NoMaskedSlots):
+            pretrain(corpus, vocab, provider, config, TrainConfig(epochs=1, batch_size=8, lr=3e-4, seed=1),
+                     MaskingRates(select=1e-12))
+
+    def test_val_split_without_a_masked_slot_runs_every_epoch(self, monkeypatch):
+        """A val split whose batches all mask nothing behaves like one with no windows."""
+        _, corpus, vocab, provider, config = small_setup()
+        n_val_batches = -(-len(prepare_windows(corpus, Split.VAL, vocab, 1440, 48)) // 8)
+        calls, masked_slots = [], training.masked_slots
+
+        def val_masks_nothing(plans):  # the val batches are built first
+            calls.append(len(plans))
+            if len(calls) <= n_val_batches:
+                plans = [replace(p, mask_feature=np.zeros_like(p.mask_feature), mask_value=np.zeros_like(p.mask_value))
+                         for p in plans]
+            return masked_slots(plans)
+
+        monkeypatch.setattr(training, "masked_slots", val_masks_nothing)
+        cfg = TrainConfig(epochs=3, batch_size=8, lr=3e-4, seed=1, patience=0)
+        result = pretrain(corpus, vocab, provider, config, cfg)
+        assert n_val_batches and [(r.epoch, r.split) for r in result.rows] == [(1, "train"), (2, "train"), (3, "train")]
+        assert result.best_epoch == 0
 
     def test_diverged_loss_raised(self):
         _, corpus, vocab, provider, config = small_setup()
