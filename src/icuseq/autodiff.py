@@ -1,9 +1,11 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Just enough operator coverage for the embedding composition, the encoder
-stack, and the training losses. Gradients accumulate into ``Tensor.grad``
-after calling :func:`backward` on a scalar node; every op keeps the dtype of
-its inputs so the same graph runs in float32 for training and float64 for
+stack, and the training losses. Calling :func:`backward` on a scalar node
+accumulates gradients into the ``Tensor.grad`` of the leaves (nodes no op
+made, such as parameters) and releases the graph as it walks it, so one
+graph supports one :func:`backward`. Every op keeps the dtype of its inputs
+so the same graph runs in float32 for training and float64 for
 finite-difference checks. An op records its inputs and backward closure only
 when some input requires grad, so a forward over constants keeps no tape.
 """
@@ -16,7 +18,7 @@ import numpy as np
 from scipy import sparse
 from scipy.special import erf, expit
 
-from .errors import ShapeMismatch
+from .errors import GraphReleased, ShapeMismatch
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
@@ -87,8 +89,21 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return grad
 
 
+def _released(g: np.ndarray) -> None:
+    """The ``_backward`` of an interior node whose graph :func:`backward` has released; never run."""
+
+
 def backward(loss: Tensor) -> None:
-    """Reverse sweep from a scalar node, accumulating into leaf ``grad``s."""
+    """Reverse sweep from a scalar node, accumulating into leaf ``grad``s.
+
+    The sweep consumes the graph. Once an interior node's backward has run,
+    the node drops its ``grad`` and ``_parents``, and its ``_backward``
+    becomes a marker, so the tape's closures and activations are freed as
+    the sweep goes and nothing of the graph outlives the call. Leaves keep
+    their ``grad``. A later ``backward`` that reaches a released node, from
+    the same loss or from a new graph built on it, raises ``GraphReleased``
+    before any gradient is accumulated.
+    """
     if loss.data.shape != ():
         raise ShapeMismatch(f"backward expects a scalar, got shape {loss.data.shape}")
     topo: list[Tensor] = []
@@ -101,15 +116,21 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in visited:
             continue
+        if node._backward is _released:
+            raise GraphReleased("backward through a graph that an earlier backward released")
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
+    while topo:
+        node = topo.pop()
+        if node._backward is None:  # a leaf keeps its gradient
+            continue
+        if node.grad is not None:
             node._backward(node.grad)
+        node.grad, node._backward, node._parents = None, _released, ()
 
 
 # ---------------------------------------------------------------------------
@@ -161,6 +182,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             b.accumulate(_unbroadcast(gb, b.data.shape))
 
     return _make(out, (a, b), bwd)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``x @ w + b`` as one node: the bias is added in place into the product.
+
+    ``t = x @ w; t += b`` equals ``x @ w + b`` bit for bit, and the backward
+    sums the bias gradient as :func:`add` does, so the node computes what
+    ``add(matmul(x, w), b)`` does without a second (..., n) array on the tape.
+    """
+    out = x.data @ w.data
+    out += b.data
+
+    def bwd(g):
+        if x.requires_grad:
+            x.accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
+        if w.requires_grad:
+            w.accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
+        if b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.data.shape))
+
+    return _make(out, (x, w, b), bwd)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -150,15 +150,15 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
     for i, layer in enumerate(params.layers):
         cut = rows if i == top else None  # the positions this layer outputs; None: every row
         h = x if cut is None else ad.take_rows(x, cut)
-        q = split_heads(ad.add(ad.matmul(h, layer.wq), layer.bq))
-        k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
-        v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
+        q = split_heads(ad.linear(h, layer.wq, layer.bq))
+        k = split_heads(ad.linear(x, layer.wk, layer.bk))
+        v = split_heads(ad.linear(x, layer.wv, layer.bv))
         heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, training, rows=cut)
         context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), h.shape)
-        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo), cut)
+        attn_out = drop(ad.linear(context, layer.wo, layer.bo), cut)
         x = ad.layer_norm(ad.add(h, attn_out), layer.ln1_gain, layer.ln1_bias)
-        inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2), cut)
+        inner = ad.gelu(ad.linear(x, layer.ffn_w1, layer.ffn_b1))
+        ffn_out = drop(ad.linear(inner, layer.ffn_w2, layer.ffn_b2), cut)
         x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
     return x
 
@@ -221,9 +221,9 @@ def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor
     """Feature logits, categorical logits, and continuous predictions for each row of (B, m, d) states."""
     if heads.mode != "pretrain":
         raise ModeMismatch("reconstruction outputs need the pre-training heads")
-    feature_logits = ad.add(ad.matmul(hidden, heads.feature_w), heads.feature_b)
-    cat_logits = ad.add(ad.matmul(hidden, heads.cat_w), heads.cat_b)
-    cont_pred = ad.squeeze_last(ad.add(ad.matmul(hidden, heads.cont_w), heads.cont_b))
+    feature_logits = ad.linear(hidden, heads.feature_w, heads.feature_b)
+    cat_logits = ad.linear(hidden, heads.cat_w, heads.cat_b)
+    cont_pred = ad.squeeze_last(ad.linear(hidden, heads.cont_w, heads.cont_b))
     return feature_logits, cat_logits, cont_pred
 
 
@@ -237,7 +237,7 @@ def task_output(cls_vec: Tensor, heads: HeadSet, mode: str = "eval",
     if heads.mode != "task":
         raise ModeMismatch("task output needs a task head")
     dropped = ad.dropout(cls_vec, heads.task_dropout, rng, training=(mode == "train"))
-    out = ad.add(ad.matmul(dropped, heads.task_w), heads.task_b)
+    out = ad.linear(dropped, heads.task_w, heads.task_b)
     if heads.task_w.shape[1] == 1:
         out = ad.squeeze_last(out)
     return out

@@ -69,6 +69,10 @@ class GradMismatch(IcuseqError):
         self.rel_err = rel_err
 
 
+class GraphReleased(IcuseqError):
+    pass
+
+
 class FormatError(IcuseqError):
     pass
 

@@ -1,10 +1,12 @@
 """Gradient checks for every tape op against central differences (float64)."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from icuseq import autodiff as ad
-from icuseq.errors import ShapeMismatch
+from icuseq.errors import GraphReleased, ShapeMismatch
 
 RNG = np.random.default_rng(7)
 
@@ -74,6 +76,95 @@ class TestMatmul:
 
     def test_four_dim(self):
         check_op(lambda a, b: weighted(ad.matmul(a, b)), (2, 2, 3, 4), (2, 2, 4, 3))
+
+
+def unfused_linear(x, w, b):
+    return ad.add(ad.matmul(x, w), b)
+
+
+class TestLinear:
+    @pytest.mark.parametrize("x_shape", [(3, 4), (2, 3, 4)])
+    def test_gradient(self, x_shape):
+        check_op(lambda x, w, b: weighted(ad.linear(x, w, b)), x_shape, (4, 5), (5,))
+
+    @pytest.mark.parametrize("x_shape", [(5, 4), (2, 3, 4)])
+    def test_equals_add_of_matmul(self, x_shape):
+        """Output and the x, w, b gradients equal the two-node chain's bit for bit; x also feeds a residual."""
+        results = []
+        for op in (ad.linear, unfused_linear):
+            rng = np.random.default_rng(5)
+            x, w, b = (ad.parameter(rng.standard_normal(s).astype(np.float32), n)
+                       for s, n in ((x_shape, "x"), ((4, 4), "w"), ((4,), "b")))
+            out = op(x, w, b)
+            ad.backward(weighted(ad.add(out, x)))
+            results.append([out.data, x.grad, w.grad, b.grad])
+        for fused, unfused in zip(*results):
+            assert fused.dtype == unfused.dtype == np.float32
+            assert fused.tobytes() == unfused.tobytes()
+
+
+def interior_nodes(loss):
+    """Every node with a backward that ``ad.backward(loss)`` would visit, ``loss`` included."""
+    seen, todo, found = {id(loss)}, [loss], [loss]
+    while todo:
+        for p in todo.pop()._parents:
+            if p.requires_grad and id(p) not in seen:
+                seen.add(id(p))
+                todo.append(p)
+                if p._backward is not None:
+                    found.append(p)
+    return found
+
+
+def small_net():
+    """Leaves, head outputs and loss of ``linear -> gelu -> linear`` on (2, 3, 4) inputs."""
+    rng = np.random.default_rng(3)
+    leaves = [ad.parameter(rng.standard_normal(s), n)
+              for s, n in (((2, 3, 4), "x"), ((4, 5), "w1"), ((5,), "b1"), ((5, 2), "w2"), ((2,), "b2"))]
+    x, w1, b1, w2, b2 = leaves
+    hidden_in = ad.linear(x, w1, b1)
+    heads = ad.linear(ad.gelu(hidden_in), w2, b2)
+    return leaves, hidden_in, heads, weighted(heads)
+
+
+class TestBackwardReleasesGraph:
+    def test_interior_nodes_are_emptied_and_leaves_keep_their_gradient(self):
+        leaves, _, _, loss = small_net()
+        interior = interior_nodes(loss)
+        assert len(interior) == 5  # linear, gelu, linear, mul, sum_all
+        ad.backward(loss)
+        for node in interior:
+            assert node.grad is None and node._parents == () and node._backward is ad._released
+        for leaf in leaves:
+            assert leaf.grad is not None and leaf.grad.shape == leaf.shape
+
+    def test_activations_are_freed_while_loss_and_heads_live(self):
+        _, hidden_in, heads, loss = small_net()
+        gelu_input = weakref.ref(hidden_in.data)
+        del hidden_in
+        assert gelu_input() is not None  # the tape holds it until backward
+        ad.backward(loss)
+        assert gelu_input() is None
+        assert heads.data.shape == (2, 3, 2) and np.isfinite(loss.item())
+
+    def test_second_backward_raises(self):
+        leaves, _, _, loss = small_net()
+        ad.backward(loss)
+        grads = [leaf.grad.copy() for leaf in leaves]
+        with pytest.raises(GraphReleased):
+            ad.backward(loss)
+        for leaf, grad in zip(leaves, grads):
+            assert leaf.grad.tobytes() == grad.tobytes()
+
+    def test_backward_through_a_released_node_raises_before_accumulating(self):
+        leaves, _, heads, loss = small_net()
+        ad.backward(loss)
+        grads = [leaf.grad.copy() for leaf in leaves]
+        again = ad.add(ad.sum_all(ad.mul(leaves[2], leaves[2])), ad.sum_all(heads))
+        with pytest.raises(GraphReleased):
+            ad.backward(again)
+        for leaf, grad in zip(leaves, grads):
+            assert leaf.grad.tobytes() == grad.tobytes()
 
 
 class TestShapes:
