@@ -47,9 +47,18 @@ class Tensor:
         return float(self.data)
 
     def accumulate(self, g: np.ndarray) -> None:
+        """Add ``g`` into ``grad``; the first gradient is copied into a fresh C-ordered array.
+
+        The copy is never an alias of ``g`` (:func:`add` hands one array to
+        both parents), and it is C-contiguous whatever ``g``'s strides, as
+        ``zeros_like`` then ``+=`` made it, so later products see the same
+        memory layout and round the same way.
+        """
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            self.grad = np.empty_like(self.data)
+            np.copyto(self.grad, g)
+        else:
+            self.grad += g
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -170,7 +179,47 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(out, (a,), bwd)
 
 
+def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
+    """``x @ w``, plus ``b`` added in place, for a 2-D ``w``: the body of :func:`linear` and :func:`matmul`.
+
+    BLAS runs one product over the ``(N, d_in)`` rows of ``x`` rather than
+    one per batch entry, and the weight gradient is one ``x2ᵀ @ g2`` rather
+    than a ``(..., d_in, n)`` stack summed over its leading axes. The
+    closure keeps no flattened copy of ``x``: the backward reshapes
+    ``x.data`` again, which is a view unless ``x`` is non-contiguous.
+    """
+    d_in, n = w.data.shape
+    if x.data.shape[-1:] != (d_in,):  # reshape alone would accept any size that d_in divides
+        raise ShapeMismatch(f"cannot multiply shape {x.data.shape} by {w.data.shape}")
+    out = x.data.reshape(-1, d_in) @ w.data
+    if b is not None:
+        out += b.data
+    out = out.reshape(x.data.shape[:-1] + (n,))
+
+    def bwd(g):
+        g2 = g.reshape(-1, n)
+        if x.requires_grad:
+            x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
+        if w.requires_grad:
+            w.accumulate(x.data.reshape(-1, d_in).T @ g2)
+        if b is not None and b.requires_grad:
+            b.accumulate(_unbroadcast(g, b.data.shape))
+
+    return _make(out, (x, w) if b is None else (x, w, b), bwd)
+
+
 def matmul(a: Tensor, b: Tensor) -> Tensor:
+    """``a @ b`` with numpy's broadcasting; a 2-D ``b`` runs as one product over all rows of ``a``.
+
+    For a 2-D ``b``, ``a`` is flattened to ``(N, d_in)`` as in :func:`linear`.
+    Where each batch entry of ``a`` has at least two rows, the output and
+    ``a``'s gradient equal the per-entry ``a[i] @ b`` bit for bit; where an
+    entry has one row, BLAS runs another kernel for it and they differ at
+    float32 rounding. ``b``'s gradient is one ``a2ᵀ @ g2`` instead of a sum of
+    per-entry products, so it differs from that sum at rounding.
+    """
+    if b.data.ndim == 2:
+        return _dense(a, b, None)
     out = a.data @ b.data
 
     def bwd(g):
@@ -185,24 +234,18 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` as one node: the bias is added in place into the product.
+    """``x @ w + b`` for a 2-D ``w`` as one node: one product over all rows, the bias added in place.
 
-    ``t = x @ w; t += b`` equals ``x @ w + b`` bit for bit, and the backward
-    sums the bias gradient as :func:`add` does, so the node computes what
-    ``add(matmul(x, w), b)`` does without a second (..., n) array on the tape.
+    ``x`` is flattened to ``(N, d_in)``, N the product of its leading
+    dimensions. The node computes what ``add(matmul(x, w), b)`` does, bit
+    for bit, without a second ``(..., n)`` array on the tape. Against
+    per-entry products ``x[i] @ w``, the output and ``x``'s gradient are
+    bit-identical where each entry has at least two rows and differ at
+    float32 rounding where it has one, and ``w``'s gradient differs at
+    rounding (see :func:`matmul`). ``b``'s gradient is summed as
+    :func:`add` sums it.
     """
-    out = x.data @ w.data
-    out += b.data
-
-    def bwd(g):
-        if x.requires_grad:
-            x.accumulate(_unbroadcast(g @ w.data.swapaxes(-1, -2), x.data.shape))
-        if w.requires_grad:
-            w.accumulate(_unbroadcast(x.data.swapaxes(-1, -2) @ g, w.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
-
-    return _make(out, (x, w, b), bwd)
+    return _dense(x, w, b)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -308,6 +308,14 @@ class AdamW:
             p.zero_grad()
 
     def step(self, lr: float) -> None:
+        """One update of every parameter with a gradient.
+
+        The moments are updated in place and the update is built in two
+        scratch arrays per parameter, in the order of
+        ``p - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``. Each
+        parameter's ``data`` is then rebound to a new array, never written
+        in place, so an array shared with another model is left as it was.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
@@ -317,14 +325,22 @@ class AdamW:
                 continue
             m = self._m[name]
             v = self._v[name]
+            update = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))  # in the parameter's dtype
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            m += update
+            np.multiply(g, g, out=update)
+            update *= 1.0 - self.beta2
             v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            v += update
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bc1, out=update)
+            update /= denom
             if self.weight_decay:
-                update = update + self.weight_decay * p.data
-            p.data = p.data - (lr * update).astype(p.data.dtype)
+                update += np.multiply(p.data, self.weight_decay, out=denom)
+            update *= lr
+            p.data = p.data - update
 
 
 def linear_lr(base_lr: float, epoch: int, total_epochs: int, warmup_epochs: int) -> float:

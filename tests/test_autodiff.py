@@ -103,6 +103,104 @@ class TestLinear:
             assert fused.tobytes() == unfused.tobytes()
 
 
+def per_entry_product(x, w):
+    """``x[i] @ w`` for every batch entry ``i`` of ``x``'s leading axes: one 2-D product each."""
+    lead = x.shape[:-2]
+    out = np.empty(x.shape[:-1] + w.shape[-1:], dtype=x.dtype)
+    for i in np.ndindex(*lead):
+        out[i] = x[i] @ w
+    return out
+
+
+def batched_sum_weight_grad(x, g):
+    """The weight gradient as it was formed before the flattened product: per-entry ``xᵀ @ g`` summed over entries."""
+    gw = x.swapaxes(-1, -2) @ g
+    while gw.ndim > 2:
+        gw = gw.sum(axis=0)
+    return gw
+
+
+DENSE_OPS = {"linear": ad.linear, "matmul": lambda x, w, b: ad.matmul(x, w)}
+
+
+class TestFlattenedProduct:
+    """``linear`` and ``matmul`` with a 2-D right factor run one product over all rows of ``x``."""
+
+    @pytest.mark.parametrize("op", DENSE_OPS)
+    def test_gradient_of_a_four_dim_input(self, op):
+        check_op(lambda x, w, b: weighted(DENSE_OPS[op](x, w, b)), (2, 3, 2, 4), (4, 5), (5,))
+
+    @pytest.mark.parametrize("op", DENSE_OPS)
+    def test_gradient_of_a_non_contiguous_input(self, op):
+        def loss(x, w, b):
+            view = ad.transpose(x, (0, 2, 1))  # (2, 4, 3) -> a (2, 3, 4) view that reshape must copy
+            assert not view.data.flags.c_contiguous
+            return weighted(DENSE_OPS[op](view, w, b))
+
+        check_op(loss, (2, 4, 3), (4, 5), (5,))
+
+    @pytest.mark.parametrize("op", DENSE_OPS)
+    def test_gradient_with_a_constant_input(self, op):
+        x = ad.constant(np.random.default_rng(1).standard_normal((2, 3, 4)))
+        check_op(lambda w, b: weighted(DENSE_OPS[op](x, w, b)), (4, 5), (5,))
+        assert x.grad is None
+
+    def test_rejects_a_width_mismatch(self):
+        x, w = ad.parameter(np.ones((2, 3, 4)), "x"), ad.parameter(np.ones((6, 5)), "w")
+        with pytest.raises(ShapeMismatch):  # 24 entries would reshape to (4, 6) without the check
+            ad.matmul(x, w)
+
+    @pytest.mark.parametrize("op", DENSE_OPS)
+    @pytest.mark.parametrize("x_shape", [(3, 2, 8), (4, 7, 64), (2, 3, 5, 32), (8, 20, 96)])
+    def test_rows_equal_the_per_entry_product(self, op, x_shape):
+        """In float32 the output and x's gradient equal ``x[i] @ w`` and ``g[i] @ wᵀ`` bit for bit when each entry has 2+ rows."""
+        rng = np.random.default_rng(11)
+        d, n = x_shape[-1], 24
+        x = ad.parameter(rng.standard_normal(x_shape).astype(np.float32), "x")
+        w = ad.parameter(rng.standard_normal((d, n)).astype(np.float32), "w")
+        b = ad.parameter(np.zeros(n, dtype=np.float32), "b")
+        g = rng.standard_normal(x_shape[:-1] + (n,)).astype(np.float32)
+        out = DENSE_OPS[op](x, w, b)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert out.data.tobytes() == per_entry_product(x.data, w.data).tobytes()
+        assert x.grad.tobytes() == per_entry_product(g, w.data.T).tobytes()
+
+    @pytest.mark.parametrize("x_shape", [(3, 1, 8), (4, 7, 64), (2, 3, 5, 32), (8, 20, 96)])
+    def test_weight_gradient_is_the_batched_sum_up_to_rounding(self, x_shape):
+        """Only the summation order changes: both sums of the N row products are within (N + 1)·eps·Σ|terms|."""
+        rng = np.random.default_rng(12)
+        d, n = x_shape[-1], 24
+        x = ad.constant(rng.standard_normal(x_shape).astype(np.float32))
+        w = ad.parameter(rng.standard_normal((d, n)).astype(np.float32), "w")
+        g = rng.standard_normal(x_shape[:-1] + (n,)).astype(np.float32)
+        ad.backward(ad.sum_all(ad.mul(ad.matmul(x, w), ad.constant(g))))
+        x2, g2 = x.data.reshape(-1, d).astype(np.float64), g.reshape(-1, n).astype(np.float64)
+        rows = x2.shape[0]
+        bound = (rows + 1) * np.finfo(np.float32).eps * (np.abs(x2).T @ np.abs(g2))
+        assert np.all(np.abs(w.grad - batched_sum_weight_grad(x.data, g)) <= bound)
+
+
+class TestAccumulate:
+    def test_first_gradient_is_a_c_ordered_copy(self):
+        t = ad.parameter(np.zeros((3, 4), dtype=np.float32), "t")
+        g = np.arange(12, dtype=np.float32).reshape(4, 3).T  # a transposed view
+        before = g.copy()
+        t.accumulate(g)
+        assert t.grad.flags.c_contiguous and not np.shares_memory(t.grad, g)
+        assert t.grad.tobytes() == before.tobytes()
+        t.accumulate(g)
+        np.testing.assert_array_equal(t.grad, 2 * before)
+        np.testing.assert_array_equal(g, before)
+
+    def test_add_hands_each_parent_its_own_gradient(self):
+        """``add``'s backward passes one array to both parents: ``add(x, x)`` gives 2g and leaves ``y``'s g alone."""
+        x, y = ad.parameter(np.array([1.0, -2.0, 3.0]), "x"), ad.parameter(np.array([0.0, 1.0, 2.0]), "y")
+        g = np.array([0.5, 2.0, -1.0])
+        ad.backward(ad.sum_all(ad.mul(ad.add(ad.add(x, x), y), ad.constant(g))))
+        np.testing.assert_array_equal(x.grad, 2 * g)
+        np.testing.assert_array_equal(y.grad, g)
+
+
 def interior_nodes(loss):
     """Every node with a backward that ``ad.backward(loss)`` would visit, ``loss`` included."""
     seen, todo, found = {id(loss)}, [loss], [loss]

@@ -70,6 +70,37 @@ class TestOptimizer:
             opt.step(0.1)
         assert w.data[0] < 1.0
 
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_in_place_step_equals_the_temporary_formula(self, weight_decay):
+        """Five float32 steps equal, byte for byte, the formula written with a temporary per operation."""
+        rng = np.random.default_rng(4)
+        start = {"a": rng.standard_normal((6, 5)), "b": rng.standard_normal(5)}
+        grads = [{k: rng.standard_normal(v.shape).astype(np.float32) for k, v in start.items()} for _ in range(5)]
+        params = {k: ad.parameter(v.astype(np.float32), k) for k, v in start.items()}
+        opt = AdamW(params, weight_decay=weight_decay)
+        expected = {k: v.astype(np.float32) for k, v in start.items()}
+        m = {k: np.zeros_like(v) for k, v in expected.items()}
+        v = {k: np.zeros_like(x) for k, x in expected.items()}
+        beta1, beta2, eps = 0.9, 0.999, 1e-8
+        for t, (step_grads, lr) in enumerate(zip(grads, (1e-3, 5e-4, 2e-3, 1e-3, 3e-4)), start=1):
+            for k, p in params.items():
+                p.grad = step_grads[k].copy()
+            opt.step(lr)
+            bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
+            for k, g in step_grads.items():
+                m[k] *= beta1
+                m[k] += (1.0 - beta1) * g
+                v[k] *= beta2
+                v[k] += (1.0 - beta2) * (g * g)
+                update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+                if weight_decay:
+                    update = update + weight_decay * expected[k]
+                expected[k] = expected[k] - (lr * update).astype(expected[k].dtype)
+        for k, p in params.items():
+            assert p.data.dtype == np.float32
+            assert p.data.tobytes() == expected[k].tobytes()
+            assert p.grad.tobytes() == grads[-1][k].tobytes()  # the step reads the gradient, never writes it
+
 
 class TestSchedule:
     def test_warmup_then_decay(self):
@@ -376,6 +407,41 @@ class TestPaddingInvariance:
                                   "binary", batch_size=len(token_lists))
         alone = predict_scores(INVARIANCE_MODEL, samples(longest), INVARIANCE_PROVIDER, "binary", batch_size=1)
         np.testing.assert_allclose(together, alone, atol=1e-6, rtol=0)
+
+
+FLOAT32_MODEL = Model.build(ModelConfig(
+    encoder=EncoderConfig(layers=2, hidden=64, heads=4, ffn_dim=64, max_seq_len=64, dropout=0.1),
+    d_pre=8, window_minutes=1440, feature_vocab=10, value_vocab=6, head_mode="task",
+), seed=0)
+SCORE_BOUND = 1e-5  # absolute, on probabilities: the benchmark's batch-1 vs batch-N tolerance
+
+
+class TestFloat32ScoreInvariance:
+    """In the training dtype, scores move at most at float32 rounding with the batch size or the PAD suffix.
+
+    Batch size and padding change how many rows each dense product runs
+    over; a product over a single row (the CLS-only top layer of a batch of
+    one) runs another BLAS kernel, which rounds differently.
+    """
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(window_tokens, min_size=2, max_size=6))
+    def test_batch_one_equals_batch_n(self, token_lists):
+        longest = max(len(t) for t in token_lists) + 1
+        samples = [Sample([window_of(t, longest)], 0) for t in token_lists]
+        together = predict_scores(FLOAT32_MODEL, samples, INVARIANCE_PROVIDER, "binary", batch_size=len(samples))
+        alone = predict_scores(FLOAT32_MODEL, samples, INVARIANCE_PROVIDER, "binary", batch_size=1)
+        assert together.dtype == np.float32
+        assert np.max(np.abs(together - alone)) <= SCORE_BOUND
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(window_tokens, min_size=1, max_size=4), st.integers(1, 24))
+    def test_pad_rows_do_not_move_scores(self, token_lists, extra):
+        def scores(extra_cap):
+            return predict_scores(FLOAT32_MODEL, [Sample([window_of(t, len(t) + 1 + extra_cap)], 0) for t in token_lists],
+                                  INVARIANCE_PROVIDER, "binary", batch_size=1)
+
+        assert np.max(np.abs(scores(extra) - scores(0))) <= SCORE_BOUND
 
 
 CHECKPOINT_CONFIGS = st.builds(
