@@ -1,13 +1,19 @@
 """Minimal reverse-mode tape over numpy arrays.
 
 Just enough operator coverage for the embedding composition, the encoder
-stack, and the training losses. Calling :func:`backward` on a scalar node
-accumulates gradients into the ``Tensor.grad`` of the leaves (nodes no op
-made, such as parameters) and releases the graph as it walks it, so one
-graph supports one :func:`backward`. Every op keeps the dtype of its inputs
-so the same graph runs in float32 for training and float64 for
-finite-difference checks. An op records its inputs and backward closure only
-when some input requires grad, so a forward over constants keeps no tape.
+stack, and the training losses. A :class:`Tensor` pairs a value with its
+tape entry, a :class:`_Node`: the node holds the gradient and, for an op's
+output, the parent nodes and the backward closure, but never the value. Each
+closure saves only the arrays its backward reads, so an op output that no
+backward reads (a linear output fed to dropout, a sum fed to layer norm) is
+freed as soon as the caller drops its Tensor. Calling :func:`backward` on a
+scalar walks the nodes, accumulates gradients into the ``grad`` of the
+leaves (nodes no op made, such as parameters) and releases the graph as it
+walks it, so one graph supports one :func:`backward`. Every op keeps the
+dtype of its inputs so the same graph runs in float32 for training and
+float64 for finite-difference checks. An op records its parents and backward
+closure only when some input requires grad, so a forward over constants
+keeps no tape.
 """
 
 from __future__ import annotations
@@ -24,48 +30,102 @@ _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
 
 
-class Tensor:
-    __slots__ = ("data", "grad", "requires_grad", "name", "_parents", "_backward")
+class _Node:
+    """The tape entry of one value: its gradient and, for an op's output, its parent nodes and backward.
 
-    def __init__(self, data, requires_grad: bool = False, name: str = ""):
-        self.data = np.asarray(data)
+    The node never holds the value; ``shape`` and ``dtype`` describe it so
+    that a gradient can be allocated once the value is gone.
+    """
+
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+
+    def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
-        self.name = name
-        self._parents: tuple[Tensor, ...] = ()
+        self._parents: tuple[_Node, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.data.shape
-
-    @property
-    def dtype(self):
-        return self.data.dtype
-
-    def item(self) -> float:
-        return float(self.data)
+        self.shape = shape
+        self.dtype = dtype
 
     def accumulate(self, g: np.ndarray) -> None:
         """Add ``g`` into ``grad``; the first gradient is copied into a fresh C-ordered array.
 
         The copy is never an alias of ``g`` (:func:`add` hands one array to
-        both parents), and it is C-contiguous whatever ``g``'s strides, as
-        ``zeros_like`` then ``+=`` made it, so later products see the same
-        memory layout and round the same way.
+        both parents), and it is C-contiguous whatever ``g``'s strides, so
+        later products see the same memory layout and round the same way.
         """
         if self.grad is None:
-            self.grad = np.empty_like(self.data)
+            self.grad = np.empty(self.shape, self.dtype)
             np.copyto(self.grad, g)
         else:
             self.grad += g
 
+
+class Tensor:
+    """A value (``data``) and its tape entry (a :class:`_Node`), to which the gradient attributes delegate."""
+
+    __slots__ = ("_data", "name", "_node")
+
+    def __init__(self, data, requires_grad: bool = False, name: str = ""):
+        arr = np.asarray(data)
+        self._data = arr
+        self.name = name
+        self._node = _Node(arr.shape, arr.dtype, requires_grad)
+
+    @property
+    def data(self) -> np.ndarray:
+        return self._data
+
+    @data.setter
+    def data(self, value: np.ndarray) -> None:
+        """Rebind the value; the node's shape and dtype follow it."""
+        self._data = value
+        self._node.shape, self._node.dtype = value.shape, value.dtype
+
+    @property
+    def grad(self) -> Optional[np.ndarray]:
+        return self._node.grad
+
+    @grad.setter
+    def grad(self, value: Optional[np.ndarray]) -> None:
+        self._node.grad = value
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node.requires_grad
+
+    @requires_grad.setter
+    def requires_grad(self, value: bool) -> None:
+        self._node.requires_grad = value
+
+    @property
+    def _parents(self) -> tuple[_Node, ...]:
+        return self._node._parents
+
+    @property
+    def _backward(self) -> Optional[Callable[[np.ndarray], None]]:
+        return self._node._backward
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return self._data.shape
+
+    @property
+    def dtype(self):
+        return self._data.dtype
+
+    def item(self) -> float:
+        return float(self._data)
+
+    def accumulate(self, g: np.ndarray) -> None:
+        self._node.accumulate(g)
+
     def zero_grad(self) -> None:
-        self.grad = None
+        self._node.grad = None
 
     def __repr__(self) -> str:
         tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self.data.shape}, dtype={self.data.dtype})"
+        return f"Tensor{tag}(shape={self._data.shape}, dtype={self._data.dtype})"
 
 
 def parameter(data: np.ndarray, name: str) -> Tensor:
@@ -80,12 +140,19 @@ def constant(data, dtype=None) -> Tensor:
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward: Callable[[np.ndarray], None]) -> Tensor:
+    """The op output ``data``, linked to its parents' nodes when one of them requires grad."""
     out = Tensor(data)
     if any(p.requires_grad for p in parents):
-        out.requires_grad = True
-        out._parents = tuple(parents)
-        out._backward = backward
+        node = out._node
+        node.requires_grad = True
+        node._parents = tuple(p._node for p in parents)
+        node._backward = backward
     return out
+
+
+def _grad_node(t: Tensor) -> Optional[_Node]:
+    """``t``'s node if it requires grad, else None: what a closure captures to accumulate into."""
+    return t._node if t.requires_grad else None
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -105,19 +172,20 @@ def _released(g: np.ndarray) -> None:
 def backward(loss: Tensor) -> None:
     """Reverse sweep from a scalar node, accumulating into leaf ``grad``s.
 
-    The sweep consumes the graph. Once an interior node's backward has run,
-    the node drops its ``grad`` and ``_parents``, and its ``_backward``
-    becomes a marker, so the tape's closures and activations are freed as
-    the sweep goes and nothing of the graph outlives the call. Leaves keep
-    their ``grad``. A later ``backward`` that reaches a released node, from
-    the same loss or from a new graph built on it, raises ``GraphReleased``
-    before any gradient is accumulated.
+    The sweep walks nodes and consumes the graph. Once an interior node's
+    backward has run, the node drops its ``grad`` and ``_parents``, and its
+    ``_backward`` becomes a marker, so the closures and the arrays they saved
+    are freed as the sweep goes and nothing of the graph outlives the call.
+    Leaves keep their ``grad``. A later ``backward`` that reaches a released
+    node, from the same loss or from a new graph built on it, raises
+    ``GraphReleased`` before any gradient is accumulated.
     """
     if loss.data.shape != ():
         raise ShapeMismatch(f"backward expects a scalar, got shape {loss.data.shape}")
-    topo: list[Tensor] = []
+    root = loss._node
+    topo: list[_Node] = []
     visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
         if processed:
@@ -132,7 +200,7 @@ def backward(loss: Tensor) -> None:
         for p in node._parents:
             if p.requires_grad and id(p) not in visited:
                 stack.append((p, False))
-    loss.grad = np.ones_like(loss.data)
+    root.grad = np.ones_like(loss.data)
     while topo:
         node = topo.pop()
         if node._backward is None:  # a leaf keeps its gradient
@@ -148,33 +216,39 @@ def backward(loss: Tensor) -> None:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = a.data + b.data
+    an, bn = _grad_node(a), _grad_node(b)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g, an.shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, bn.shape))
 
     return _make(out, (a, b), bwd)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = a.data * b.data
+    an, bn = _grad_node(a), _grad_node(b)
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate(_unbroadcast(g * b.data, a.data.shape))
-        if b.requires_grad:
-            b.accumulate(_unbroadcast(g * a.data, b.data.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g * b_data, an.shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g * a_data, bn.shape))
 
     return _make(out, (a, b), bwd)
 
 
 def scale(a: Tensor, c: float) -> Tensor:
-    out = a.data * a.data.dtype.type(c)
+    c = a.data.dtype.type(c)
+    out = a.data * c
+    an = a._node
 
     def bwd(g):
-        a.accumulate(g * a.data.dtype.type(c))
+        an.accumulate(g * c)
 
     return _make(out, (a,), bwd)
 
@@ -185,8 +259,10 @@ def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
     BLAS runs one product over the ``(N, d_in)`` rows of ``x`` rather than
     one per batch entry, and the weight gradient is one ``x2ᵀ @ g2`` rather
     than a ``(..., d_in, n)`` stack summed over its leading axes. The
-    closure keeps no flattened copy of ``x``: the backward reshapes
-    ``x.data`` again, which is a view unless ``x`` is non-contiguous.
+    closure keeps ``x.data`` only if ``w`` needs a gradient and ``w.data``
+    only if ``x`` does, and no flattened copy of ``x``: the backward
+    reshapes ``x.data`` again, which is a view unless ``x`` is
+    non-contiguous.
     """
     d_in, n = w.data.shape
     if x.data.shape[-1:] != (d_in,):  # reshape alone would accept any size that d_in divides
@@ -195,15 +271,19 @@ def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
     if b is not None:
         out += b.data
     out = out.reshape(x.data.shape[:-1] + (n,))
+    xn, wn = _grad_node(x), _grad_node(w)
+    bn = None if b is None else _grad_node(b)
+    x_data = x.data if wn is not None else None
+    w_data = w.data if xn is not None else None
 
     def bwd(g):
         g2 = g.reshape(-1, n)
-        if x.requires_grad:
-            x.accumulate((g2 @ w.data.T).reshape(x.data.shape))
-        if w.requires_grad:
-            w.accumulate(x.data.reshape(-1, d_in).T @ g2)
-        if b is not None and b.requires_grad:
-            b.accumulate(_unbroadcast(g, b.data.shape))
+        if xn is not None:
+            xn.accumulate((g2 @ w_data.T).reshape(xn.shape))
+        if wn is not None:
+            wn.accumulate(x_data.reshape(-1, d_in).T @ g2)
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, bn.shape))
 
     return _make(out, (x, w) if b is None else (x, w, b), bwd)
 
@@ -221,14 +301,15 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if b.data.ndim == 2:
         return _dense(a, b, None)
     out = a.data @ b.data
+    an, bn = _grad_node(a), _grad_node(b)
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
 
     def bwd(g):
-        if a.requires_grad:
-            ga = g @ b.data.swapaxes(-1, -2)
-            a.accumulate(_unbroadcast(ga, a.data.shape))
-        if b.requires_grad:
-            gb = a.data.swapaxes(-1, -2) @ g
-            b.accumulate(_unbroadcast(gb, b.data.shape))
+        if an is not None:
+            an.accumulate(_unbroadcast(g @ b_data.swapaxes(-1, -2), an.shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(a_data.swapaxes(-1, -2) @ g, bn.shape))
 
     return _make(out, (a, b), bwd)
 
@@ -250,9 +331,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     out = a.data.reshape(shape)
+    an = a._node
 
     def bwd(g):
-        a.accumulate(g.reshape(a.data.shape))
+        an.accumulate(g.reshape(an.shape))
 
     return _make(out, (a,), bwd)
 
@@ -260,9 +342,10 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     out = a.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
+    an = a._node
 
     def bwd(g):
-        a.accumulate(g.transpose(inverse))
+        an.accumulate(g.transpose(inverse))
 
     return _make(out, (a,), bwd)
 
@@ -276,13 +359,14 @@ def gather_rows(table: Tensor, idx: np.ndarray) -> Tensor:
     """
     idx = np.asarray(idx)
     out = table.data[idx]
+    tn = table._node
 
     def bwd(g):
         flat = idx.reshape(-1)
-        n_rows, width = table.data.shape
+        n_rows, width = tn.shape
         one_hot = sparse.csr_array((np.ones(flat.size, dtype=g.dtype), flat, np.arange(flat.size + 1)),
                                    shape=(flat.size, n_rows))
-        table.accumulate(one_hot.T @ g.reshape(-1, width))
+        tn.accumulate(one_hot.T @ g.reshape(-1, width))
 
     return _make(out, (table,), bwd)
 
@@ -293,12 +377,13 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeMismatch(f"cannot stack rows of shapes {a.data.shape} and {b.data.shape}")
     out = np.concatenate([a.data, b.data])
     split = a.data.shape[0]
+    an, bn = _grad_node(a), _grad_node(b)
 
     def bwd(g):
-        if a.requires_grad:
-            a.accumulate(g[:split])
-        if b.requires_grad:
-            b.accumulate(g[split:])
+        if an is not None:
+            an.accumulate(g[:split])
+        if bn is not None:
+            bn.accumulate(g[split:])
 
     return _make(out, (a, b), bwd)
 
@@ -306,11 +391,12 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
 def take_position(a: Tensor, pos: int) -> Tensor:
     """Slice position ``pos`` along axis 1 of a (B, L, d) tensor."""
     out = a.data[:, pos, :]
+    an = a._node
 
     def bwd(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(an.shape, an.dtype)
         grad[:, pos, :] = g
-        a.accumulate(grad)
+        an.accumulate(grad)
 
     return _make(out, (a,), bwd)
 
@@ -328,20 +414,22 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     """
     rows = np.asarray(rows)
     out = _rows_of(a.data, rows)
+    an = a._node
 
     def bwd(g):
-        grad = np.zeros_like(a.data)
+        grad = np.zeros(an.shape, an.dtype)
         np.add.at(grad, (np.arange(rows.shape[0])[:, None], rows), g)
-        a.accumulate(grad)
+        an.accumulate(grad)
 
     return _make(out, (a,), bwd)
 
 
 def squeeze_last(a: Tensor) -> Tensor:
     out = a.data[..., 0]
+    an = a._node
 
     def bwd(g):
-        a.accumulate(g[..., None])
+        an.accumulate(g[..., None])
 
     return _make(out, (a,), bwd)
 
@@ -354,16 +442,20 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
     out = x * cdf
+    an = a._node
 
     def bwd(g):
         pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        a.accumulate(g * (cdf + x * pdf))
+        an.accumulate(g * (cdf + x * pdf))
 
     return _make(out.astype(x.dtype, copy=False), (a,), bwd)
 
 
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis, then apply gain and bias."""
+    """Normalize over the last axis, then apply gain and bias.
+
+    The tape keeps ``xhat``, the inverse deviations and the gain, not the input.
+    """
     x = a.data
     dim = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
@@ -372,17 +464,19 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     inv = 1.0 / np.sqrt(var + eps)
     xhat = xc * inv
     out = gain.data * xhat + bias.data
+    an, gn, bn = _grad_node(a), _grad_node(gain), _grad_node(bias)
+    gain_data = gain.data if an is not None else None
 
     def bwd(g):
-        if gain.requires_grad:
-            gain.accumulate(_unbroadcast(g * xhat, gain.data.shape))
-        if bias.requires_grad:
-            bias.accumulate(_unbroadcast(g, bias.data.shape))
-        if a.requires_grad:
-            dxhat = g * gain.data
+        if gn is not None:
+            gn.accumulate(_unbroadcast(g * xhat, gn.shape))
+        if bn is not None:
+            bn.accumulate(_unbroadcast(g, bn.shape))
+        if an is not None:
+            dxhat = g * gain_data
             s1 = dxhat.sum(axis=-1, keepdims=True)
             s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-            a.accumulate((inv / dim) * (dim * dxhat - s1 - xhat * s2))
+            an.accumulate((inv / dim) * (dim * dxhat - s1 - xhat * s2))
 
     return _make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)
 
@@ -417,9 +511,10 @@ def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
     yields all zeros instead of NaN.
     """
     p = _softmax_masked_inplace(scores.data.copy(), keep)
+    sn = scores._node
 
     def bwd(g):
-        scores.accumulate(_softmax_backward(p, g))
+        sn.accumulate(_softmax_backward(p, g))
 
     return _make(p, (scores,), bwd)
 
@@ -437,14 +532,16 @@ def _dropout_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
 
 
 def _scaled_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
-                 rows: Optional[np.ndarray], dtype) -> np.ndarray:
-    """The keep mask as ``1 / (1 - rate)`` where kept and 0 elsewhere, in ``dtype``.
+                 rows: Optional[np.ndarray], dtype) -> tuple[np.ndarray, np.generic]:
+    """The bool keep mask and the scale ``1 / (1 - rate)`` in ``dtype``, as :func:`_apply_keep` takes them."""
+    return _dropout_keep(rng, shape, rate, rows), np.dtype(dtype).type(1.0 / (1.0 - rate))
 
-    ``x * mask`` equals ``x * keep * (1 / (1 - rate))`` bit for bit.
-    """
-    mask = _dropout_keep(rng, shape, rate, rows).astype(dtype)
-    mask *= mask.dtype.type(1.0 / (1.0 - rate))
-    return mask
+
+def _apply_keep(x: np.ndarray, keep: np.ndarray, factor: np.generic) -> np.ndarray:
+    """``x * keep * factor`` as a fresh array in ``x``'s dtype: inverted dropout with a bool mask (see :func:`dropout`)."""
+    out = np.multiply(x, keep, dtype=x.dtype)
+    out *= factor
+    return out
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
@@ -459,32 +556,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
     chain's, and the results are too. With ``rows`` (B, Lq), the query rows
     are those positions of a length-L sequence: the mask is drawn for all L
     rows and the ``rows`` entries are kept (see :func:`dropout`). The tape
-    keeps only the probabilities and the scaled dropout mask, not the raw or
-    scaled scores.
+    keeps the probabilities, the bool dropout mask and its scale, and of
+    ``q``, ``k`` and ``v`` only what the needed gradients read, never the
+    raw or scaled scores. Both directions multiply by the bool mask, then by
+    the scale, which is bit-identical to one product with the float mask
+    ``keep · scale``: a kept entry is ``x · 1 = x``, then scaled once, and a
+    dropped one is ``x · 0``, a zero with ``x``'s sign, as ``x · 0.0`` gives.
     """
     c = q.data.dtype.type(scale)
     scores = q.data @ k.data.swapaxes(-1, -2)
     scores *= c
     p = _softmax_masked_inplace(scores, keep)
-    dropped, mask = p, None
+    dropped, kept, factor = p, None, None
     if training and rate > 0.0:
         full = p.shape if rows is None else p.shape[:-2] + (p.shape[-1], p.shape[-1])
-        mask = _scaled_keep(rng, full, rate, rows, p.dtype)
-        dropped = p * mask
+        kept, factor = _scaled_keep(rng, full, rate, rows, p.dtype)
+        dropped = _apply_keep(p, kept, factor)
     out = dropped @ v.data
+    qn, kn, vn = _grad_node(q), _grad_node(k), _grad_node(v)
+    q_data = q.data if kn is not None else None
+    k_data = k.data if qn is not None else None
+    v_data = v.data if qn is not None or kn is not None else None
 
     def bwd(g):
-        if v.requires_grad:  # the dropped probabilities are rebuilt, not held by the tape
-            v.accumulate((p if mask is None else p * mask).swapaxes(-1, -2) @ g)
-        gp = g @ v.data.swapaxes(-1, -2)
-        if mask is not None:
-            gp *= mask
+        if vn is not None:  # the dropped probabilities are rebuilt, not held by the tape
+            vn.accumulate((p if kept is None else _apply_keep(p, kept, factor)).swapaxes(-1, -2) @ g)
+        if qn is None and kn is None:
+            return
+        gp = g @ v_data.swapaxes(-1, -2)
+        if kept is not None:
+            gp *= kept
+            gp *= factor
         gs = _softmax_backward(p, gp)
         gs *= c
-        if q.requires_grad:
-            q.accumulate(gs @ k.data)
-        if k.requires_grad:
-            k.accumulate((q.data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        if qn is not None:
+            qn.accumulate(gs @ k_data)
+        if kn is not None:
+            kn.accumulate((q_data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
 
     return _make(out, (q, k, v), bwd)
 
@@ -492,6 +600,13 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
 def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
             rows: Optional[np.ndarray] = None, length: Optional[int] = None) -> Tensor:
     """Inverted dropout.
+
+    The tape keeps a bool mask and one scale, a quarter of a float32 mask's
+    bytes, and both directions multiply by the mask, then by the scale. That
+    equals one product with the float mask ``keep · scale`` bit for bit: a
+    kept entry is ``x · 1 = x`` exactly, then scaled once, as ``x · scale``
+    is; a dropped one is ``x · 0``, a zero with ``x``'s sign, which the
+    positive scale keeps, as ``x · 0.0`` gives.
 
     With ``rows`` (B, m), ``a`` holds positions ``rows[b]`` of a sequence of
     ``length``: the mask is drawn as if axis -2 of ``a`` had ``length``
@@ -501,11 +616,12 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
     if not training or rate <= 0.0:
         return a
     shape = a.data.shape if rows is None else a.data.shape[:-2] + (length, a.data.shape[-1])
-    mask = _scaled_keep(rng, shape, rate, rows, a.data.dtype)
-    out = a.data * mask
+    kept, factor = _scaled_keep(rng, shape, rate, rows, a.data.dtype)
+    out = _apply_keep(a.data, kept, factor)
+    an = a._node
 
     def bwd(g):
-        a.accumulate(g * mask)
+        an.accumulate(_apply_keep(g, kept, factor))
 
     return _make(out, (a,), bwd)
 
@@ -516,9 +632,10 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
 
 def sum_all(a: Tensor) -> Tensor:
     out = a.data.sum()
+    an = a._node
 
     def bwd(g):
-        a.accumulate(np.full_like(a.data, g))
+        an.accumulate(np.full(an.shape, g, an.dtype))
 
     return _make(np.asarray(out), (a,), bwd)
 
@@ -535,11 +652,12 @@ def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:
     lse = np.log(e.sum(axis=1)) + m[:, 0]
     picked = x[np.arange(n), targets]
     out = (lse - picked).mean()
+    ln = logits._node
 
     def bwd(g):
         p = e / e.sum(axis=1, keepdims=True)
         p[np.arange(n), targets] -= 1.0
-        logits.accumulate(p * (g / n))
+        ln.accumulate(p * (g / n))
 
     return _make(np.asarray(out.astype(x.dtype)), (logits,), bwd)
 
@@ -550,9 +668,10 @@ def mae_mean(pred: Tensor, target: np.ndarray) -> Tensor:
         raise ShapeMismatch(f"prediction shape {pred.data.shape} vs target {target.shape}")
     diff = pred.data - target
     out = np.abs(diff).mean()
+    pn = pred._node
 
     def bwd(g):
-        pred.accumulate(np.sign(diff) * (g / diff.size))
+        pn.accumulate(np.sign(diff) * (g / diff.size))
 
     return _make(np.asarray(out), (pred,), bwd)
 
@@ -570,11 +689,12 @@ def bce_logits_mean(logits: Tensor, labels: np.ndarray, pos_weight: np.ndarray |
     # softplus via logaddexp is stable; the branch keeps infinite logits exact
     per = np.where(positive, w * np.logaddexp(0.0, -z), np.logaddexp(0.0, z))
     out = per.mean()
+    ln = logits._node
 
     def bwd(g):
         sig = expit(z)
         grad = np.where(positive, w * (sig - 1.0), sig)
-        logits.accumulate(grad.astype(z.dtype) * (g / y.size))
+        ln.accumulate(grad.astype(z.dtype) * (g / y.size))
 
     return _make(np.asarray(out.astype(z.dtype)), (logits,), bwd)
 

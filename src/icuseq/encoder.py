@@ -6,7 +6,7 @@ import json
 import math
 import struct
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Callable, Iterator, Optional
 
 import numpy as np
 
@@ -334,23 +334,25 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
 
 
 def save_checkpoint(path: str, config: dict, params: dict[str, Tensor]) -> None:
-    """Binary checkpoint: magic, JSON config block, then named float32 blobs."""
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
+    """Binary checkpoint: magic, JSON config block, then named float32 blobs.
+
+    The file is streamed, one header or blob at a time, so the write holds no
+    second copy of the model.
+    """
+    atomic_write(path, _checkpoint_chunks(config, params))
+
+
+def _checkpoint_chunks(config: dict, params: dict[str, Tensor]) -> Iterator[bytes | memoryview]:
+    """The checkpoint's bytes in order; each ``<f4`` blob is a view, not a copy, of a C-contiguous float32 array."""
     config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
-    buf += struct.pack("<I", len(config_bytes))
-    buf += config_bytes
     names = sorted(params)
-    buf += struct.pack("<I", len(names))
+    yield CHECKPOINT_MAGIC + struct.pack("<I", len(config_bytes)) + config_bytes + struct.pack("<I", len(names))
     for name in names:
         data = np.ascontiguousarray(params[name].data, dtype="<f4")
         encoded = name.encode("utf-8")
-        buf += struct.pack("<I", len(encoded))
-        buf += encoded
-        buf += struct.pack("<I", data.ndim)
-        buf += struct.pack(f"<{data.ndim}I", *data.shape)
-        buf += data.tobytes()
-    atomic_write(path, bytes(buf))
+        yield (struct.pack("<I", len(encoded)) + encoded
+               + struct.pack(f"<I{data.ndim}I", data.ndim, *data.shape))
+        yield memoryview(data)
 
 
 def load_checkpoint(path: str, expect: Optional[dict] = None) -> tuple[dict, dict[str, np.ndarray]]:

@@ -11,7 +11,7 @@ import hashlib
 import os
 import struct
 import tempfile
-from typing import Mapping, Optional
+from typing import Iterable, Mapping, Optional
 
 import numpy as np
 
@@ -131,12 +131,19 @@ def read_cache(path: str) -> dict[str, np.ndarray]:
     return table
 
 
-def atomic_write(path: str, data: bytes) -> None:
+def atomic_write(path: str, data: bytes | Iterable[bytes | memoryview]) -> None:
+    """Write ``data`` to ``path`` through a temp file and a rename: one buffer, or buffers in order.
+
+    An iterable is written as it is produced, so a caller can stream a file
+    it does not want to hold whole. If writing fails, or the iterable
+    raises, the temp file is removed and ``path`` is left as it was.
+    """
+    chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
         with os.fdopen(fd, "wb") as f:
-            f.write(data)
+            f.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):

@@ -265,6 +265,43 @@ class TestBackwardReleasesGraph:
             assert leaf.grad.tobytes() == grad.tobytes()
 
 
+def closure_of(t):
+    """The variables ``t``'s backward closure holds, by name."""
+    return dict(zip(t._backward.__code__.co_freevars, (c.cell_contents for c in t._backward.__closure__)))
+
+
+def residual_block(x, w, b, h, gain, bias, rng):
+    """Train-mode ``layer_norm(add(h, dropout(linear(x, w, b))))`` and its intermediate outputs."""
+    projected = ad.linear(x, w, b)
+    dropped = ad.dropout(projected, 0.4, rng, training=True)
+    total = ad.add(h, dropped)
+    return projected, dropped, total, ad.layer_norm(total, gain, bias)
+
+
+RESIDUAL_SHAPES = ((2, 3, 4), (4, 5), (5,), (2, 3, 5), (5,), (5,))
+
+
+class TestTapeMemory:
+    """A node saves only what its backward reads: an op output no backward reads dies with its Tensor."""
+
+    def test_outputs_no_backward_reads_are_freed_before_backward(self):
+        rng = np.random.default_rng(4)
+        leaves = [ad.parameter(rng.standard_normal(s).astype(np.float32), f"p{i}")
+                  for i, s in enumerate(RESIDUAL_SHAPES)]
+        projected, dropped, total, out = residual_block(*leaves, np.random.default_rng(1))
+        kept = closure_of(dropped)["kept"]
+        assert kept.dtype == bool and kept.shape == projected.shape
+        freed = [weakref.ref(t.data) for t in (projected, dropped, total)]
+        loss = weighted(out)
+        del projected, dropped, total, out, kept
+        assert [ref() for ref in freed] == [None, None, None]
+        ad.backward(loss)
+        assert all(leaf.grad is not None and leaf.grad.shape == leaf.shape for leaf in leaves)
+
+    def test_gradient(self):
+        check_op(lambda *leaves: weighted(residual_block(*leaves, np.random.default_rng(2))[-1]), *RESIDUAL_SHAPES)
+
+
 class TestShapes:
     def test_reshape(self):
         check_op(lambda a: weighted(ad.reshape(a, (6, 2))), (3, 4))
@@ -474,9 +511,9 @@ class TestAttention:
     def test_tape_keeps_a_compact_mask_of_the_gathered_rows(self):
         q, k, v = (ad.parameter(RNG.standard_normal((2, 2, n, 3)), name) for n, name in ((3, "q"), (5, "k"), (5, "v")))
         out = ad.attention(q, k, v, ATTENTION_KEEP, 0.7, 0.4, np.random.default_rng(1), True, rows=GATHERED_ROWS)
-        held = dict(zip(out._backward.__code__.co_freevars, (c.cell_contents for c in out._backward.__closure__)))
-        assert held["mask"].shape == (2, 2, 3, 5)
-        assert held["mask"].base is None
+        held = closure_of(out)
+        assert held["kept"].dtype == bool and held["kept"].shape == (2, 2, 3, 5)
+        assert held["kept"].base is None
 
     @pytest.mark.parametrize("training", [False, True])
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -505,7 +542,7 @@ class TestAttention:
     def test_tape_holds_one_node(self):
         q, k, v = (ad.parameter(RNG.standard_normal((1, 1, 4, 2)), n) for n in "qkv")
         out = ad.attention(q, k, v, np.ones(4, dtype=bool), 1.0, 0.5, np.random.default_rng(0), True)
-        assert out._parents == (q, k, v)
+        assert out._parents == (q._node, k._node, v._node)
 
 
 class TestDropout:
@@ -536,6 +573,18 @@ class TestDropout:
         keep = np.random.default_rng(2).random(x.shape) >= 0.3
         out = ad.dropout(ad.constant(x), 0.3, np.random.default_rng(2), True).data
         assert np.array_equal(out, x * keep.astype(np.float32) * np.float32(1.0 / 0.7))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_bool_mask_equals_the_float_mask_byte_for_byte(self, dtype):
+        """Output and gradient equal the products with the float mask, signed zeros included."""
+        x = ad.parameter(RNG.standard_normal((4, 6, 5)).astype(dtype), "x")
+        g = RNG.standard_normal(x.shape).astype(dtype)
+        float_mask = (np.random.default_rng(5).random(x.shape) >= 0.3).astype(dtype) * dtype(1.0 / 0.7)
+        out = ad.dropout(x, 0.3, np.random.default_rng(5), True)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert out.data.tobytes() == (x.data * float_mask).tobytes()
+        assert x.grad.tobytes() == (g * float_mask).tobytes()
+        assert np.signbit(out.data[float_mask == 0]).any()  # negative zeros took part
 
     def test_scaling_preserves_expectation(self):
         x = ad.constant(np.ones((200, 200)))

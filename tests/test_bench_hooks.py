@@ -19,6 +19,8 @@ import pytest
 
 from icuseq import autodiff as ad
 
+from test_autodiff import interior_nodes, small_net
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -38,6 +40,13 @@ def test_every_span_target_resolves(layers):
 
 def test_every_traced_autodiff_op_resolves(layers):
     assert [op for op in layers.AUTODIFF_OPS if not callable(getattr(ad, op, None))] == []
+
+
+def test_tape_walk_counts_every_node_before_backward(layers):
+    """``_tape_size`` reads ``_parents``, then ``requires_grad`` and ``_parents`` on tape nodes: before
+    ``backward`` it counts the loss, every interior node and every leaf that requires grad."""
+    leaves, _, _, loss = small_net()
+    assert layers._tape_size(loss) == len(interior_nodes(loss)) + len(leaves)
 
 
 @pytest.fixture(scope="module")

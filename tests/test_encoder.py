@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from icuseq import autodiff as ad
 from icuseq.encoder import (
+    CHECKPOINT_MAGIC,
     EncoderConfig,
     GradCheckReport,
     cls_output,
@@ -161,14 +165,10 @@ class TestGradCheck:
         w = ad.parameter(np.array([2.0, -1.0]), "w")
 
         def wrong_square(t):
-            out = ad.Tensor(t.data * t.data, requires_grad=True)
-            out._parents = (t,)
-
             def bwd(g):
                 t.accumulate(3.0 * g)  # deliberately wrong; d/dx x^2 = 2x
 
-            out._backward = bwd
-            return out
+            return ad._make(t.data * t.data, (t,), bwd)
 
         def loss_fn():
             return ad.sum_all(wrong_square(w))
@@ -177,6 +177,19 @@ class TestGradCheck:
             grad_check(loss_fn, {"w": w}, epsilon=1e-5, tolerance=1e-4)
         assert excinfo.value.param == "w"
         assert isinstance(excinfo.value.report, GradCheckReport)
+
+
+def buffered_checkpoint(config, params) -> bytes:
+    """The checkpoint file built whole in memory, as ``save_checkpoint`` once did."""
+    buf = bytearray(CHECKPOINT_MAGIC)
+    config_bytes = json.dumps(config, sort_keys=True).encode("utf-8")
+    buf += struct.pack("<I", len(config_bytes)) + config_bytes + struct.pack("<I", len(params))
+    for name in sorted(params):
+        data = np.ascontiguousarray(params[name].data, dtype="<f4")
+        encoded = name.encode("utf-8")
+        buf += struct.pack("<I", len(encoded)) + encoded + struct.pack("<I", data.ndim)
+        buf += struct.pack(f"<{data.ndim}I", *data.shape) + data.tobytes()
+    return bytes(buf)
 
 
 class TestCheckpoints:
@@ -216,6 +229,18 @@ class TestCheckpoints:
         bad.write_bytes(b"WRONG" + b"\x00" * 32)
         with pytest.raises(FormatError):
             load_checkpoint(str(bad))
+
+    def test_stream_equals_the_buffered_file(self, tmp_path):
+        """The streamed write gives the bytes of the file built in memory, for any dtype and layout."""
+        rng = np.random.default_rng(1)
+        params = {**self.model_params(),
+                  "wide": ad.parameter(rng.standard_normal((3, 5)), "wide"),  # float64
+                  "turned": ad.parameter(rng.standard_normal((5, 3)).astype(np.float32).T, "turned"),
+                  "empty": ad.parameter(np.zeros((0, 4), dtype=np.float32), "empty")}
+        config = {"hidden": 4, "name": "ünï"}
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, config, params)
+        assert open(path, "rb").read() == buffered_checkpoint(config, params)
 
     def test_save_is_deterministic(self, tmp_path):
         a, b = str(tmp_path / "a.ckpt"), str(tmp_path / "b.ckpt")

@@ -3,7 +3,7 @@ import pytest
 
 from icuseq.embedder import FILL_ID, encode_batch
 from icuseq.errors import CacheMiss, FormatError
-from icuseq.textvec import FileCacheProvider, StubProvider, read_cache, write_cache
+from icuseq.textvec import FileCacheProvider, StubProvider, atomic_write, read_cache, write_cache
 
 from conftest import window_of
 from reference import Token
@@ -94,6 +94,26 @@ class TestFileCache:
         extra.write_bytes(data + b"junk")
         with pytest.raises(FormatError):
             read_cache(str(extra))
+
+
+class TestAtomicWrite:
+    def test_buffers_are_written_in_order(self, tmp_path):
+        path = tmp_path / "out.bin"
+        atomic_write(str(path), iter([b"ab", memoryview(np.arange(3, dtype="<f4")), bytearray(b"z")]))
+        assert path.read_bytes() == b"ab" + np.arange(3, dtype="<f4").tobytes() + b"z"
+
+    def test_a_failing_stream_leaves_the_old_file(self, tmp_path):
+        path = tmp_path / "out.bin"
+        path.write_bytes(b"old")
+
+        def chunks():
+            yield b"new"
+            raise FormatError("stream broke")
+
+        with pytest.raises(FormatError):
+            atomic_write(str(path), chunks())
+        assert path.read_bytes() == b"old"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
 
 
 class _ExplodingProvider:
