@@ -18,7 +18,8 @@ keeps no tape.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence
+import dataclasses
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 from scipy import sparse
@@ -86,25 +87,14 @@ class Tensor:
     def grad(self) -> Optional[np.ndarray]:
         return self._node.grad
 
-    @grad.setter
-    def grad(self, value: Optional[np.ndarray]) -> None:
-        self._node.grad = value
-
     @property
     def requires_grad(self) -> bool:
         return self._node.requires_grad
 
-    @requires_grad.setter
-    def requires_grad(self, value: bool) -> None:
-        self._node.requires_grad = value
-
     @property
     def _parents(self) -> tuple[_Node, ...]:
+        """The parent nodes; ``perfbench/layers.py`` ``_tape_size`` starts its walk of the tape here."""
         return self._node._parents
-
-    @property
-    def _backward(self) -> Optional[Callable[[np.ndarray], None]]:
-        return self._node._backward
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -117,9 +107,6 @@ class Tensor:
     def item(self) -> float:
         return float(self._data)
 
-    def accumulate(self, g: np.ndarray) -> None:
-        self._node.accumulate(g)
-
     def zero_grad(self) -> None:
         self._node.grad = None
 
@@ -130,6 +117,36 @@ class Tensor:
 
 def parameter(data: np.ndarray, name: str) -> Tensor:
     return Tensor(data, requires_grad=True, name=name)
+
+
+# make(name, shape, init): the parameter called name, of that shape; a fresh model fills it by init
+Maker = Callable[[str, tuple[int, ...], str], Tensor]
+
+
+def drawn(rng: np.random.Generator, dtype=np.float32) -> Maker:
+    """The maker of fresh parameters: each array is drawn from ``rng`` in float64 and cast to ``dtype``.
+
+    ``init`` is ``"normal"`` (standard normal · 0.02), ``"uniform"`` (on
+    ±1/√rows, rows being ``shape[0]``), ``"zeros"`` or ``"ones"``; the
+    last two draw nothing.
+    """
+    def make(name: str, shape: tuple[int, ...], init: str) -> Tensor:
+        if init == "normal":
+            data = (rng.standard_normal(shape) * 0.02).astype(dtype)
+        elif init == "uniform":
+            bound = 1.0 / np.sqrt(shape[0])
+            data = rng.uniform(-bound, bound, size=shape).astype(dtype)
+        else:
+            data = {"zeros": np.zeros, "ones": np.ones}[init](shape, dtype=dtype)
+        return parameter(data, name)
+
+    return make
+
+
+def named(*params) -> dict[str, Tensor]:
+    """The Tensor fields of each params dataclass, in field order, keyed by their names."""
+    fields = (getattr(p, f.name) for p in params for f in dataclasses.fields(p))
+    return {t.name: t for t in fields if isinstance(t, Tensor)}
 
 
 def constant(data, dtype=None) -> Tensor:
@@ -424,16 +441,6 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def squeeze_last(a: Tensor) -> Tensor:
-    out = a.data[..., 0]
-    an = a._node
-
-    def bwd(g):
-        an.accumulate(g[..., None])
-
-    return _make(out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -698,11 +705,3 @@ def bce_logits_mean(logits: Tensor, labels: np.ndarray, pos_weight: np.ndarray |
 
     return _make(np.asarray(out.astype(z.dtype)), (logits,), bwd)
 
-
-def collect_parameters(named: Iterable[tuple[str, Tensor]]) -> dict[str, Tensor]:
-    out: dict[str, Tensor] = {}
-    for name, t in named:
-        if name in out:
-            raise ShapeMismatch(f"duplicate parameter name {name!r}")
-        out[name] = t
-    return out

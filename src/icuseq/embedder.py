@@ -22,6 +22,10 @@ then computes
 
 and adds the time and duration rows, applies dropout (train only) and
 layer norm.
+
+The parameters come from a ``make(name, shape, init)`` (``ad.Maker``):
+``ad.drawn`` draws a fresh model's, and ``Model.load`` hands out a
+checkpoint's arrays.
 """
 
 from __future__ import annotations
@@ -75,44 +79,22 @@ class EmbedderParams:
     def window_minutes(self) -> int:
         return self.time_table.shape[0]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        return [
-            ("embedder.w_f", self.w_f),
-            ("embedder.b_f", self.b_f),
-            ("embedder.w_x", self.w_x),
-            ("embedder.b_x", self.b_x),
-            ("embedder.time_table", self.time_table),
-            ("embedder.duration_table", self.duration_table),
-            ("embedder.feature_specials", self.feature_specials),
-            ("embedder.value_specials", self.value_specials),
-            ("embedder.ln_gain", self.ln_gain),
-            ("embedder.ln_bias", self.ln_bias),
-        ]
 
-
-def init_embedder(rng: np.random.Generator, d_pre: int, hidden: int,
+def init_embedder(make: ad.Maker, d_pre: int, hidden: int,
                   window_minutes: int = DEFAULT_WINDOW_MINUTES,
-                  dropout_rate: float = DEFAULT_DROPOUT,
-                  dtype=np.float32) -> EmbedderParams:
-    bound = 1.0 / np.sqrt(d_pre)
-
-    def uniform(*shape):
-        return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-    def small_normal(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(dtype)
-
+                  dropout_rate: float = DEFAULT_DROPOUT) -> EmbedderParams:
+    """The embedder's parameters, each named once and made by ``make`` (see ``ad.Maker``)."""
     return EmbedderParams(
-        w_f=ad.parameter(uniform(d_pre, hidden), "embedder.w_f"),
-        b_f=ad.parameter(np.zeros(hidden, dtype=dtype), "embedder.b_f"),
-        w_x=ad.parameter(uniform(d_pre, hidden), "embedder.w_x"),
-        b_x=ad.parameter(np.zeros(hidden, dtype=dtype), "embedder.b_x"),
-        time_table=ad.parameter(small_normal(window_minutes, hidden), "embedder.time_table"),
-        duration_table=ad.parameter(small_normal(window_minutes, hidden), "embedder.duration_table"),
-        feature_specials=ad.parameter(small_normal(N_SPECIALS, d_pre), "embedder.feature_specials"),
-        value_specials=ad.parameter(small_normal(N_SPECIALS, d_pre), "embedder.value_specials"),
-        ln_gain=ad.parameter(np.ones(hidden, dtype=dtype), "embedder.ln_gain"),
-        ln_bias=ad.parameter(np.zeros(hidden, dtype=dtype), "embedder.ln_bias"),
+        w_f=make("embedder.w_f", (d_pre, hidden), "uniform"),
+        b_f=make("embedder.b_f", (hidden,), "zeros"),
+        w_x=make("embedder.w_x", (d_pre, hidden), "uniform"),
+        b_x=make("embedder.b_x", (hidden,), "zeros"),
+        time_table=make("embedder.time_table", (window_minutes, hidden), "normal"),
+        duration_table=make("embedder.duration_table", (window_minutes, hidden), "normal"),
+        feature_specials=make("embedder.feature_specials", (N_SPECIALS, d_pre), "normal"),
+        value_specials=make("embedder.value_specials", (N_SPECIALS, d_pre), "normal"),
+        ln_gain=make("embedder.ln_gain", (hidden,), "ones"),
+        ln_bias=make("embedder.ln_bias", (hidden,), "zeros"),
         dropout_rate=dropout_rate,
     )
 

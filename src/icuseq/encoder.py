@@ -57,50 +57,29 @@ class LayerParams:
     ln2_gain: Tensor
     ln2_bias: Tensor
 
-    def named_parameters(self, prefix: str) -> list[tuple[str, Tensor]]:
-        return [(f"{prefix}.{name}", getattr(self, name)) for name in (
-            "wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-            "ln1_gain", "ln1_bias", "ffn_w1", "ffn_b1", "ffn_w2", "ffn_b2",
-            "ln2_gain", "ln2_bias",
-        )]
-
 
 @dataclass
 class EncoderParams:
     layers: list[LayerParams]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        out = []
-        for i, layer in enumerate(self.layers):
-            out.extend(layer.named_parameters(f"encoder.layer{i}"))
-        return out
 
-
-def init_encoder(rng: np.random.Generator, config: EncoderConfig, dtype=np.float32) -> EncoderParams:
+def init_encoder(make: ad.Maker, config: EncoderConfig) -> EncoderParams:
+    """The encoder's parameters, each named once and made by ``make`` (see ``ad.Maker``)."""
     d, f = config.hidden, config.ffn_dim
-
-    def normal(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(dtype)
-
     layers = []
     for i in range(config.layers):
+        def param(name: str, shape: tuple[int, ...], init: str) -> Tensor:
+            return make(f"encoder.layer{i}.{name}", shape, init)
+
         layers.append(LayerParams(
-            wq=ad.parameter(normal(d, d), f"encoder.layer{i}.wq"),
-            bq=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.bq"),
-            wk=ad.parameter(normal(d, d), f"encoder.layer{i}.wk"),
-            bk=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.bk"),
-            wv=ad.parameter(normal(d, d), f"encoder.layer{i}.wv"),
-            bv=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.bv"),
-            wo=ad.parameter(normal(d, d), f"encoder.layer{i}.wo"),
-            bo=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.bo"),
-            ln1_gain=ad.parameter(np.ones(d, dtype=dtype), f"encoder.layer{i}.ln1_gain"),
-            ln1_bias=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.ln1_bias"),
-            ffn_w1=ad.parameter(normal(d, f), f"encoder.layer{i}.ffn_w1"),
-            ffn_b1=ad.parameter(np.zeros(f, dtype=dtype), f"encoder.layer{i}.ffn_b1"),
-            ffn_w2=ad.parameter(normal(f, d), f"encoder.layer{i}.ffn_w2"),
-            ffn_b2=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.ffn_b2"),
-            ln2_gain=ad.parameter(np.ones(d, dtype=dtype), f"encoder.layer{i}.ln2_gain"),
-            ln2_bias=ad.parameter(np.zeros(d, dtype=dtype), f"encoder.layer{i}.ln2_bias"),
+            wq=param("wq", (d, d), "normal"), bq=param("bq", (d,), "zeros"),
+            wk=param("wk", (d, d), "normal"), bk=param("bk", (d,), "zeros"),
+            wv=param("wv", (d, d), "normal"), bv=param("bv", (d,), "zeros"),
+            wo=param("wo", (d, d), "normal"), bo=param("bo", (d,), "zeros"),
+            ln1_gain=param("ln1_gain", (d,), "ones"), ln1_bias=param("ln1_bias", (d,), "zeros"),
+            ffn_w1=param("ffn_w1", (d, f), "normal"), ffn_b1=param("ffn_b1", (f,), "zeros"),
+            ffn_w2=param("ffn_w2", (f, d), "normal"), ffn_b2=param("ffn_b2", (d,), "zeros"),
+            ln2_gain=param("ln2_gain", (d,), "ones"), ln2_bias=param("ln2_bias", (d,), "zeros"),
         ))
     return EncoderParams(layers)
 
@@ -182,37 +161,26 @@ class HeadSet:
     task_b: Optional[Tensor] = None
     task_dropout: float = 0.5
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
-        names = (
-            ("feature_w", "feature_b", "cat_w", "cat_b", "cont_w", "cont_b")
-            if self.mode == "pretrain" else ("task_w", "task_b")
-        )
-        return [(f"heads.{n}", getattr(self, n)) for n in names]
 
-
-def init_pretrain_heads(rng: np.random.Generator, hidden: int, feature_size: int,
-                        value_size: int, dtype=np.float32) -> HeadSet:
-    def normal(*shape):
-        return (rng.standard_normal(shape) * 0.02).astype(dtype)
-
+def init_pretrain_heads(make: ad.Maker, hidden: int, feature_size: int, value_size: int) -> HeadSet:
+    """The three reconstruction heads, each parameter named once and made by ``make`` (see ``ad.Maker``)."""
     return HeadSet(
         mode="pretrain",
-        feature_w=ad.parameter(normal(hidden, feature_size), "heads.feature_w"),
-        feature_b=ad.parameter(np.zeros(feature_size, dtype=dtype), "heads.feature_b"),
-        cat_w=ad.parameter(normal(hidden, value_size), "heads.cat_w"),
-        cat_b=ad.parameter(np.zeros(value_size, dtype=dtype), "heads.cat_b"),
-        cont_w=ad.parameter(normal(hidden, 1), "heads.cont_w"),
-        cont_b=ad.parameter(np.zeros(1, dtype=dtype), "heads.cont_b"),
+        feature_w=make("heads.feature_w", (hidden, feature_size), "normal"),
+        feature_b=make("heads.feature_b", (feature_size,), "zeros"),
+        cat_w=make("heads.cat_w", (hidden, value_size), "normal"),
+        cat_b=make("heads.cat_b", (value_size,), "zeros"),
+        cont_w=make("heads.cont_w", (hidden, 1), "normal"),
+        cont_b=make("heads.cont_b", (1,), "zeros"),
     )
 
 
-def init_task_head(rng: np.random.Generator, hidden: int, out_dim: int,
-                   task_dropout: float = 0.5, dtype=np.float32) -> HeadSet:
-    w = (rng.standard_normal((hidden, out_dim)) * 0.02).astype(dtype)
+def init_task_head(make: ad.Maker, hidden: int, out_dim: int, task_dropout: float = 0.5) -> HeadSet:
+    """A task head, each parameter named once and made by ``make`` (see ``ad.Maker``)."""
     return HeadSet(
         mode="task",
-        task_w=ad.parameter(w, "heads.task_w"),
-        task_b=ad.parameter(np.zeros(out_dim, dtype=dtype), "heads.task_b"),
+        task_w=make("heads.task_w", (hidden, out_dim), "normal"),
+        task_b=make("heads.task_b", (out_dim,), "zeros"),
         task_dropout=task_dropout,
     )
 
@@ -223,7 +191,7 @@ def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor
         raise ModeMismatch("reconstruction outputs need the pre-training heads")
     feature_logits = ad.linear(hidden, heads.feature_w, heads.feature_b)
     cat_logits = ad.linear(hidden, heads.cat_w, heads.cat_b)
-    cont_pred = ad.squeeze_last(ad.linear(hidden, heads.cont_w, heads.cont_b))
+    cont_pred = ad.reshape(ad.linear(hidden, heads.cont_w, heads.cont_b), hidden.shape[:-1])
     return feature_logits, cat_logits, cont_pred
 
 
@@ -239,7 +207,7 @@ def task_output(cls_vec: Tensor, heads: HeadSet, mode: str = "eval",
     dropped = ad.dropout(cls_vec, heads.task_dropout, rng, training=(mode == "train"))
     out = ad.linear(dropped, heads.task_w, heads.task_b)
     if heads.task_w.shape[1] == 1:
-        out = ad.squeeze_last(out)
+        out = ad.reshape(out, out.shape[:-1])
     return out
 
 

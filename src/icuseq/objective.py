@@ -110,7 +110,8 @@ def mlvm_loss(outputs: tuple[Tensor, Tensor, Tensor], slots: MaskedSlots,
     zero = ad.constant(np.zeros((), dtype=feature_logits.dtype))
     l_f = ad.cross_entropy_mean(at(feature_logits, feat), feature_target[feat]) if n_feat else zero
     l_cat = ad.cross_entropy_mean(at(cat_logits, cat), cat_target[cat]) if n_cat else zero
-    l_cont = ad.mae_mean(ad.squeeze_last(at(cont_pred, cont)), slots.cont_target.reshape(-1)[cont]) if n_cont else zero
+    l_cont = ad.mae_mean(ad.reshape(at(cont_pred, cont), (n_cont,)),
+                         slots.cont_target.reshape(-1)[cont]) if n_cont else zero
     c_cat, c_cont = value_term_coefficients(n_cat, n_cont, alpha, beta)
     total = ad.add(l_f, ad.add(ad.scale(l_cat, c_cat), ad.scale(l_cont, c_cont)))
 

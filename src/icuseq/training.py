@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import copy
 import itertools
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
@@ -44,6 +43,10 @@ class ModelConfig:
     task_dim: int = 1
     task_dropout: float = 0.5
 
+    def __post_init__(self):
+        if self.d_pre < 1:  # a zero-width text vector, from --embed-dim or a cache file
+            raise ShapeMismatch(f"the pre-embedding dimension d_pre must be >= 1, got {self.d_pre}")
+
     def to_dict(self) -> dict:
         return {
             "layers": self.encoder.layers,
@@ -84,15 +87,6 @@ class ModelConfig:
             head_mode=d["head_mode"], task_dim=d["task_dim"], task_dropout=d["task_dropout"],
         )
 
-    def parameter_shapes(self) -> dict[str, tuple[int, ...]]:
-        """The shapes of the arrays that size every other one: each config dimension appears here."""
-        h = self.encoder.hidden
-        top = f"encoder.layer{self.encoder.layers - 1}"
-        heads = {"heads.feature_w": (h, self.feature_vocab), "heads.cat_w": (h, self.value_vocab)} \
-            if self.head_mode == "pretrain" else {"heads.task_w": (h, self.task_dim)}
-        return {"embedder.w_f": (self.d_pre, h), "embedder.time_table": (self.window_minutes, h),
-                f"{top}.ffn_w1": (h, self.encoder.ffn_dim), **heads}
-
 
 _CONFIG_FIELDS: dict[str, Callable[[object], bool]] = {
     **dict.fromkeys(("layers", "hidden", "heads", "ffn_dim", "max_seq_len", "d_pre", "window_minutes",
@@ -122,24 +116,23 @@ class Model:
 
     @classmethod
     def build(cls, config: ModelConfig, seed: int, dtype=np.float32) -> "Model":
-        rng = np.random.default_rng([seed, 0])
-        embedder = init_embedder(rng, config.d_pre, config.encoder.hidden,
-                                 config.window_minutes, config.encoder.dropout, dtype)
-        encoder_params = enc.init_encoder(rng, config.encoder, dtype)
+        """A fresh model: every parameter drawn from ``default_rng([seed, 0])``."""
+        return cls.made(config, ad.drawn(np.random.default_rng([seed, 0]), dtype))
+
+    @classmethod
+    def made(cls, config: ModelConfig, make: ad.Maker) -> "Model":
+        """The model ``config`` describes, each parameter from ``make`` in a fixed order: embedder, layers, heads."""
+        hidden = config.encoder.hidden
+        embedder = init_embedder(make, config.d_pre, hidden, config.window_minutes, config.encoder.dropout)
+        encoder_params = enc.init_encoder(make, config.encoder)
         if config.head_mode == "pretrain":
-            heads = enc.init_pretrain_heads(rng, config.encoder.hidden, config.feature_vocab,
-                                            config.value_vocab, dtype)
+            heads = enc.init_pretrain_heads(make, hidden, config.feature_vocab, config.value_vocab)
         else:
-            heads = enc.init_task_head(rng, config.encoder.hidden, config.task_dim,
-                                       config.task_dropout, dtype)
+            heads = enc.init_task_head(make, hidden, config.task_dim, config.task_dropout)
         return cls(config, embedder, encoder_params, heads)
 
     def parameters(self) -> dict[str, Tensor]:
-        return ad.collect_parameters(
-            self.embedder.named_parameters()
-            + self.encoder.named_parameters()
-            + self.heads.named_parameters()
-        )
+        return ad.named(self.embedder, *self.encoder.layers, self.heads)
 
     def trainable_parameters(self, unfrozen_layers: Optional[int] = None,
                              unfreeze_embedder: bool = False) -> dict[str, Tensor]:
@@ -151,13 +144,8 @@ class Model:
         """
         if unfrozen_layers is None:
             return self.parameters()
-        keep = {name for name, _ in self.heads.named_parameters()}
-        n_layers = len(self.encoder.layers)
-        for i in range(max(n_layers - unfrozen_layers, 0), n_layers):
-            keep.update(name for name, _ in self.encoder.layers[i].named_parameters(f"encoder.layer{i}"))
-        if unfreeze_embedder:
-            keep.update(name for name, _ in self.embedder.named_parameters())
-        return {name: t for name, t in self.parameters().items() if name in keep}
+        layers = self.encoder.layers[max(len(self.encoder.layers) - unfrozen_layers, 0):]
+        return ad.named(*([self.embedder] if unfreeze_embedder else []), *layers, self.heads)
 
     def clone(self) -> "Model":
         """A copy with fresh arrays, every parameter requiring grad."""
@@ -171,13 +159,10 @@ class Model:
         """
         return self._rebound(lambda name, t: Tensor(t.data, name=name))
 
-    def _rebound(self, make: Callable[[str, Tensor], Tensor]) -> "Model":
-        fresh = {name: make(name, t) for name, t in self.parameters().items()}
-        out = copy.copy(self)
-        out.embedder = _rebind(self.embedder, fresh)
-        out.encoder = enc.EncoderParams([_rebind(layer, fresh) for layer in self.encoder.layers])
-        out.heads = _rebind(self.heads, fresh)
-        return out
+    def _rebound(self, wrap: Callable[[str, Tensor], Tensor]) -> "Model":
+        """A model of the same config whose parameter ``name`` is ``wrap(name, tensor)`` of this model's."""
+        params = self.parameters()
+        return self.made(self.config, lambda name, shape, init: wrap(name, params[name]))
 
     def with_task_head(self, task_dim: int, task_dropout: float, seed: int,
                        unfrozen_layers: Optional[int] = None, unfreeze_embedder: bool = False) -> "Model":
@@ -189,9 +174,8 @@ class Model:
         rebinds only the parameters it updates, so the shared arrays never
         change.
         """
-        rng = np.random.default_rng([seed, 81])
-        dtype = self.embedder.w_f.data.dtype
-        heads = enc.init_task_head(rng, self.config.encoder.hidden, task_dim, task_dropout, dtype)
+        make = ad.drawn(np.random.default_rng([seed, 81]), self.embedder.w_f.data.dtype)
+        heads = enc.init_task_head(make, self.config.encoder.hidden, task_dim, task_dropout)
         config = replace(self.config, head_mode="task", task_dim=task_dim, task_dropout=task_dropout)
         model = Model(config, self.embedder, self.encoder, heads)
         trainable = model.trainable_parameters(unfrozen_layers, unfreeze_embedder)
@@ -257,33 +241,26 @@ class Model:
 
     @classmethod
     def load(cls, path: str, expect: Optional[dict] = None) -> "Model":
+        """The checkpoint's model: its arrays, asked for by the names and shapes its config implies.
+
+        Nothing is drawn or sized from the config alone: the first parameter
+        the file lacks, or holds at another shape, is a ``ConfigMismatch``,
+        and so is an array left over once the model is made.
+        """
         config_dict, arrays = enc.load_checkpoint(path, expect)
         config = ModelConfig.from_dict(config_dict)
-        # the arrays in the file bound what building the config allocates
-        for name, shape in config.parameter_shapes().items():
-            if name not in arrays or arrays[name].shape != shape:
-                got = arrays[name].shape if name in arrays else "nothing"
+
+        def stored(name: str, shape: tuple[int, ...], init: str) -> Tensor:
+            array = arrays.pop(name, None)
+            if array is None or array.shape != shape:
+                got = "nothing" if array is None else array.shape
                 raise ConfigMismatch(f"checkpoint has {got} for {name}, but its config implies {shape}")
-        model = cls.build(config, seed=0)
-        params = model.parameters()
-        if set(params) != set(arrays):
-            missing = set(params).symmetric_difference(arrays)
-            raise ConfigMismatch(f"checkpoint parameters do not match the config: {sorted(missing)[:4]}")
-        for name, tensor in params.items():
-            if tensor.data.shape != arrays[name].shape:
-                raise ConfigMismatch(f"{name} has shape {arrays[name].shape}, expected {tensor.data.shape}")
-            tensor.data = arrays[name]
+            return ad.parameter(array, name)
+
+        model = cls.made(config, stored)
+        if arrays:
+            raise ConfigMismatch(f"checkpoint has arrays its config does not use: {sorted(arrays)[:4]}")
         return model
-
-
-def _rebind(obj, fresh: dict[str, Tensor]):
-    """Copy a params dataclass, swapping each Tensor field for its fresh clone."""
-    out = copy.copy(obj)
-    for attr in vars(obj) if hasattr(obj, "__dict__") else ():
-        value = getattr(obj, attr)
-        if isinstance(value, Tensor) and value.name in fresh:
-            setattr(out, attr, fresh[value.name])
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -743,6 +720,8 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     Every train, val and test pass goes through ``Model.task_scores``, whose
     top encoder layer computes the CLS row only.
     """
+    if folds < 1:
+        raise InvalidSpec(f"cross-validation needs at least one fold, got {folds}")
     cfg = train_config
     window_minutes = pretrained.config.window_minutes
     max_seq_len = pretrained.config.encoder.max_seq_len
@@ -760,7 +739,6 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     order = np.random.default_rng([cfg.seed, 80]).permutation(len(pool_patients))
     chunks = np.array_split(order, folds)
 
-    metric_names = ("auroc", "auprc") if task.kind != "regression" else ("mae",)
     per_fold: list[dict[str, float]] = []
     rows: list[LossRow] = []
     best_model: Optional[Model] = None
@@ -786,13 +764,9 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
         if fold_val < best_val:
             best_val, best_model = fold_val, model
 
-        scores = _scores(model, test_batches(), task.kind)
-        if task.kind == "regression":
-            per_fold.append({"mae": mae(scores, labels)})
-        else:
-            per_fold.append({"auroc": auroc(scores, labels), "auprc": auprc(scores, labels)})
+        per_fold.append(_test_metrics(task.kind, _scores(model, test_batches(), task.kind), labels))
 
-    report = MetricReport(metric_names, tuple(per_fold))
+    report = MetricReport(tuple(per_fold[0]), tuple(per_fold))
     return FinetuneResult(report, best_model, rows)
 
 
@@ -896,6 +870,12 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
         categorical_values=("[MASK]", "[UNK]") + values,
         per_feature_stats={},
     )
+    config = ModelConfig(
+        encoder=enc.EncoderConfig(layers=layers, hidden=hidden, heads=heads,
+                                  ffn_dim=ffn_dim, max_seq_len=max_seq_len, dropout=0.0),
+        d_pre=d_pre, window_minutes=window_minutes,
+        feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
+    )
     provider = StubProvider(d_pre, seed)
     rng = np.random.default_rng([seed, 5])
 
@@ -919,12 +899,6 @@ def gradcheck_problem(hidden: int = 8, layers: int = 1, heads: int = 2, ffn_dim:
     else:
         raise ShapeMismatch("could not draw a masking plan covering all three heads")
 
-    config = ModelConfig(
-        encoder=enc.EncoderConfig(layers=layers, hidden=hidden, heads=heads,
-                                  ffn_dim=ffn_dim, max_seq_len=max_seq_len, dropout=0.0),
-        d_pre=d_pre, window_minutes=window_minutes,
-        feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
-    )
     model = Model.build(config, seed, dtype=np.float64)
 
     def loss_fn() -> Tensor:
@@ -941,7 +915,11 @@ def evaluate(model: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     if not samples:
         raise MissingLabels("no test-split samples to evaluate")
     scores = predict_scores(model, samples, provider, task.kind, batch_size)
-    labels = np.asarray([s.label for s in samples], dtype=np.float64)
-    if task.kind == "regression":
+    return _test_metrics(task.kind, scores, np.asarray([s.label for s in samples], dtype=np.float64))
+
+
+def _test_metrics(kind: str, scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
+    """The test split's metrics: MAE for regression, AUROC and AUPRC otherwise."""
+    if kind == "regression":
         return {"mae": mae(scores, labels)}
     return {"auroc": auroc(scores, labels), "auprc": auprc(scores, labels)}

@@ -44,6 +44,13 @@ class TestGradcheck:
     def test_flags_accepted(self):
         assert main(["gradcheck", "--hidden", "8", "--layers", "1"]) == 0
 
+    @pytest.mark.parametrize("d_pre", ["0", "-2"])
+    def test_pre_embedding_width_below_one_is_one_error_line(self, capsys, d_pre):
+        assert main(["gradcheck", "--d-pre", d_pre]) == 1
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert len(errors) == 1 and "d_pre" in errors[0] and "Traceback" not in err
+
 
 class TestSynthIngest:
     def test_synth_then_ingest(self, synth_args, capsys):
@@ -146,6 +153,40 @@ class TestConfigFile:
         assert code == 1
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert len(errors) == 1 and "InvalidSpec" in errors[0] and "unfrozen_layers" in errors[0]
+
+    @pytest.mark.parametrize("folds", ["0", "-1"])
+    def test_fold_count_below_one_is_one_error_line(self, synth_args, capsys, folds):
+        events, task, tmp_path = synth_args
+        ckpt = str(tmp_path / "pre.ckpt")
+        assert main(["pretrain", "--events", events, "--out", ckpt, "--embed-dim", "8",
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8",
+                     "--max-seq-len", "16", "--epochs", "1", "--batch-size", "8"]) == 0
+        capsys.readouterr()
+        code = main(["finetune", "--events", events, "--checkpoint", ckpt, "--task", task,
+                     "--embed-dim", "8", "--folds", folds, "--epochs", "1"])
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "InvalidSpec" in errors[0] and "fold" in errors[0]
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("source", ["--embed-dim 0", "--embed-dim -2", "zero-width cache"])
+    def test_pre_embedding_width_below_one_is_one_error_line(self, synth_args, capsys, source):
+        events, _task, tmp_path = synth_args
+        if source == "zero-width cache":
+            cache = str(tmp_path / "cache.bin")
+            write_cache(cache, {"lab: a": np.zeros(0, dtype=np.float32)})
+            width = ["--embed-cache", cache]
+        else:
+            width = source.split()
+        capsys.readouterr()
+        code = main(["pretrain", "--events", events, "--out", str(tmp_path / "pre.ckpt"), *width,
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8",
+                     "--max-seq-len", "16", "--epochs", "1", "--batch-size", "8"])
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "d_pre" in errors[0]
+        assert "Traceback" not in err
+        assert not (tmp_path / "pre.ckpt").exists()
 
     def test_non_utf8_config_file_is_one_error_line(self, synth_args, capsys):
         events, _task, tmp_path = synth_args

@@ -23,12 +23,12 @@ D_PRE, D, W = 6, 8, 24
 
 
 def params(seed=0, dropout=0.1, dtype=np.float64):
-    return init_embedder(np.random.default_rng(seed), D_PRE, D, W, dropout, dtype)
+    return init_embedder(ad.drawn(np.random.default_rng(seed), dtype), D_PRE, D, W, dropout)
 
 
 def zero_params():
     p = params()
-    for name, t in p.named_parameters():
+    for t in ad.named(p).values():
         t.data = np.zeros_like(t.data)
     p.ln_gain.data = np.ones_like(p.ln_gain.data)
     return p

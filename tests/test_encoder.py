@@ -33,7 +33,7 @@ def setup(batch=2, length=6, seed=0, config=CFG):
     rng = np.random.default_rng(seed)
     x = ad.constant(rng.standard_normal((batch, length, config.hidden)))
     mask = np.ones((batch, length))
-    params = init_encoder(np.random.default_rng(1), config, dtype=np.float64)
+    params = init_encoder(ad.drawn(np.random.default_rng(1), np.float64), config)
     return x, mask, params
 
 
@@ -82,7 +82,7 @@ class TestForward:
 class TestHeads:
     def test_mlvm_output_shapes(self):
         hidden = ad.constant(np.random.default_rng(0).standard_normal((2, 8, 4)))
-        heads = init_pretrain_heads(np.random.default_rng(0), 4, 10, 5, dtype=np.float64)
+        heads = init_pretrain_heads(ad.drawn(np.random.default_rng(0), np.float64), 4, 10, 5)
         f, c, cont = mlvm_outputs(hidden, heads)
         assert f.shape == (2, 8, 10)
         assert c.shape == (2, 8, 5)
@@ -90,14 +90,14 @@ class TestHeads:
 
     def test_zero_hidden_gives_bias(self):
         hidden = ad.constant(np.zeros((1, 3, 4)))
-        heads = init_pretrain_heads(np.random.default_rng(0), 4, 6, 5, dtype=np.float64)
+        heads = init_pretrain_heads(ad.drawn(np.random.default_rng(0), np.float64), 4, 6, 5)
         heads.feature_b.data = np.arange(6, dtype=np.float64)
         f, _, _ = mlvm_outputs(hidden, heads)
         np.testing.assert_array_equal(f.data[0, 0], np.arange(6.0))
 
     def test_feature_softmax_normalized(self):
         hidden = ad.constant(np.random.default_rng(3).standard_normal((2, 4, 4)))
-        heads = init_pretrain_heads(np.random.default_rng(1), 4, 7, 5, dtype=np.float64)
+        heads = init_pretrain_heads(ad.drawn(np.random.default_rng(1), np.float64), 4, 7, 5)
         f, _, _ = mlvm_outputs(hidden, heads)
         probs = np.exp(f.data - f.data.max(-1, keepdims=True))
         probs /= probs.sum(-1, keepdims=True)
@@ -105,10 +105,10 @@ class TestHeads:
 
     def test_mode_mismatch(self):
         hidden = ad.constant(np.zeros((1, 2, 4)))
-        task_heads = init_task_head(np.random.default_rng(0), 4, 1)
+        task_heads = init_task_head(ad.drawn(np.random.default_rng(0)), 4, 1)
         with pytest.raises(ModeMismatch):
             mlvm_outputs(hidden, task_heads)
-        pre = init_pretrain_heads(np.random.default_rng(0), 4, 3, 3)
+        pre = init_pretrain_heads(ad.drawn(np.random.default_rng(0)), 4, 3, 3)
         with pytest.raises(ModeMismatch):
             task_output(ad.constant(np.zeros((1, 4))), pre)
 
@@ -166,7 +166,7 @@ class TestGradCheck:
 
         def wrong_square(t):
             def bwd(g):
-                t.accumulate(3.0 * g)  # deliberately wrong; d/dx x^2 = 2x
+                t._node.accumulate(3.0 * g)  # deliberately wrong; d/dx x^2 = 2x
 
             return ad._make(t.data * t.data, (t,), bwd)
 

@@ -11,7 +11,7 @@ from scipy.special import expit
 from icuseq import autodiff as ad
 from icuseq import training
 from icuseq.embedder import encode_batch
-from icuseq.encoder import EncoderConfig
+from icuseq.encoder import EncoderConfig, save_checkpoint
 from icuseq.errors import ConfigMismatch, DivergedLoss, FormatError, IcuseqError, InvalidSpec, NoMaskedSlots
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.masking import MaskingRates
@@ -66,7 +66,7 @@ class TestOptimizer:
         opt = AdamW({"w": w}, weight_decay=0.1)
         for _ in range(10):
             opt.zero_grad()
-            w.grad = np.zeros(1)  # no loss gradient; decay alone acts
+            w._node.grad = np.zeros(1)  # no loss gradient; decay alone acts
             opt.step(0.1)
         assert w.data[0] < 1.0
 
@@ -84,7 +84,7 @@ class TestOptimizer:
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t, (step_grads, lr) in enumerate(zip(grads, (1e-3, 5e-4, 2e-3, 1e-3, 3e-4)), start=1):
             for k, p in params.items():
-                p.grad = step_grads[k].copy()
+                p._node.grad = step_grads[k].copy()
             opt.step(lr)
             bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
             for k, g in step_grads.items():
@@ -546,6 +546,96 @@ class TestCheckpointRoundTrip:
                 assert np.array_equal(got.data, want.data)
 
 
+ONE_MAKER_CONFIG = ModelConfig(
+    encoder=EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=6, max_seq_len=16, dropout=0.1),
+    d_pre=5, window_minutes=7, feature_vocab=9, value_vocab=6, task_dim=3)
+
+
+def drawn_before_makers(config, seed, dtype):
+    """The arrays ``Model.build`` drew before the init functions took a maker: the old formulas, in the old order."""
+    rng = np.random.default_rng([seed, 0])
+    d_pre, h, f = config.d_pre, config.encoder.hidden, config.encoder.ffn_dim
+    bound = 1.0 / np.sqrt(d_pre)
+    uniform = lambda *shape: rng.uniform(-bound, bound, size=shape).astype(dtype)  # noqa: E731
+    normal = lambda *shape: (rng.standard_normal(shape) * 0.02).astype(dtype)  # noqa: E731
+    zeros, ones = (lambda n: np.zeros(n, dtype=dtype)), (lambda n: np.ones(n, dtype=dtype))
+    out = {"embedder.w_f": uniform(d_pre, h), "embedder.b_f": zeros(h),
+           "embedder.w_x": uniform(d_pre, h), "embedder.b_x": zeros(h),
+           "embedder.time_table": normal(config.window_minutes, h),
+           "embedder.duration_table": normal(config.window_minutes, h),
+           "embedder.feature_specials": normal(3, d_pre), "embedder.value_specials": normal(3, d_pre),
+           "embedder.ln_gain": ones(h), "embedder.ln_bias": zeros(h)}
+    for i in range(config.encoder.layers):
+        layer = {"wq": normal(h, h), "bq": zeros(h), "wk": normal(h, h), "bk": zeros(h),
+                 "wv": normal(h, h), "bv": zeros(h), "wo": normal(h, h), "bo": zeros(h),
+                 "ln1_gain": ones(h), "ln1_bias": zeros(h), "ffn_w1": normal(h, f), "ffn_b1": zeros(f),
+                 "ffn_w2": normal(f, h), "ffn_b2": zeros(h), "ln2_gain": ones(h), "ln2_bias": zeros(h)}
+        out.update({f"encoder.layer{i}.{name}": a for name, a in layer.items()})
+    if config.head_mode == "pretrain":
+        out.update({"heads.feature_w": normal(h, config.feature_vocab), "heads.feature_b": zeros(config.feature_vocab),
+                    "heads.cat_w": normal(h, config.value_vocab), "heads.cat_b": zeros(config.value_vocab),
+                    "heads.cont_w": normal(h, 1), "heads.cont_b": zeros(1)})
+    else:
+        out.update({"heads.task_w": normal(h, config.task_dim), "heads.task_b": zeros(config.task_dim)})
+    return out
+
+
+def assert_same_arrays(params, arrays):
+    assert list(params) == list(arrays)
+    for name, t in params.items():
+        assert t.data.dtype == arrays[name].dtype and t.data.shape == arrays[name].shape, name
+        assert t.data.tobytes() == arrays[name].tobytes(), name
+
+
+class TestOneMaker:
+    """Each parameter is named once, in its init function, and made by ``ad.drawn`` or by ``Model.load``."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("head_mode", ["pretrain", "task"])
+    def test_build_draws_the_pinned_arrays(self, dtype, head_mode):
+        config = replace(ONE_MAKER_CONFIG, head_mode=head_mode)
+        model = Model.build(config, seed=11, dtype=dtype)
+        assert_same_arrays(model.parameters(), drawn_before_makers(config, 11, dtype))
+        assert all(t.requires_grad for t in model.parameters().values())
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_task_head_draws_the_pinned_arrays(self, dtype):
+        model = Model.build(ONE_MAKER_CONFIG, seed=11, dtype=dtype).with_task_head(2, 0.3, seed=6)
+        rng = np.random.default_rng([6, 81])
+        head = {"heads.task_w": (rng.standard_normal((8, 2)) * 0.02).astype(dtype),
+                "heads.task_b": np.zeros(2, dtype=dtype)}
+        assert_same_arrays({k: t for k, t in model.parameters().items() if k.startswith("heads.")}, head)
+
+    @pytest.mark.parametrize("head_mode", ["pretrain", "task"])
+    def test_load_draws_nothing_and_saves_the_same_bytes(self, tmp_path, monkeypatch, head_mode):
+        first, second = tmp_path / "a.icub", tmp_path / "b.icub"
+        Model.build(replace(ONE_MAKER_CONFIG, head_mode=head_mode), seed=3).save(str(first))
+
+        def no_draws(*_args, **_kwargs):
+            raise AssertionError("Model.load drew a parameter")
+
+        monkeypatch.setattr(ad, "drawn", no_draws)
+        monkeypatch.setattr(np.random, "default_rng", no_draws)
+        loaded = Model.load(str(first))
+        assert all(t.requires_grad for t in loaded.parameters().values())
+        loaded.save(str(second))
+        assert second.read_bytes() == first.read_bytes()
+
+    @pytest.mark.parametrize("change", ["extra", "missing"])
+    def test_a_config_mismatch_names_the_array(self, tmp_path, change):
+        params = dict(FUZZ_MODEL.parameters())
+        if change == "extra":
+            name = "heads.unused_w"
+            params[name] = ad.parameter(np.zeros((2, 3), dtype=np.float32), name)
+        else:
+            name = "encoder.layer0.ffn_b2"
+            del params[name]
+        path = str(tmp_path / "model.icub")
+        save_checkpoint(path, FUZZ_MODEL.config.to_dict(), params)
+        with pytest.raises(ConfigMismatch, match=name):
+            Model.load(path)
+
+
 def tape_size(loss) -> int:
     """Nodes that ``ad.backward`` visits from ``loss``."""
     seen, todo = {id(loss)}, [loss]
@@ -698,7 +788,7 @@ def reference_finetune(pretrained, task, corpus, vocab, provider, cfg, folds):
         model = pretrained.with_task_head(task.out_dim, config.task_dropout, seed=cfg.seed + fold)
         trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
         for name, tensor in model.parameters().items():
-            tensor.requires_grad = name in trainable
+            tensor._node.requires_grad = name in trainable
         optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
         n_windows = max(len(s.windows) for s in train)
         weight = training._class_weight(task, np.asarray([s.label for s in train], dtype=np.float32))
