@@ -19,6 +19,7 @@ keeps no tape.
 from __future__ import annotations
 
 import dataclasses
+import math
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -405,19 +406,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def take_position(a: Tensor, pos: int) -> Tensor:
-    """Slice position ``pos`` along axis 1 of a (B, L, d) tensor."""
-    out = a.data[:, pos, :]
-    an = a._node
-
-    def bwd(g):
-        grad = np.zeros(an.shape, an.dtype)
-        grad[:, pos, :] = g
-        an.accumulate(grad)
-
-    return _make(out, (a,), bwd)
-
-
 def _rows_of(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Entries ``rows[b, j]`` of axis -2 of ``x`` for each batch entry ``b`` (axis 0), as a fresh array."""
     idx = rows.reshape(rows.shape[:1] + (1,) * (x.ndim - 3) + rows.shape[1:] + (1,))
@@ -507,8 +495,11 @@ def _softmax_masked_inplace(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
 
 
 def _softmax_backward(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """``p · (g - Σ g·p)`` over the last axis, computed in ``g``, which it overwrites."""
     inner = (g * p).sum(axis=-1, keepdims=True)
-    return p * (g - inner)
+    g -= inner
+    g *= p
+    return g
 
 
 def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
@@ -521,32 +512,63 @@ def softmax_masked(scores: Tensor, keep: np.ndarray) -> Tensor:
     sn = scores._node
 
     def bwd(g):
-        sn.accumulate(_softmax_backward(p, g))
+        sn.accumulate(_softmax_backward(p, g.copy()))
 
     return _make(p, (scores,), bwd)
 
 
 def _dropout_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
                   rows: Optional[np.ndarray] = None) -> np.ndarray:
-    """The boolean keep mask ``rng.random(shape) >= rate``.
+    """The boolean keep mask ``rng.random(shape) >= rate``, drawn one batch entry (axis 0) at a time.
 
-    With ``rows`` (B, m), the mask is drawn at ``shape`` and its entries
-    ``rows[b]`` of axis -2 are kept (see ``_rows_of``): the generator advances
-    as for the full mask, and every kept entry equals the full mask's.
+    The draws take the stream in order, so the mask and the generator's
+    state afterwards equal one full draw's, while the float64 scratch holds
+    one entry. With ``rows`` (B, m), the mask holds entries ``rows[b]`` of
+    axis -2 for each entry ``b``, as ``_rows_of`` cuts them from the full
+    mask, and only those are drawn: per entry and leading index, the
+    distinct rows in ascending order, adjacent rows as one draw, each gap
+    and the rest of ``shape`` skipped by ``bit_generator.advance``. ``rng``
+    must then be a PCG64 generator (``np.random.default_rng``), whose
+    ``advance(n)`` passes ``n`` doubles of ``random``.
     """
-    keep = rng.random(shape) >= rate
-    return keep if rows is None else _rows_of(keep, rows)
+    if rows is None:
+        keep = np.empty(shape, bool)
+        scratch = np.empty(shape[1:])
+        for b in range(shape[0]):
+            rng.random(out=scratch)
+            np.greater_equal(scratch, rate, out=keep[b])
+        return keep
+    rows = np.asarray(rows)
+    length, width, m = shape[-2], shape[-1], rows.shape[1]
+    if rows.size and not 0 <= rows.min() <= rows.max() < length:  # a row past the mask would move the stream
+        raise ShapeMismatch(f"rows must lie in [0, {length}), got {rows.min()}..{rows.max()}")
+    lead = math.prod(shape[1:-2])
+    keep = np.empty(shape[:-2] + (m, width), bool)
+    bits = rng.bit_generator
+    before = bits.state  # advance drops a buffered 32-bit half, which a full draw leaves alone
+    done = 0  # doubles of the full draw passed so far
+    for b in range(shape[0]):
+        distinct, where = np.unique(rows[b], return_inverse=True)
+        starts = np.flatnonzero(np.diff(distinct, prepend=-2) != 1).tolist()
+        runs = [(int(distinct[j0]) * width, j0, j1) for j0, j1 in zip(starts, starts[1:] + [distinct.size])]
+        scratch = np.empty((lead, distinct.size, width))
+        for h in range(lead):
+            base = (b * lead + h) * length * width
+            for at, j0, j1 in runs:
+                bits.advance(base + at - done)
+                rng.random(out=scratch[h, j0:j1])
+                done = base + at + (j1 - j0) * width
+        np.greater_equal(scratch[:, where], rate, out=keep[b].reshape(lead, m, width))
+    bits.advance(math.prod(shape) - done)
+    if before["has_uint32"]:
+        bits.state = before | {"state": bits.state["state"]}
+    return keep
 
 
-def _scaled_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
-                 rows: Optional[np.ndarray], dtype) -> tuple[np.ndarray, np.generic]:
-    """The bool keep mask and the scale ``1 / (1 - rate)`` in ``dtype``, as :func:`_apply_keep` takes them."""
-    return _dropout_keep(rng, shape, rate, rows), np.dtype(dtype).type(1.0 / (1.0 - rate))
-
-
-def _apply_keep(x: np.ndarray, keep: np.ndarray, factor: np.generic) -> np.ndarray:
-    """``x * keep * factor`` as a fresh array in ``x``'s dtype: inverted dropout with a bool mask (see :func:`dropout`)."""
-    out = np.multiply(x, keep, dtype=x.dtype)
+def _apply_keep(x: np.ndarray, keep: np.ndarray, factor: np.generic,
+                out: Optional[np.ndarray] = None) -> np.ndarray:
+    """``x * keep * factor`` in ``x``'s dtype, into ``out`` or a fresh array: inverted dropout with a bool mask (see :func:`dropout`)."""
+    out = np.multiply(x, keep, out=out, dtype=x.dtype)
     out *= factor
     return out
 
@@ -554,52 +576,83 @@ def _apply_keep(x: np.ndarray, keep: np.ndarray, factor: np.generic) -> np.ndarr
 def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
               rate: float, rng: Optional[np.random.Generator], training: bool,
               rows: Optional[np.ndarray] = None) -> Tensor:
-    """Fused ``dropout(softmax_masked(q @ kᵀ · scale, keep)) @ v`` with one backward.
+    """Fused ``dropout(softmax_masked(q @ kᵀ · scale, keep)) @ v`` with one backward, run one batch entry at a time.
 
-    ``q`` is (..., Lq, d) and ``k`` and ``v`` are (..., L, d); ``keep``
-    broadcasts against the (..., Lq, L) scores and marks admissible keys.
-    Dropout on the probabilities draws ``rng.random(shape) >= rate`` exactly
-    as :func:`dropout` does, so the random stream is the same as the unfused
-    chain's, and the results are too. With ``rows`` (B, Lq), the query rows
-    are those positions of a length-L sequence: the mask is drawn for all L
-    rows and the ``rows`` entries are kept (see :func:`dropout`). The tape
-    keeps the probabilities, the bool dropout mask and its scale, and of
+    ``q`` is (B, ..., Lq, d) and ``k`` and ``v`` are (B, ..., L, d); ``keep``
+    broadcasts against the (B, ..., Lq, L) scores and marks admissible keys.
+    Each batch entry (axis 0) runs the products, the softmax and the dropout
+    on its own (..., Lq, L) slice; BLAS runs the same product per matrix
+    as for the whole stack, so every result is the batched chain's bit for
+    bit. Dropout on the probabilities draws ``rng.random(shape) >= rate``
+    entry by entry as :func:`dropout` does, so the random stream is the same
+    as the unfused chain's, and the results are too. With ``rows`` (B, Lq),
+    the query rows are those positions of a length-L sequence: only the
+    ``rows`` entries of the mask for all L rows are drawn, and the generator
+    is advanced past the rest (see ``_dropout_keep``). When an input
+    requires grad, the tape keeps the probabilities and the bool dropout
+    mask, each written into one (B, ..., Lq, L) array, the scale, and of
     ``q``, ``k`` and ``v`` only what the needed gradients read, never the
-    raw or scaled scores. Both directions multiply by the bool mask, then by
-    the scale, which is bit-identical to one product with the float mask
-    ``keep · scale``: a kept entry is ``x · 1 = x``, then scaled once, and a
-    dropped one is ``x · 0``, a zero with ``x``'s sign, as ``x · 0.0`` gives.
+    raw or scaled scores; otherwise each entry's scores and mask are
+    dropped as soon as its output is written. Both directions multiply by
+    the bool mask, then by the scale, which is bit-identical to one product
+    with the float mask ``keep · scale``: a kept entry is ``x · 1 = x``, then
+    scaled once, and a dropped one is ``x · 0``, a zero with ``x``'s sign, as
+    ``x · 0.0`` gives.
     """
-    c = q.data.dtype.type(scale)
-    scores = q.data @ k.data.swapaxes(-1, -2)
-    scores *= c
-    p = _softmax_masked_inplace(scores, keep)
-    dropped, kept, factor = p, None, None
-    if training and rate > 0.0:
-        full = p.shape if rows is None else p.shape[:-2] + (p.shape[-1], p.shape[-1])
-        kept, factor = _scaled_keep(rng, full, rate, rows, p.dtype)
-        dropped = _apply_keep(p, kept, factor)
-    out = dropped @ v.data
+    dtype = q.data.dtype
+    c = dtype.type(scale)
+    n, length = q.data.shape[0], k.data.shape[-2]
+    shape = q.data.shape[:-1] + (length,)  # the scores'
+    full = shape[1:] if rows is None else shape[1:-2] + (length, length)  # one entry's mask before any cut
+    keep = np.asarray(keep)
+    keep = keep.reshape((1,) * (len(shape) - keep.ndim) + keep.shape)
     qn, kn, vn = _grad_node(q), _grad_node(k), _grad_node(v)
+    taped = qn is not None or kn is not None or vn is not None
+    dropping = training and rate > 0.0
+    factor = dtype.type(1.0 / (1.0 - rate)) if dropping else None
+    p = np.empty(shape, dtype) if taped else None
+    kept = np.empty(shape, bool) if taped and dropping else None
+    scratch = np.empty(shape[1:], dtype)
+    out = np.empty(q.data.shape[:-1] + v.data.shape[-1:], dtype)
+    for b in range(n):
+        pb = p[b] if taped else scratch
+        np.matmul(q.data[b], k.data[b].swapaxes(-1, -2), out=pb)
+        pb *= c
+        _softmax_masked_inplace(pb, keep[b if keep.shape[0] > 1 else 0])
+        dropped = pb
+        if dropping:
+            kb = _dropout_keep(rng, (1,) + full, rate, None if rows is None else rows[b:b + 1])[0]
+            if kept is not None:
+                kept[b] = kb
+            dropped = _apply_keep(pb, kb, factor, out=scratch)
+        np.matmul(dropped, v.data[b], out=out[b])
     q_data = q.data if kn is not None else None
     k_data = k.data if qn is not None else None
     v_data = v.data if qn is not None or kn is not None else None
 
     def bwd(g):
-        if vn is not None:  # the dropped probabilities are rebuilt, not held by the tape
-            vn.accumulate((p if kept is None else _apply_keep(p, kept, factor)).swapaxes(-1, -2) @ g)
-        if qn is None and kn is None:
-            return
-        gp = g @ v_data.swapaxes(-1, -2)
-        if kept is not None:
-            gp *= kept
-            gp *= factor
-        gs = _softmax_backward(p, gp)
-        gs *= c
-        if qn is not None:
-            qn.accumulate(gs @ k_data)
-        if kn is not None:
-            kn.accumulate((q_data.swapaxes(-1, -2) @ gs).swapaxes(-1, -2))
+        dq, dk, dv = (None if t is None else np.empty(t.shape, t.dtype) for t in (qn, kn, vn))
+        work = np.empty(p.shape[1:], p.dtype)
+        for b in range(n):
+            kb = None if kept is None else kept[b]
+            if dv is not None:  # the dropped probabilities are rebuilt, not held by the tape
+                dropped = p[b] if kb is None else _apply_keep(p[b], kb, factor, out=work)
+                np.matmul(dropped.swapaxes(-1, -2), g[b], out=dv[b])
+            if dq is None and dk is None:
+                continue
+            gp = np.matmul(g[b], v_data[b].swapaxes(-1, -2), out=work)
+            if kb is not None:
+                gp *= kb
+                gp *= factor
+            gs = _softmax_backward(p[b], gp)
+            gs *= c
+            if dq is not None:
+                np.matmul(gs, k_data[b], out=dq[b])
+            if dk is not None:
+                dk[b] = (q_data[b].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
+        for node, grad in ((qn, dq), (kn, dk), (vn, dv)):
+            if node is not None:
+                node.accumulate(grad)
 
     return _make(out, (q, k, v), bwd)
 
@@ -608,22 +661,25 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
             rows: Optional[np.ndarray] = None, length: Optional[int] = None) -> Tensor:
     """Inverted dropout.
 
-    The tape keeps a bool mask and one scale, a quarter of a float32 mask's
-    bytes, and both directions multiply by the mask, then by the scale. That
-    equals one product with the float mask ``keep · scale`` bit for bit: a
-    kept entry is ``x · 1 = x`` exactly, then scaled once, as ``x · scale``
-    is; a dropped one is ``x · 0``, a zero with ``x``'s sign, which the
-    positive scale keeps, as ``x · 0.0`` gives.
+    The mask is drawn one batch entry (axis 0) at a time (see
+    ``_dropout_keep``). The tape keeps a bool mask and one scale, a quarter
+    of a float32 mask's bytes, and both directions multiply by the mask,
+    then by the scale. That equals one product with the float mask
+    ``keep · scale`` bit for bit: a kept entry is ``x · 1 = x`` exactly, then
+    scaled once, as ``x · scale`` is; a dropped one is ``x · 0``, a zero with
+    ``x``'s sign, which the positive scale keeps, as ``x · 0.0`` gives.
 
     With ``rows`` (B, m), ``a`` holds positions ``rows[b]`` of a sequence of
-    ``length``: the mask is drawn as if axis -2 of ``a`` had ``length``
-    entries and its ``rows`` entries are kept, so a layer that computes fewer
-    rows advances ``rng`` exactly as the full layer does.
+    ``length``: only those entries of a mask whose axis -2 has ``length``
+    entries are drawn, and the generator is advanced past the rest, so a
+    layer that computes fewer rows gets the full layer's mask at its rows
+    and leaves ``rng`` exactly as the full layer does.
     """
     if not training or rate <= 0.0:
         return a
     shape = a.data.shape if rows is None else a.data.shape[:-2] + (length, a.data.shape[-1])
-    kept, factor = _scaled_keep(rng, shape, rate, rows, a.data.dtype)
+    kept = _dropout_keep(rng, shape, rate, rows)
+    factor = a.data.dtype.type(1.0 / (1.0 - rate))
     out = _apply_keep(a.data, kept, factor)
     an = a._node
 

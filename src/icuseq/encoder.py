@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional
@@ -96,8 +97,9 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
     values still come from every row, so each output row equals the full
     stack's; its queries, attention, out-projection, residuals, layer norms
     and FFN run on the gathered rows. In train mode that layer's dropout
-    masks are drawn at full-row shape and only the gathered rows are kept, so
-    ``rng`` advances as in the full stack and every kept entry is the same.
+    masks are drawn at the gathered rows only, and ``rng`` is advanced past
+    the rest of each full-row mask, so every mask entry is the full stack's
+    and ``rng`` ends where the full stack leaves it.
     """
     b, length, d = x.shape
     if d != config.hidden:
@@ -196,8 +198,9 @@ def mlvm_outputs(hidden: Tensor, heads: HeadSet) -> tuple[Tensor, Tensor, Tensor
 
 
 def cls_output(hidden: Tensor) -> Tensor:
-    """Row 0 of (B, m, d) final states: the CLS token's, for full-row states or those of rows ``[[0]] * B``."""
-    return ad.take_position(hidden, 0)
+    """The CLS token's (B, d) final states, from the (B, 1, d) states of rows ``[[0]] * B``."""
+    b, _, d = hidden.shape
+    return ad.reshape(hidden, (b, d))
 
 
 def task_output(cls_vec: Tensor, heads: HeadSet, mode: str = "eval",
@@ -324,42 +327,49 @@ def _checkpoint_chunks(config: dict, params: dict[str, Tensor]) -> Iterator[byte
 
 
 def load_checkpoint(path: str, expect: Optional[dict] = None) -> tuple[dict, dict[str, np.ndarray]]:
-    """Read a checkpoint; optionally enforce config keys the caller relies on."""
+    """Read a checkpoint; optionally enforce config keys the caller relies on.
+
+    Each blob is read straight into its own array, so a load holds one copy
+    of the parameters. No read or allocation asks for more than the bytes
+    left in the file, whatever length a corrupt header claims.
+    """
     with open(path, "rb") as f:
-        data = f.read()
-    if data[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
-        raise FormatError("bad checkpoint magic")
-    off = len(CHECKPOINT_MAGIC)
-    try:
-        (config_len,) = struct.unpack_from("<I", data, off)
-        off += 4
-        raw_config = data[off : off + config_len]
-        if len(raw_config) != config_len:
-            raise FormatError("truncated config block")
-        config = json.loads(raw_config.decode("utf-8"))
-        off += config_len
-        (n_params,) = struct.unpack_from("<I", data, off)
-        off += 4
-        params: dict[str, np.ndarray] = {}
-        for _ in range(n_params):
-            (name_len,) = struct.unpack_from("<I", data, off)
-            off += 4
-            name = data[off : off + name_len].decode("utf-8")
-            off += name_len
-            (rank,) = struct.unpack_from("<I", data, off)
-            off += 4
-            shape = struct.unpack_from(f"<{rank}I", data, off)
-            off += 4 * rank
-            size = math.prod(shape)
-            raw = data[off : off + 4 * size]
-            if len(raw) != 4 * size:
-                raise FormatError(f"truncated blob for {name!r}")
-            off += 4 * size
-            params[name] = np.frombuffer(raw, dtype="<f4").reshape(shape).copy()
-    except (struct.error, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long integer
-        raise FormatError(f"corrupt checkpoint: {exc}") from exc
-    if off != len(data):
-        raise FormatError("trailing bytes after last parameter blob")
+        size = os.fstat(f.fileno()).st_size
+        if f.read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise FormatError("bad checkpoint magic")
+        off = len(CHECKPOINT_MAGIC)
+
+        def read(n: int) -> bytes:
+            nonlocal off
+            data = f.read(min(n, size - off))
+            off += len(data)
+            return data
+
+        def unpack(fmt: str) -> tuple:
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        try:
+            (config_len,) = unpack("<I")
+            raw_config = read(config_len)
+            if len(raw_config) != config_len:
+                raise FormatError("truncated config block")
+            config = json.loads(raw_config.decode("utf-8"))
+            (n_params,) = unpack("<I")
+            params: dict[str, np.ndarray] = {}
+            for _ in range(n_params):
+                (name_len,) = unpack("<I")
+                name = read(name_len).decode("utf-8")
+                (rank,) = unpack("<I")
+                shape = unpack(f"<{rank}I")
+                if 4 * math.prod(shape) > size - off:
+                    raise FormatError(f"truncated blob for {name!r}")
+                blob = np.empty(shape, dtype="<f4")
+                off += f.readinto(blob)
+                params[name] = blob
+        except (struct.error, ValueError) as exc:  # ValueError: bad JSON or UTF-8, or an over-long integer
+            raise FormatError(f"corrupt checkpoint: {exc}") from exc
+        if off != size:
+            raise FormatError("trailing bytes after last parameter blob")
     if not isinstance(config, dict):
         raise FormatError(f"checkpoint config is a JSON {type(config).__name__}, not an object")
     if expect:

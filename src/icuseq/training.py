@@ -222,8 +222,10 @@ class Model:
         ``below`` holds one prefix per window batch (see ``hidden_states``).
         Only the CLS row reaches the head, so the top encoder layer computes
         that row alone, with keys and values from every row. Train-mode
-        dropout draws the same masks as a full-row pass and keeps their row
-        0, so the logits and gradients equal the full pass's up to rounding.
+        dropout draws only row 0 of each full-row mask and advances ``rng``
+        past the rest, so the masks at that row and the generator's state
+        are the full pass's, and the logits and gradients equal its own up
+        to rounding.
         """
         cls_sum = None
         for i, batch in enumerate(window_batches):
@@ -438,9 +440,10 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     The loss reads the masked slots only, so in every train step and val
     pass the top encoder layer and the heads compute each batch's masked
     positions alone (``MaskedSlots.rows``), with keys and values from every
-    row. Train-mode dropout draws the same masks as a full-row pass and keeps
-    those rows, so the losses and the parameters equal the full-row path's
-    up to rounding.
+    row. Train-mode dropout draws only those rows of each full-row mask and
+    advances the generator past the rest, so every mask entry is the
+    full-row pass's, and the losses and the parameters equal the full-row
+    path's up to rounding.
 
     A batch without a masked slot carries no loss: a train batch takes no
     step, and a val batch is dropped when the val batches are built. A val

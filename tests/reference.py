@@ -494,7 +494,7 @@ def task_scores(model, window_batches, mode="eval", rng=None, below=None):
             depth, x = below[i].depth, below[i].hidden
         hidden = encoder_forward(x, batch.attention_mask, model.config.encoder,
                                  enc.EncoderParams(model.encoder.layers[depth:]), mode, rng)
-        cls_vec = enc.cls_output(hidden)
+        cls_vec = enc.cls_output(ad.take_rows(hidden, np.zeros((hidden.shape[0], 1), dtype=np.intp)))
         cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
     return enc.task_output(ad.scale(cls_sum, 1.0 / len(window_batches)), model.heads, mode, rng)
 

@@ -1,9 +1,12 @@
 """Gradient checks for every tape op against central differences (float64)."""
 
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icuseq import autodiff as ad
 from icuseq.errors import GraphReleased, ShapeMismatch
@@ -310,9 +313,6 @@ class TestShapes:
     def test_transpose(self):
         check_op(lambda a: weighted(ad.transpose(a, (1, 0, 2))), (2, 3, 4))
 
-    def test_take_position(self):
-        check_op(lambda a: weighted(ad.take_position(a, 0)), (2, 3, 4))
-
     @pytest.mark.parametrize("rows", [[[0], [0]], [[0, 1], [2, 0]], [[2, 2, 0], [1, 1, 1]]],
                              ids=["cls", "two", "repeated"])
     def test_take_rows(self, rows):
@@ -541,6 +541,97 @@ class TestAttention:
         q, k, v = (ad.parameter(RNG.standard_normal((1, 1, 4, 2)), n) for n in "qkv")
         out = ad.attention(q, k, v, np.ones(4, dtype=bool), 1.0, 0.5, np.random.default_rng(0), True)
         assert out._parents == (q._node, k._node, v._node)
+
+
+def traced_peak(fn) -> int:
+    """The peak bytes ``tracemalloc`` sees allocated while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestAttentionMemory:
+    """At (8, 4, 256, 16) one (B, H, L, L) float32 array is 8 MiB; the op holds no such scratch it does not keep."""
+
+    SHAPE = (8, 4, 256, 16)
+    PROBS = 8 * 4 * 256 * 256 * 4
+
+    def inputs(self, grad):
+        rng = np.random.default_rng(0)
+        arrays = [rng.standard_normal(self.SHAPE).astype(np.float32) for _ in range(3)]
+        keep = np.ones((8, 1, 1, 256), dtype=bool)
+        keep[::2, ..., 200:] = False
+        return [ad.parameter(a, n) if grad else ad.constant(a) for a, n in zip(arrays, "qkv")], keep
+
+    @pytest.mark.parametrize("training", [False, True], ids=["eval", "train"])
+    def test_without_tape_peaks_below_one_probability_array(self, training):
+        tensors, keep = self.inputs(grad=False)
+        peak = traced_peak(lambda: ad.attention(*tensors, keep, 0.25, 0.1, np.random.default_rng(1), training))
+        assert peak < self.PROBS
+
+    def test_train_step_peaks_below_twice_the_probabilities(self):
+        """The tape keeps the probabilities and the bool mask, 1.25 probability arrays; scratch stays per entry.
+
+        The op that ran the whole batch at once peaked at 3.6 probability
+        arrays here, with a float64 draw of the full mask and full-size
+        backward temporaries.
+        """
+        tensors, keep = self.inputs(grad=True)
+        g = ad.constant(np.random.default_rng(2).standard_normal(self.SHAPE).astype(np.float32))
+
+        def step():
+            out = ad.attention(*tensors, keep, 0.25, 0.1, np.random.default_rng(1), True)
+            ad.backward(ad.sum_all(ad.mul(out, g)))
+
+        assert traced_peak(step) < 2 * self.PROBS
+
+
+@st.composite
+def keep_draws(draw):
+    """A mask shape (B, *lead, length, width), a rate, and (B, m) rows: unsorted, repeated, zero-padded or absent."""
+    b = draw(st.integers(1, 3))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    length, width = draw(st.integers(1, 7)), draw(st.integers(1, 5))
+    rate = draw(st.floats(0.0, 0.95))
+    rows = None
+    if draw(st.booleans()):
+        m = draw(st.integers(0, 5))
+        pad = draw(st.integers(0, 2))
+        rows = np.array([draw(st.lists(st.integers(0, length - 1), min_size=m, max_size=m)) + [0] * pad
+                         for _ in range(b)], dtype=np.intp).reshape(b, m + pad)
+    return (b, *lead, length, width), rate, rows
+
+
+class TestDropoutKeep:
+    @settings(max_examples=200, deadline=None)
+    @given(keep_draws(), st.integers(0, 2**32 - 1), st.booleans())
+    def test_equals_the_full_draw_at_the_rows(self, draw, seed, buffered):
+        """Byte for byte the full mask at ``rows``, and the generator ends in the full draw's state.
+
+        ``buffered`` first draws one 32-bit integer, which leaves half a
+        64-bit output buffered in the generator's state.
+        """
+        shape, rate, rows = draw
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        if buffered:
+            got_rng.integers(0, 10)
+            want_rng.integers(0, 10)
+        got = ad._dropout_keep(got_rng, shape, rate, rows)
+        full = want_rng.random(shape) >= rate
+        want = full if rows is None else np.stack([full[b][..., rows[b], :] for b in range(shape[0])])
+        assert got.dtype == bool and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.integers(0, 2**31) == want_rng.integers(0, 2**31)
+
+    @pytest.mark.parametrize("bad", [-1, 5])
+    def test_rows_outside_the_mask_are_refused(self, bad):
+        rng = np.random.default_rng(0)
+        with pytest.raises(ShapeMismatch):
+            ad._dropout_keep(rng, (2, 5, 3), 0.5, np.array([[0, 1], [bad, 2]]))
 
 
 class TestDropout:

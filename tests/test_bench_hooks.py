@@ -12,6 +12,8 @@ files are imported, never changed.
 
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -105,3 +107,10 @@ def test_a_traced_round_counts_real_work(bench_modules, tmp_path):
                  "embedder.compose", "windows.prepare", "windows.build_samples", "encoder.heads",
                  "objective.mlvm_loss", "encoder.forward_train", "encoder.forward_eval"):
         assert tracer.calls(span) > 0, span
+
+
+def test_benchmark_self_test_passes():
+    """``perfbench/selftest.py``, run as the benchmark runs it: every workload shrunk, untraced and traced."""
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "selftest.py")], cwd=PERFBENCH.parent,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-4000:]

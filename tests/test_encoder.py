@@ -1,4 +1,5 @@
 import json
+import os
 import struct
 
 import numpy as np
@@ -25,6 +26,7 @@ from icuseq import training
 from icuseq.training import Model, gradcheck_problem
 
 import reference
+from test_autodiff import traced_peak
 
 CFG = EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=6, max_seq_len=6, dropout=0.0)
 
@@ -114,7 +116,8 @@ class TestHeads:
 
     def test_cls_output_is_position_zero(self):
         hidden = ad.constant(np.random.default_rng(0).standard_normal((3, 5, 4)))
-        np.testing.assert_array_equal(cls_output(hidden).data, hidden.data[:, 0, :])
+        cls_rows = ad.take_rows(hidden, np.zeros((3, 1), dtype=np.intp))  # what the cut top layer outputs
+        np.testing.assert_array_equal(cls_output(cls_rows).data, hidden.data[:, 0, :])
 
 
 class TestGradCheck:
@@ -223,6 +226,37 @@ class TestCheckpoints:
         bad.write_bytes(data[:-3])
         with pytest.raises(FormatError):
             load_checkpoint(str(bad))
+
+    def test_load_holds_one_copy_of_the_blobs(self, tmp_path):
+        """Each blob is read into its own array: the load peaks below 1.25 times the file, not at twice it."""
+        rng = np.random.default_rng(2)
+        params = {f"p{i}": ad.parameter(rng.standard_normal(shape).astype(np.float32), f"p{i}")
+                  for i, shape in enumerate([(512, 768), (768,), (300, 700), (3, 5, 7), ()])}
+        path = str(tmp_path / "model.ckpt")
+        save_checkpoint(path, {"hidden": 768}, params)
+        arrays = {}
+        assert traced_peak(lambda: arrays.update(load_checkpoint(path)[1])) < 1.25 * os.path.getsize(path)
+        for name, tensor in params.items():
+            assert arrays[name].tobytes() == tensor.data.tobytes()
+
+    @pytest.mark.parametrize("field", ["config length", "blob shape"])
+    def test_huge_claimed_lengths_allocate_nothing(self, tmp_path, field):
+        """A header that claims gigabytes is refused with what the file holds, not read or allocated."""
+        path = tmp_path / "model.ckpt"
+        save_checkpoint(str(path), {"hidden": 4}, self.model_params())
+        data = bytearray(path.read_bytes())
+        if field == "config length":
+            data[5:9] = struct.pack("<I", 2**32 - 1)
+        else:  # "layer.b" (rank 1, 4 entries) claims 2**28 entries, 1 GiB
+            at = data.index(b"layer.b") + len(b"layer.b")
+            data[at:at + 8] = struct.pack("<3I", 2, 2**14, 2**14)
+        path.write_bytes(bytes(data))
+
+        def load():
+            with pytest.raises(FormatError):
+                load_checkpoint(str(path))
+
+        assert traced_peak(load) < 2**20
 
     def test_bad_magic_rejected(self, tmp_path):
         bad = tmp_path / "bad.ckpt"
