@@ -5,15 +5,18 @@ stack, and the training losses. A :class:`Tensor` pairs a value with its
 tape entry, a :class:`_Node`: the node holds the gradient and, for an op's
 output, the parent nodes and the backward closure, but never the value. Each
 closure saves only the arrays its backward reads, so an op output that no
-backward reads (a linear output fed to dropout, a sum fed to layer norm) is
-freed as soon as the caller drops its Tensor. Calling :func:`backward` on a
-scalar walks the nodes, accumulates gradients into the ``grad`` of the
-leaves (nodes no op made, such as parameters) and releases the graph as it
-walks it, so one graph supports one :func:`backward`. Every op keeps the
-dtype of its inputs so the same graph runs in float32 for training and
-float64 for finite-difference checks. An op records its parents and backward
-closure only when some input requires grad, so a forward over constants
-keeps no tape.
+backward reads (a linear output fed to dropout) is freed as soon as the
+caller drops its Tensor. A node may also hold a ``rebuild`` closure that
+recomputes its value bit for bit from what its own backward keeps; a
+backward that reads that value calls it instead of keeping the value (a
+layer-norm output read by a linear's weight gradient). Calling
+:func:`backward` on a scalar walks the nodes, accumulates gradients into
+the ``grad`` of the leaves (nodes no op made, such as parameters) and
+releases the graph as it walks it, so one graph supports one
+:func:`backward`. Every op keeps the dtype of its inputs so the same graph
+runs in float32 for training and float64 for finite-difference checks. An
+op records its parents and backward closure only when some input requires
+grad, so a forward over constants keeps no tape.
 """
 
 from __future__ import annotations
@@ -39,13 +42,14 @@ class _Node:
     that a gradient can be allocated once the value is gone.
     """
 
-    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "shape", "dtype")
+    __slots__ = ("grad", "requires_grad", "_parents", "_backward", "rebuild", "shape", "dtype")
 
     def __init__(self, shape: tuple[int, ...], dtype, requires_grad: bool):
         self.grad: Optional[np.ndarray] = None
         self.requires_grad = requires_grad
         self._parents: tuple[_Node, ...] = ()
         self._backward: Optional[Callable[[np.ndarray], None]] = None
+        self.rebuild: Optional[Callable[[], np.ndarray]] = None  # recomputes the value; see layer_norm
         self.shape = shape
         self.dtype = dtype
 
@@ -61,6 +65,19 @@ class _Node:
             np.copyto(self.grad, g)
         else:
             self.grad += g
+
+    def adopt(self, g: np.ndarray) -> None:
+        """:meth:`accumulate` for a gradient an op allocated for this node alone: the first one is kept, not copied.
+
+        ``g`` must be referenced by nothing the caller uses afterwards, since
+        later gradients are added into it. One that is not C-contiguous or
+        not of the node's shape and dtype is copied as :meth:`accumulate`
+        copies it, so the node's gradient is the same array either way.
+        """
+        if self.grad is None and g.flags.c_contiguous and g.shape == self.shape and g.dtype == self.dtype:
+            self.grad = g
+        else:
+            self.accumulate(g)
 
 
 class Tensor:
@@ -225,7 +242,7 @@ def backward(loss: Tensor) -> None:
             continue
         if node.grad is not None:
             node._backward(node.grad)
-        node.grad, node._backward, node._parents = None, _released, ()
+        node.grad, node._backward, node._parents, node.rebuild = None, _released, (), None
 
 
 # ---------------------------------------------------------------------------
@@ -280,7 +297,11 @@ def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
     closure keeps ``x.data`` only if ``w`` needs a gradient and ``w.data``
     only if ``x`` does, and no flattened copy of ``x``: the backward
     reshapes ``x.data`` again, which is a view unless ``x`` is
-    non-contiguous.
+    non-contiguous. Where ``x``'s node has a ``rebuild`` (a layer-norm
+    output), the closure keeps that instead of ``x.data``, and the weight
+    gradient reads the rebuilt value, which is ``x.data`` bit for bit. The
+    gradients of ``x`` and ``w`` are fresh products, adopted rather than
+    copied (see ``_Node.adopt``).
     """
     d_in, n = w.data.shape
     if x.data.shape[-1:] != (d_in,):  # reshape alone would accept any size that d_in divides
@@ -291,15 +312,16 @@ def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
     out = out.reshape(x.data.shape[:-1] + (n,))
     xn, wn = _grad_node(x), _grad_node(w)
     bn = None if b is None else _grad_node(b)
-    x_data = x.data if wn is not None else None
+    rebuild = x._node.rebuild if wn is not None else None
+    x_data = x.data if wn is not None and rebuild is None else None
     w_data = w.data if xn is not None else None
 
     def bwd(g):
         g2 = g.reshape(-1, n)
         if xn is not None:
-            xn.accumulate((g2 @ w_data.T).reshape(xn.shape))
+            xn.adopt((g2 @ w_data.T).reshape(xn.shape))
         if wn is not None:
-            wn.accumulate(x_data.reshape(-1, d_in).T @ g2)
+            wn.adopt((x_data if rebuild is None else rebuild()).reshape(-1, d_in).T @ g2)
         if bn is not None:
             bn.accumulate(_unbroadcast(g, bn.shape))
 
@@ -434,46 +456,101 @@ def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
+    """``x · Φ(x)``, Φ the standard normal CDF, which ``erf`` gives in float64.
+
+    The float64 ``cdf`` is built in one buffer, ``0.5 · (1 + erf(x / √2))``
+    op by op in place, and the output is rounded to ``x``'s dtype as it is
+    written. The backward computes ``exp(-0.5 · x · x)`` in ``x``'s dtype
+    and then ``g · (cdf + x · pdf)`` in one float64 buffer, in that order.
+    """
     x = a.data
-    cdf = 0.5 * (1.0 + erf(x * _INV_SQRT2))
-    out = x * cdf
+    cdf = np.multiply(x, _INV_SQRT2)
+    erf(cdf, out=cdf)
+    cdf += 1.0
+    cdf *= 0.5
+    out = np.multiply(x, cdf, out=np.empty_like(x))
     an = a._node
 
     def bwd(g):
-        pdf = np.exp(-0.5 * x * x) * _INV_SQRT2PI
-        an.accumulate(g * (cdf + x * pdf))
+        e = np.multiply(x, -0.5)
+        e *= x
+        np.exp(e, out=e)
+        grad = np.multiply(e, _INV_SQRT2PI)  # pdf
+        grad *= x
+        grad += cdf
+        grad *= g
+        an.accumulate(grad)
 
-    return _make(out.astype(x.dtype, copy=False), (a,), bwd)
+    return _make(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    """Normalize over the last axis, then apply gain and bias.
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12,
+               residual: Optional[Tensor] = None) -> Tensor:
+    """Normalize ``a`` over the last axis, then apply gain and bias; with ``residual``, normalize ``residual + a``.
 
-    The tape keeps ``xhat``, the inverse deviations and the gain, not the input.
+    With ``residual`` (of ``a``'s shape) the one node computes what
+    ``layer_norm(add(residual, a), gain, bias)`` does, bit for bit: the same
+    ops in the same order, the sum's buffer centred and then scaled into
+    ``xhat`` in place, and the squares' buffer turned into the output. The
+    node's parents are ``(residual, a, gain, bias)``, the order in which
+    :func:`backward` reaches them through the add, so every node receives
+    its gradients, and sums them, in the same order. Both summands get the
+    same gradient; the first one that requires grad adopts it.
+
+    The tape keeps ``xhat``, the inverse deviations and the gain, never the
+    input or the output. The output node's ``rebuild`` recomputes
+    ``gain · xhat + bias`` with the forward's two ops, so a backward that
+    reads the output (a linear's weight gradient) gets it bit for bit
+    without the tape holding it.
     """
-    x = a.data
+    if residual is not None and residual.data.shape != a.data.shape:
+        raise ShapeMismatch(f"residual shape {residual.data.shape} vs input {a.data.shape}")
+    x = a.data if residual is None else residual.data + a.data
     dim = x.shape[-1]
     mu = x.mean(axis=-1, keepdims=True)
-    xc = x - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
+    xhat = np.subtract(x, mu, out=None if residual is None else x)  # the sum is this op's own: centre it in place
+    out = np.multiply(xhat, xhat)
+    var = out.mean(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = gain.data * xhat + bias.data
+    xhat *= inv
+    gain_data, bias_data = gain.data, bias.data
+    np.multiply(gain_data, xhat, out=out)
+    out += bias_data
+    rn = None if residual is None else _grad_node(residual)
     an, gn, bn = _grad_node(a), _grad_node(gain), _grad_node(bias)
-    gain_data = gain.data if an is not None else None
+    summands = [node for node in (rn, an) if node is not None]
 
     def bwd(g):
+        scratch = np.multiply(g, xhat)
         if gn is not None:
-            gn.accumulate(_unbroadcast(g * xhat, gn.shape))
+            gn.accumulate(_unbroadcast(scratch, gn.shape))
         if bn is not None:
             bn.accumulate(_unbroadcast(g, bn.shape))
-        if an is not None:
-            dxhat = g * gain_data
-            s1 = dxhat.sum(axis=-1, keepdims=True)
-            s2 = (dxhat * xhat).sum(axis=-1, keepdims=True)
-            an.accumulate((inv / dim) * (dim * dxhat - s1 - xhat * s2))
+        if not summands:
+            return
+        dx = np.multiply(g, gain_data)  # dxhat
+        s1 = dx.sum(axis=-1, keepdims=True)
+        s2 = np.multiply(dx, xhat, out=scratch).sum(axis=-1, keepdims=True)
+        np.multiply(xhat, s2, out=scratch)
+        dx *= dim
+        dx -= s1
+        dx -= scratch
+        del scratch  # freed before the second summand copies dx
+        dx *= inv / dim
+        summands[0].adopt(dx)
+        for node in summands[1:]:
+            node.accumulate(dx)
 
-    return _make(out.astype(x.dtype, copy=False), (a, gain, bias), bwd)
+    def rebuild():
+        value = np.multiply(gain_data, xhat)
+        value += bias_data
+        return value
+
+    parents = (a, gain, bias) if residual is None else (residual, a, gain, bias)
+    result = _make(out, parents, bwd)
+    if result.requires_grad:
+        result._node.rebuild = rebuild
+    return result
 
 
 def _softmax_masked_inplace(x: np.ndarray, keep: np.ndarray) -> np.ndarray:
@@ -652,7 +729,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, keep: np.ndarray, scale: float,
                 dk[b] = (q_data[b].swapaxes(-1, -2) @ gs).swapaxes(-1, -2)
         for node, grad in ((qn, dq), (kn, dk), (vn, dv)):
             if node is not None:
-                node.accumulate(grad)
+                node.adopt(grad)
 
     return _make(out, (q, k, v), bwd)
 

@@ -90,6 +90,9 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
             rng: Optional[np.random.Generator] = None, rows: Optional[np.ndarray] = None) -> Tensor:
     """Post-norm encoder stack; PAD key positions are excluded from attention.
 
+    Each residual add runs inside its layer norm (``ad.layer_norm``'s
+    ``residual``), one node per sublayer.
+
     Without ``rows`` every layer computes every row and the result is
     (B, L, d). With ``rows``, a (B, m) int array of positions, the last
     layer outputs those rows only and the result is (B, m, d), row ``j`` of
@@ -137,10 +140,10 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
         heads_out = ad.attention(q, k, v, keep, inv_sqrt_dh, config.dropout, rng, training, rows=cut)
         context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), h.shape)
         attn_out = drop(ad.linear(context, layer.wo, layer.bo), cut)
-        x = ad.layer_norm(ad.add(h, attn_out), layer.ln1_gain, layer.ln1_bias)
+        x = ad.layer_norm(attn_out, layer.ln1_gain, layer.ln1_bias, residual=h)
         inner = ad.gelu(ad.linear(x, layer.ffn_w1, layer.ffn_b1))
         ffn_out = drop(ad.linear(inner, layer.ffn_w2, layer.ffn_b2), cut)
-        x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
+        x = ad.layer_norm(ffn_out, layer.ln2_gain, layer.ln2_bias, residual=x)
     return x
 
 

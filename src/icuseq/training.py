@@ -531,7 +531,7 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
                 raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
             if val_total < best_val:
                 best_val, best_epoch, epochs_since_best = val_total, epoch, 0
-                best_state = {k: t.data.copy() for k, t in model.parameters().items()}
+                best_state = {k: t.data for k, t in model.parameters().items()}  # AdamW.step rebinds, never writes
             else:
                 epochs_since_best += 1
                 if cfg.patience is not None and epochs_since_best > cfg.patience:
@@ -828,7 +828,7 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
 
         if val_loss < best_val:
             best_val, since_best = val_loss, 0
-            best_state = {k: t.data.copy() for k, t in trainable.items()}
+            best_state = {k: t.data for k, t in trainable.items()}  # AdamW.step rebinds, never writes
         else:
             since_best += 1
             if cfg.patience is not None and since_best > cfg.patience:

@@ -8,9 +8,11 @@ results bit for bit. ``tokens_of`` and ``sequence_of`` translate between the
 two forms for unit tests that write tokens by hand or read a window token by
 token.
 
-``encoder_forward`` and ``task_scores`` are the task path as it was before
-the top encoder layer was cut to the CLS row: every layer computes every
-row, and the CLS vector is read from the (B, L, d) final states.
+``encoder_forward`` is the encoder as it was before each residual add was
+fused into its layer norm, with or without the top layer cut to some rows.
+``task_scores`` is the task path as it was before the top encoder layer was
+cut to the CLS row: every layer computes every row, and the CLS vector is
+read from the (B, L, d) final states.
 ``pretrain`` is the pre-training loop as it was before the top layer and
 the heads were cut to the masked rows: every row reaches the heads, and the
 loss picks the masked slots from the (B, L, ·) outputs.
@@ -457,29 +459,38 @@ def sequence_of(window: Union[Window, Tokens]) -> WindowSequence:
 # the full-row task path
 
 
-def encoder_forward(x, attention_mask, config, params, mode="eval", rng=None):
-    """The post-norm encoder stack with every layer computing all L rows."""
-    b, length, d = x.shape
+def encoder_forward(x, attention_mask, config, params, mode="eval", rng=None, rows=None):
+    """The post-norm encoder stack with each residual added by ``ad.add`` before a plain ``ad.layer_norm``.
+
+    Without ``rows`` every layer computes all L rows. With (B, m) ``rows``
+    the top layer computes those rows only, as ``enc.forward`` does: its
+    queries and residuals are the taken rows, its keys and values every row,
+    and its dropout masks are drawn at those rows.
+    """
+    b, length, _ = x.shape
     heads, dh = config.heads, config.head_dim
     keep = (np.asarray(attention_mask) > 0)[:, None, None, :]
     training = mode == "train"
+    top = len(params.layers) - 1
 
     def split_heads(t):
-        return ad.transpose(ad.reshape(t, (b, length, heads, dh)), (0, 2, 1, 3))
+        return ad.transpose(ad.reshape(t, (b, t.shape[1], heads, dh)), (0, 2, 1, 3))
 
-    def drop(t):
-        return ad.dropout(t, config.dropout, rng, training)
+    def drop(t, cut):
+        return ad.dropout(t, config.dropout, rng, training, rows=cut, length=length)
 
-    for layer in params.layers:
-        q = split_heads(ad.add(ad.matmul(x, layer.wq), layer.bq))
+    for i, layer in enumerate(params.layers):
+        cut = rows if i == top else None
+        h = x if cut is None else ad.take_rows(x, cut)
+        q = split_heads(ad.add(ad.matmul(h, layer.wq), layer.bq))
         k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
         v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
-        heads_out = ad.attention(q, k, v, keep, 1.0 / np.sqrt(dh), config.dropout, rng, training)
-        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), (b, length, d))
-        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo))
-        x = ad.layer_norm(ad.add(x, attn_out), layer.ln1_gain, layer.ln1_bias)
+        heads_out = ad.attention(q, k, v, keep, 1.0 / np.sqrt(dh), config.dropout, rng, training, rows=cut)
+        context = ad.reshape(ad.transpose(heads_out, (0, 2, 1, 3)), h.shape)
+        attn_out = drop(ad.add(ad.matmul(context, layer.wo), layer.bo), cut)
+        x = ad.layer_norm(ad.add(h, attn_out), layer.ln1_gain, layer.ln1_bias)
         inner = ad.gelu(ad.add(ad.matmul(x, layer.ffn_w1), layer.ffn_b1))
-        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2))
+        ffn_out = drop(ad.add(ad.matmul(inner, layer.ffn_w2), layer.ffn_b2), cut)
         x = ad.layer_norm(ad.add(x, ffn_out), layer.ln2_gain, layer.ln2_bias)
     return x
 

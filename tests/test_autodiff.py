@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 from icuseq import autodiff as ad
 from icuseq.errors import GraphReleased, ShapeMismatch
@@ -58,6 +59,21 @@ class TestElementwise:
 
     def test_gelu(self):
         check_op(lambda a: weighted(ad.gelu(a)), (6, 5))
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_gelu_equals_the_formula(self, dtype):
+        """Output and gradient byte for byte against the formula written with a temporary per operation."""
+        rng = np.random.default_rng(8)
+        x = (3 * rng.standard_normal((4, 33, 17))).astype(dtype)
+        g = rng.standard_normal(x.shape).astype(dtype)
+        cdf = 0.5 * (1.0 + erf(x * (1.0 / np.sqrt(2.0))))
+        grad = g * (cdf + x * (np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))))
+        t = ad.parameter(x, "x")
+        out = ad.gelu(t)
+        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert out.data.tobytes() == (x * cdf).astype(dtype).tobytes()
+        assert t.grad.tobytes() == grad.astype(dtype).tobytes()
 
     def test_diamond_graph_accumulates(self):
         x = ad.parameter(np.array([1.5, -2.0]), "x")
@@ -195,6 +211,19 @@ class TestAccumulate:
         np.testing.assert_array_equal(t.grad, 2 * before)
         np.testing.assert_array_equal(g, before)
 
+    def test_adopt_keeps_a_fresh_gradient_and_copies_any_other(self):
+        t = ad.parameter(np.zeros((3, 4), dtype=np.float32), "t")
+        g = np.arange(12, dtype=np.float32).reshape(3, 4)
+        t._node.adopt(g)
+        assert t.grad is g
+        t._node.adopt(np.ones((3, 4), dtype=np.float32))  # a later gradient is added into it
+        np.testing.assert_array_equal(g, np.arange(1, 13).reshape(3, 4))
+        for other in (np.arange(12, dtype=np.float32).reshape(4, 3).T, np.ones((3, 4))):  # a view; float64
+            u = ad.parameter(np.zeros((3, 4), dtype=np.float32), "u")
+            u._node.adopt(other)
+            assert u.grad.dtype == np.float32 and u.grad.flags.c_contiguous
+            assert not np.shares_memory(u.grad, other) and u.grad.tobytes() == other.astype(np.float32).tobytes()
+
     def test_add_hands_each_parent_its_own_gradient(self):
         """``add``'s backward passes one array to both parents: ``add(x, x)`` gives 2g and leaves ``y``'s g alone."""
         x, y = ad.parameter(np.array([1.0, -2.0, 3.0]), "x"), ad.parameter(np.array([0.0, 1.0, 2.0]), "y")
@@ -304,6 +333,40 @@ class TestTapeMemory:
 
     def test_gradient(self):
         check_op(lambda *leaves: weighted(residual_block(*leaves, np.random.default_rng(2))[-1]), *RESIDUAL_SHAPES)
+
+    def test_fused_norm_keeps_only_xhat_inv_and_gain(self):
+        """No sum and no output on the tape: the norm's output is freed before backward, and a linear rebuilds it."""
+        rng = np.random.default_rng(4)
+        leaves = [ad.parameter(rng.standard_normal(s).astype(np.float32), f"p{i}")
+                  for i, s in enumerate(RESIDUAL_SHAPES + ((5, 2),))]
+        x, w, b, h, gain, bias, w2 = leaves
+        dropped = ad.dropout(ad.linear(x, w, b), 0.4, np.random.default_rng(1), training=True)
+        out = ad.layer_norm(dropped, gain, bias, residual=h)
+        saved = closure_of(out)
+        arrays = {name: v for name, v in saved.items() if isinstance(v, np.ndarray)}
+        assert arrays.keys() == {"xhat", "inv", "gain_data"}
+        assert arrays["xhat"].shape == (2, 3, 5) and arrays["inv"].shape == (2, 3, 1)
+        assert arrays["gain_data"] is gain.data
+        loss = weighted(ad.matmul(out, w2))
+        freed = [weakref.ref(t.data) for t in (dropped, out)]
+        del dropped, out, saved, arrays
+        assert [ref() for ref in freed] == [None, None]
+        ad.backward(loss)
+        assert all(leaf.grad is not None and leaf.grad.shape == leaf.shape for leaf in leaves)
+
+    @pytest.mark.parametrize("fused", [False, True], ids=["plain", "residual"])
+    def test_rebuild_equals_the_output_byte_for_byte(self, fused):
+        rng = np.random.default_rng(9)
+        a, r = (ad.parameter(rng.standard_normal((3, 7, 16)).astype(np.float32), n) for n in "ar")
+        gain, bias = (ad.parameter(rng.standard_normal(16).astype(np.float32), n) for n in ("g", "b"))
+        out = ad.layer_norm(a, gain, bias, residual=r if fused else None)
+        rebuilt = out._node.rebuild()
+        assert rebuilt.dtype == out.dtype and rebuilt.tobytes() == out.data.tobytes()
+        assert rebuilt is not out.data
+
+    def test_only_a_taped_norm_rebuilds(self):
+        gain, bias = ad.constant(np.ones(4)), ad.constant(np.zeros(4))
+        assert ad.layer_norm(ad.constant(np.eye(4)), gain, bias)._node.rebuild is None
 
 
 class TestShapes:
@@ -589,6 +652,35 @@ class TestAttentionMemory:
         assert traced_peak(step) < 2 * self.PROBS
 
 
+class TestAdoptedGradients:
+    """A backward's fresh gradient becomes its node's gradient without a copy, so the backward peaks lower."""
+
+    @staticmethod
+    def backward_peak(loss) -> int:
+        return traced_peak(lambda: ad.backward(loss))
+
+    def leaves(self, *shapes):
+        rng = np.random.default_rng(11)
+        return [ad.parameter(rng.standard_normal(s).astype(np.float32), f"p{i}") for i, s in enumerate(shapes)]
+
+    def test_linear(self):
+        """The incoming gradient and x's, two (64, 256, 64) arrays; copying x's held a third."""
+        x, w, b = self.leaves((64, 256, 64), (64, 64), (64,))
+        assert self.backward_peak(ad.sum_all(ad.linear(x, w, b))) < 2.5 * x.data.nbytes
+
+    def test_attention(self):
+        """The incoming gradient, dq, dk and dv and per-entry scratch, ~4.5 inputs; copying held 7."""
+        q, k, v = self.leaves(*[(2, 2, 64, 1024)] * 3)
+        keep = np.ones((2, 1, 1, 64), dtype=bool)
+        loss = ad.sum_all(ad.attention(q, k, v, keep, 0.1, 0.0, None, False))
+        assert self.backward_peak(loss) < 5.5 * q.data.nbytes
+
+    def test_residual_norm(self):
+        """The incoming gradient, dx and the second summand's copy; add then norm peaked at four."""
+        a, r, gain, bias = self.leaves((64, 256, 64), (64, 256, 64), (64,), (64,))
+        assert self.backward_peak(ad.sum_all(ad.layer_norm(a, gain, bias, residual=r))) < 3.5 * a.data.nbytes
+
+
 @st.composite
 def keep_draws(draw):
     """A mask shape (B, *lead, length, width), a rate, and (B, m) rows: unsorted, repeated, zero-padded or absent."""
@@ -684,6 +776,33 @@ class TestDropout:
 class TestLosses:
     def test_layer_norm_gradient(self):
         check_op(lambda x, g, b: weighted(ad.layer_norm(x, g, b)), (3, 6), (6,), (6,))
+
+    def test_layer_norm_gradient_with_residual(self):
+        """Both summands, the gain and the bias; the weight gradient of a linear that reads the rebuilt output."""
+        check_op(lambda x, r, g, b: weighted(ad.layer_norm(x, g, b, residual=r)), (3, 6), (3, 6), (6,), (6,))
+        check_op(lambda x, r, g, b, w: weighted(ad.matmul(ad.layer_norm(x, g, b, residual=r), w)),
+                 (2, 3, 6), (2, 3, 6), (6,), (6,), (6, 4))
+
+    @pytest.mark.parametrize("same", [False, True], ids=["two-summands", "one-summand-twice"])
+    def test_residual_norm_equals_add_then_norm(self, same):
+        """float32 output and gradients byte for byte, with each summand also read by another op."""
+        def run(fused):
+            rng = np.random.default_rng(10)
+            a, r = (ad.parameter(rng.standard_normal((2, 5, 8)).astype(np.float32), n) for n in "ar")
+            r = a if same else r
+            gain, bias = (ad.parameter(rng.standard_normal(8).astype(np.float32), n) for n in ("g", "b"))
+            w = ad.constant(rng.standard_normal((2, 5, 8)).astype(np.float32))
+            out = (ad.layer_norm(a, gain, bias, residual=r) if fused
+                   else ad.layer_norm(ad.add(r, a), gain, bias))
+            ad.backward(ad.add(ad.add(weighted(out), ad.sum_all(ad.mul(a, w))), ad.sum_all(ad.mul(r, r))))
+            return [out.data] + [t.grad for t in (a, r, gain, bias)]
+
+        assert [x.tobytes() for x in run(True)] == [x.tobytes() for x in run(False)]
+
+    def test_layer_norm_residual_of_another_shape_is_refused(self):
+        x = ad.constant(np.ones((2, 4)))
+        with pytest.raises(ShapeMismatch):
+            ad.layer_norm(x, ad.constant(np.ones(4)), ad.constant(np.zeros(4)), residual=ad.constant(np.ones(4)))
 
     def test_layer_norm_moments(self):
         x = ad.constant(RNG.standard_normal((10, 32)))

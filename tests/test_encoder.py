@@ -81,6 +81,45 @@ class TestForward:
         np.testing.assert_allclose(out, base, atol=1e-10)
 
 
+class TestFusedResidualNorm:
+    """``forward`` fuses each residual add into its layer norm; the unfused stack is ``reference.encoder_forward``."""
+
+    CONFIG = EncoderConfig(layers=2, hidden=12, heads=3, ffn_dim=6, max_seq_len=9, dropout=0.2)
+
+    def run(self, stack, mode, rows):
+        """The output, input and parameter gradients, and the generator's state after a step of ``stack``."""
+        rng = np.random.default_rng(5)
+        x = ad.parameter(rng.standard_normal((3, 9, 12)).astype(np.float32), "x")
+        mask = np.ones((3, 9))
+        mask[1, 6:] = mask[2, 3:] = 0
+        params = init_encoder(ad.drawn(np.random.default_rng(6)), self.CONFIG)
+        drawn = np.random.default_rng(7)
+        out = stack(x, mask, self.CONFIG, params, mode, drawn, rows=rows)
+        weights = ad.constant(rng.standard_normal(out.shape).astype(np.float32))
+        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        grads = {t.name: t.grad for t in [x, *ad.named(*params.layers).values()]}
+        return out.data, grads, drawn.bit_generator.state
+
+    @pytest.mark.parametrize("mode", ["train", "eval"])
+    @pytest.mark.parametrize("rows", [None, np.array([[0, 4], [5, 5], [2, 0]])], ids=["full", "rows"])
+    def test_equals_the_unfused_stack_bit_for_bit(self, mode, rows):
+        """Outputs, every gradient and the generator's state; a node listing its parents in another order fails."""
+        out, grads, state = self.run(forward, mode, rows)
+        ref_out, ref_grads, ref_state = self.run(reference.encoder_forward, mode, rows)
+        assert out.dtype == np.float32 and out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys() and len(grads) == 33
+        assert [k for k in grads if grads[k].tobytes() != ref_grads[k].tobytes()] == []
+        assert state == ref_state
+
+    def test_no_residual_add_runs(self, monkeypatch):
+        def refused(*args):
+            raise AssertionError("ad.add called")
+
+        monkeypatch.setattr(ad, "add", refused)
+        x, mask, params = setup()
+        assert forward(x, mask, CFG, params).shape == x.shape
+
+
 class TestHeads:
     def test_mlvm_output_shapes(self):
         hidden = ad.constant(np.random.default_rng(0).standard_normal((2, 8, 4)))

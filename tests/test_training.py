@@ -102,6 +102,71 @@ class TestOptimizer:
             assert p.grad.tobytes() == grads[-1][k].tobytes()  # the step reads the gradient, never writes it
 
 
+class StepRecorder:
+    """Patches ``AdamW.step`` to keep a copy of the stepped parameters after each step."""
+
+    def __init__(self, monkeypatch):
+        self.latest: dict[str, np.ndarray] = {}
+        step = AdamW.step
+
+        def recording(optimizer, lr):
+            step(optimizer, lr)
+            self.latest = {k: p.data.copy() for k, p in optimizer.params.items()}
+
+        monkeypatch.setattr(AdamW, "step", recording)
+
+
+class TestBestEpochSnapshot:
+    """The best epoch's parameters are kept by reference, so the steps after that epoch must not write into them."""
+
+    def test_pretrain_returns_the_best_epoch_after_later_steps(self, monkeypatch):
+        _, corpus, vocab, provider, config = small_setup()
+        steps, at_val = StepRecorder(monkeypatch), {}
+
+        def on_row(row):
+            if row.split == "val":
+                at_val[row.epoch] = steps.latest
+
+        result = pretrain(corpus, vocab, provider, config, TrainConfig(epochs=4, batch_size=8, lr=0.5, seed=1),
+                          on_row=on_row)
+        assert 1 <= result.best_epoch < 4  # two epochs stepped after the snapshot
+        for name, tensor in result.model.parameters().items():
+            assert tensor.data.tobytes() == at_val[result.best_epoch][name].tobytes()
+
+    def test_finetune_fold_returns_the_best_epoch_after_later_steps(self, monkeypatch):
+        spec, corpus, vocab, provider, config = small_setup(patients=30)
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        steps, at_val, task_loss = StepRecorder(monkeypatch), [], training._task_loss
+
+        def recording_loss(*args):
+            at_val.append(steps.latest)
+            return task_loss(*args)
+
+        monkeypatch.setattr(training, "_task_loss", recording_loss)
+        cfg = TrainConfig(epochs=4, batch_size=8, lr=0.1, seed=0, warmup_epochs=0)
+        result = finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2)
+        vals = [[r.l_total for r in result.rows if r.split == f"fold{fold}-val"] for fold in range(2)]
+        fold = int(np.argmin([min(v) for v in vals]))
+        best = int(np.argmin(vals[fold]))
+        assert best < 3  # later epochs stepped after the snapshot
+        tuned = result.best_model.parameters()
+        for name, array in at_val[4 * fold + best].items():
+            assert tuned[name].data.tobytes() == array.tobytes()
+
+    def test_a_step_leaves_the_replaced_arrays_unchanged(self):
+        rng = np.random.default_rng(3)
+        params = {k: ad.parameter(rng.standard_normal(s).astype(np.float32), k) for k, s in (("a", (4, 3)), ("b", (3,)))}
+        optimizer = AdamW(params, weight_decay=0.01)
+        snapshot = {k: p.data for k, p in params.items()}
+        before = {k: a.copy() for k, a in snapshot.items()}
+        for _ in range(3):
+            for p in params.values():
+                p._node.grad = rng.standard_normal(p.shape).astype(np.float32)
+            optimizer.step(0.1)
+        for k, p in params.items():
+            assert p.data is not snapshot[k] and snapshot[k].tobytes() == before[k].tobytes()
+
+
 class TestSchedule:
     def test_warmup_then_decay(self):
         rates = [linear_lr(1.0, e, 10, 4) for e in range(1, 11)]
