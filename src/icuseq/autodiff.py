@@ -13,10 +13,14 @@ layer-norm output read by a linear's weight gradient). Calling
 :func:`backward` on a scalar walks the nodes, accumulates gradients into
 the ``grad`` of the leaves (nodes no op made, such as parameters) and
 releases the graph as it walks it, so one graph supports one
-:func:`backward`. Every op keeps the dtype of its inputs so the same graph
-runs in float32 for training and float64 for finite-difference checks. An
-op records its parents and backward closure only when some input requires
-grad, so a forward over constants keeps no tape.
+:func:`backward`. An ``on_leaf`` hook sees each leaf's gradient as soon as
+it is complete, while the sweep goes on below it; the optimizer updates a
+parameter there. Every closure captured the arrays it reads when its op
+ran, so a hook that rebinds a leaf's value changes no later gradient. Every
+op keeps the dtype of its inputs so the same graph runs in float32 for
+training and float64 for finite-difference checks. An op records its
+parents and backward closure only when some input requires grad, so a
+forward over constants keeps no tape.
 """
 
 from __future__ import annotations
@@ -204,7 +208,7 @@ def _released(g: np.ndarray) -> None:
     """The ``_backward`` of an interior node whose graph :func:`backward` has released; never run."""
 
 
-def backward(loss: Tensor) -> None:
+def backward(loss: Tensor, on_leaf: Optional[Callable[[_Node], None]] = None) -> None:
     """Reverse sweep from a scalar node, accumulating into leaf ``grad``s.
 
     The sweep walks nodes and consumes the graph. Once an interior node's
@@ -214,12 +218,23 @@ def backward(loss: Tensor) -> None:
     Leaves keep their ``grad``. A later ``backward`` that reaches a released
     node, from the same loss or from a new graph built on it, raises
     ``GraphReleased`` before any gradient is accumulated.
+
+    ``on_leaf(node)`` is called once for each leaf that requires grad and
+    that the sweep reaches, the root included, right after the last node
+    that feeds it has run its backward and been released: ``node.grad`` is
+    then final, or None if none of its consumers received a gradient. The
+    walk that orders the nodes counts each leaf's consumer edges (a node
+    that lists one leaf twice counts twice), and the sweep counts them down.
+    The hook runs while the nodes below are still to be swept. What it does
+    to the leaf cannot reach them as long as it rebinds the leaf's value
+    and never writes the array: each closure holds the arrays its op read.
     """
     if loss.data.shape != ():
         raise ShapeMismatch(f"backward expects a scalar, got shape {loss.data.shape}")
     root = loss._node
     topo: list[_Node] = []
     visited: set[int] = set()
+    pending: dict[_Node, int] = {}  # leaf -> consumer edges whose backward has not run
     stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, processed = stack.pop()
@@ -233,16 +248,30 @@ def backward(loss: Tensor) -> None:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
-                stack.append((p, False))
+            if p.requires_grad:
+                if p._backward is None:
+                    pending[p] = pending.get(p, 0) + 1
+                if id(p) not in visited:
+                    stack.append((p, False))
     root.grad = np.ones_like(loss.data)
+    if on_leaf is not None and root._backward is None and root.requires_grad:
+        on_leaf(root)
     while topo:
         node = topo.pop()
         if node._backward is None:  # a leaf keeps its gradient
             continue
         if node.grad is not None:
             node._backward(node.grad)
+        parents = node._parents
         node.grad, node._backward, node._parents, node.rebuild = None, _released, (), None
+        if on_leaf is None:
+            continue
+        for p in parents:
+            left = pending.get(p)
+            if left is not None:
+                pending[p] = left - 1
+                if left == 1:
+                    on_leaf(p)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .errors import ConfigMismatch, FormatError, GradMismatch, ModeMismatch, ShapeMismatch
+from .errors import ConfigMismatch, FormatError, GradMismatch, InvalidSpec, ModeMismatch, ShapeMismatch
 from .textvec import atomic_write
 
 CHECKPOINT_MAGIC = b"ICUB1"
@@ -33,6 +33,8 @@ class EncoderConfig:
             raise ShapeMismatch("all encoder dimensions must be >= 1")
         if self.hidden % self.heads != 0:
             raise ShapeMismatch(f"hidden {self.hidden} not divisible by {self.heads} heads")
+        if not 0.0 <= self.dropout < 1.0:  # NaN fails too; a rate of 1 divides by zero in the inverted scale
+            raise InvalidSpec(f"dropout must be in [0, 1), got {self.dropout}")
 
     @property
     def head_dim(self) -> int:

@@ -7,7 +7,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import NoEligibleTokens, ShapeMismatch
+from .errors import InvalidSpec, NoEligibleTokens, ShapeMismatch
 from .types import Vocabularies
 from .windows import FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window, as_tokens
 
@@ -28,6 +28,10 @@ class MaskingRates:
     def __post_init__(self):
         if not 0.0 < self.select <= 1.0:
             raise ShapeMismatch("selection rate must be in (0, 1]")
+        split = (self.both, self.value_only, self.feature_only, self.corrupt_mask, self.corrupt_random,
+                 self.corrupt_keep)
+        if not all(0.0 <= rate <= 1.0 for rate in split):  # a NaN rate passes the sums below
+            raise InvalidSpec(f"masking and corruption rates must lie in [0, 1], got {split}")
         if abs(self.both + self.value_only + self.feature_only - 1.0) > 1e-9:
             raise ShapeMismatch("both/value-only/feature-only rates must sum to 1")
         if abs(self.corrupt_mask + self.corrupt_random + self.corrupt_keep - 1.0) > 1e-9:

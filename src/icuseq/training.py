@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
@@ -270,7 +271,14 @@ class Model:
 
 
 class AdamW:
-    """Decoupled-weight-decay Adam with bias-corrected moments."""
+    """Decoupled-weight-decay Adam with bias-corrected moments, each parameter updated inside ``backward``.
+
+    :meth:`step` runs the backward pass of a loss and updates each parameter
+    as soon as its gradient is complete (Lv et al. 2023, LOMO), then drops
+    that gradient, so the gradients of all parameters never exist at once
+    and no parameter holds one between steps. A parameter's moments are
+    allocated at its first update, not here.
+    """
 
     def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -279,47 +287,67 @@ class AdamW:
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.t = 0
-        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
-        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._m: dict[str, np.ndarray] = {}
+        self._v: dict[str, np.ndarray] = {}
+        self._names = {p._node: name for name, p in params.items()}
 
-    def zero_grad(self) -> None:
-        for p in self.params.values():
-            p.zero_grad()
+    def step(self, loss: Tensor, lr: float) -> None:
+        """One update of every parameter with a gradient from ``loss``, each made inside ``ad.backward``.
 
-    def step(self, lr: float) -> None:
-        """One update of every parameter with a gradient.
+        ``ad.backward``'s ``on_leaf`` hook updates a parameter right after the
+        last node that feeds it has run its backward, and sets its ``grad``
+        to None. The update is the one a step after a full backward makes,
+        bit for bit, because it rebinds ``p.data`` to a new array and never
+        writes the old one: the closures of the nodes still to be swept
+        captured the arrays they read when the forward ran, so no gradient
+        depends on whether a parameter was updated before it was computed.
+        Any in-place write to a parameter's array would break this.
 
         The moments are updated in place and the update is built in two
         scratch arrays per parameter, in the order of
-        ``p - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``. Each
-        parameter's ``data`` is then rebound to a new array, never written
-        in place, so an array shared with another model is left as it was.
+        ``p - lr * ((m / bc1) / (sqrt(v / bc2) + eps) + wd * p)``; the first
+        scratch array becomes the new ``p.data``, so an array shared with
+        another model is left as it was. A parameter that gets no gradient
+        is not updated. ``t`` counts completed steps: a backward that raises
+        ``GraphReleased`` leaves it, the moments and every parameter as they
+        were.
         """
-        self.t += 1
-        bc1 = 1.0 - self.beta1 ** self.t
-        bc2 = 1.0 - self.beta2 ** self.t
-        for name, p in self.params.items():
-            g = p.grad
-            if g is None:
-                continue
-            m = self._m[name]
-            v = self._v[name]
-            update = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))  # in the parameter's dtype
-            m *= self.beta1
-            m += update
-            np.multiply(g, g, out=update)
-            update *= 1.0 - self.beta2
-            v *= self.beta2
-            v += update
-            denom = np.divide(v, bc2)
-            np.sqrt(denom, out=denom)
-            denom += self.eps
-            np.divide(m, bc1, out=update)
-            update /= denom
-            if self.weight_decay:
-                update += np.multiply(p.data, self.weight_decay, out=denom)
-            update *= lr
-            p.data = p.data - update
+        t = self.t + 1
+        bc1 = 1.0 - self.beta1 ** t
+        bc2 = 1.0 - self.beta2 ** t
+
+        def update(node) -> None:
+            name = self._names.get(node)
+            if name is None or node.grad is None:
+                return
+            self._update(name, node.grad, bc1, bc2, lr)
+            node.grad = None
+
+        ad.backward(loss, on_leaf=update)
+        self.t = t
+
+    def _update(self, name: str, g: np.ndarray, bc1: float, bc2: float, lr: float) -> None:
+        p = self.params[name]
+        m, v = self._m.get(name), self._v.get(name)
+        if m is None:
+            m = self._m[name] = np.zeros_like(p.data)
+            v = self._v[name] = np.zeros_like(p.data)
+        update = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))  # in the parameter's dtype
+        m *= self.beta1
+        m += update
+        np.multiply(g, g, out=update)
+        update *= 1.0 - self.beta2
+        v *= self.beta2
+        v += update
+        denom = np.divide(v, bc2)
+        np.sqrt(denom, out=denom)
+        denom += self.eps
+        np.divide(m, bc1, out=update)
+        update /= denom
+        if self.weight_decay:
+            update += np.multiply(p.data, self.weight_decay, out=denom)
+        update *= lr
+        p.data = np.subtract(p.data, update, out=update)
 
 
 def linear_lr(base_lr: float, epoch: int, total_epochs: int, warmup_epochs: int) -> float:
@@ -348,8 +376,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ShapeMismatch("epochs and batch size must be positive")
-        if self.lr <= 0:
-            raise ShapeMismatch("learning rate must be positive")
+        # written so that NaN fails: one step with a NaN lr or decay turns every parameter into NaN
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise InvalidSpec(f"lr must be finite and positive, got {self.lr}")
+        for name in ("weight_decay", "alpha", "beta"):  # a negative loss weight maximizes its term
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise InvalidSpec(f"{name} must be finite and non-negative, got {value}")
         for name in ("warmup_epochs", "patience", "unfrozen_layers"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -449,6 +482,12 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     step, and a val batch is dropped when the val batches are built. A val
     split left with no batches behaves like one with no windows. An epoch
     in which no train batch has a masked slot raises ``NoMaskedSlots``.
+
+    Each train step is one ``AdamW.step(loss, lr)``: the backward pass
+    updates every parameter as soon as its gradient is complete, so the
+    step never holds all gradients at once. The best epoch's parameters are
+    kept by reference, which the step allows because it rebinds each
+    parameter's array and never writes it.
     """
     cfg = train_config
     train_windows = prepare_windows(corpus, Split.TRAIN, vocab,
@@ -503,9 +542,7 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
                 raise DivergedLoss(
                     f"loss {breakdown.l_total:.3e} at epoch {epoch} exceeds "
                     f"{diverged_above:.3e}")
-            optimizer.zero_grad()
-            ad.backward(breakdown.node)
-            optimizer.step(lr)
+            optimizer.step(breakdown.node, lr)
             train_agg.add(breakdown)
             steps += 1
         if not steps:
@@ -781,7 +818,10 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
     Only the parameters in ``trainable_parameters`` are copied and require
     grad. The others are tape constants sharing ``pretrained``'s arrays, so
     the fold's steps record and walk back only the ops above the freeze
-    boundary, and only the trainable arrays are snapshotted. The val batches
+    boundary, and only the trainable arrays are snapshotted, by reference
+    (``AdamW.step`` rebinds, never writes). Each step is one
+    ``AdamW.step(loss, lr)``, which updates each trainable parameter inside
+    the backward pass as soon as its gradient is complete. The val batches
     are encoded once per fold, not per epoch, and when the embedder is
     frozen so are their prefixes below the freeze boundary: every epoch's
     val pass then runs only the layers above.
@@ -815,9 +855,7 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
             loss = finetune_loss(task.kind, logits, labels, weight)
             if not np.isfinite(loss.item()):
                 raise DivergedLoss(f"non-finite fine-tune loss at fold {fold} epoch {epoch}")
-            optimizer.zero_grad()
-            ad.backward(loss)
-            optimizer.step(lr)
+            optimizer.step(loss, lr)
             epoch_loss += loss.item()
             n_batches += 1
 

@@ -15,7 +15,10 @@ cut to the CLS row: every layer computes every row, and the CLS vector is
 read from the (B, L, d) final states.
 ``pretrain`` is the pre-training loop as it was before the top layer and
 the heads were cut to the masked rows: every row reaches the heads, and the
-loss picks the masked slots from the (B, L, ·) outputs.
+loss picks the masked slots from the (B, L, ·) outputs. Its optimizer is
+``UnfusedAdamW``, AdamW as it was before each update moved into the backward
+pass: a plain ``ad.backward``, then one update per parameter from its
+gradient.
 """
 
 from __future__ import annotations
@@ -514,6 +517,54 @@ def task_scores(model, window_batches, mode="eval", rng=None, below=None):
 # the full-row pre-training loop
 
 
+class UnfusedAdamW:
+    """AdamW that updates from the gradients a full ``ad.backward`` left on the parameters.
+
+    The moments are allocated up front, and ``step`` updates every parameter
+    with a gradient, in parameter order, by the formula ``training.AdamW``
+    applies inside the backward pass.
+    """
+
+    def __init__(self, params, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
+        self.params = params
+        self.weight_decay = weight_decay
+        self.beta1, self.beta2 = betas
+        self.eps = eps
+        self.t = 0
+        self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
+        self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
+
+    def zero_grad(self):
+        for p in self.params.values():
+            p.zero_grad()
+
+    def step(self, lr):
+        self.t += 1
+        bc1 = 1.0 - self.beta1 ** self.t
+        bc2 = 1.0 - self.beta2 ** self.t
+        for name, p in self.params.items():
+            g = p.grad
+            if g is None:
+                continue
+            m, v = self._m[name], self._v[name]
+            update = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))
+            m *= self.beta1
+            m += update
+            np.multiply(g, g, out=update)
+            update *= 1.0 - self.beta2
+            v *= self.beta2
+            v += update
+            denom = np.divide(v, bc2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            np.divide(m, bc1, out=update)
+            update /= denom
+            if self.weight_decay:
+                update += np.multiply(p.data, self.weight_decay, out=denom)
+            update *= lr
+            p.data = p.data - update
+
+
 def pretrain_outputs(model, batch, rows, mode="eval", rng=None):
     """The three heads' outputs at (B, m) ``rows`` of the final states of every row of ``batch``.
 
@@ -541,7 +592,7 @@ def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), d
     train_windows = training.prepare_windows(corpus, Split.TRAIN, vocab, *shape)
     val_windows = training.prepare_windows(corpus, Split.VAL, vocab, *shape)
     model = training.Model.build(model_config, cfg.seed, dtype)
-    optimizer = training.AdamW(model.parameters(), weight_decay=cfg.weight_decay)
+    optimizer = UnfusedAdamW(model.parameters(), weight_decay=cfg.weight_decay)
     val_plans = [masking.plan_masking(w, np.random.default_rng([cfg.seed, 40, i]), rates)
                  for i, w in enumerate(val_windows)]
     val_batches = []

@@ -298,6 +298,111 @@ class TestBackwardReleasesGraph:
             assert leaf.grad.tobytes() == grad.tobytes()
 
 
+def hooked_backward(loss):
+    """``ad.backward(loss)`` with an ``on_leaf`` hook: each call's node and a copy of its gradient, in call order."""
+    calls = []
+    ad.backward(loss, on_leaf=lambda node: calls.append((node, None if node.grad is None else node.grad.copy())))
+    return calls
+
+
+class TestOnLeaf:
+    """``on_leaf`` fires once per reached leaf that requires grad, with the gradient a plain ``backward`` leaves."""
+
+    @staticmethod
+    def check(build):
+        """``build()`` -> (leaves by name, loss), run twice: with a plain backward, then with the hook.
+
+        Returns each called leaf's gradient by name, after checking that no
+        leaf is called twice and that each gradient is the plain backward's.
+        """
+        leaves, loss = build()
+        ad.backward(loss)
+        want = {name: t.grad for name, t in leaves.items()}
+        leaves, loss = build()
+        calls = hooked_backward(loss)
+        names = {t._node: name for name, t in leaves.items()}
+        called = [names[node] for node, _ in calls]
+        assert len(called) == len(set(called))
+        for node, grad in calls:
+            expected = want[names[node]]
+            assert (grad is None) == (expected is None)
+            if grad is not None:
+                assert grad.tobytes() == expected.tobytes() and grad.dtype == expected.dtype
+        return dict(zip(called, (grad for _, grad in calls)))
+
+    def test_a_leaf_read_twice_by_one_node(self):
+        def build():
+            w = ad.parameter(np.random.default_rng(0).standard_normal((3, 4)), "w")
+            return {"w": w}, weighted(ad.mul(w, w))
+
+        assert set(self.check(build)) == {"w"}
+
+    def test_a_weight_read_by_two_linears(self):
+        def build():
+            rng = np.random.default_rng(1)
+            x = ad.constant(rng.standard_normal((2, 3, 4)))
+            w, b1, b2 = (ad.parameter(rng.standard_normal(s), n) for s, n in (((4, 4), "w"), ((4,), "b1"), ((4,), "b2")))
+            return {"w": w, "b1": b1, "b2": b2}, weighted(ad.linear(ad.gelu(ad.linear(x, w, b1)), w, b2))
+
+        assert set(self.check(build)) == {"w", "b1", "b2"}
+
+    def test_a_table_gathered_at_two_depths(self):
+        def build():
+            rng = np.random.default_rng(2)
+            table, w, b = (ad.parameter(rng.standard_normal(s), n) for s, n in (((6, 4), "table"), ((4, 4), "w"),
+                                                                                ((4,), "b")))
+            deep = ad.gelu(ad.linear(ad.gather_rows(table, np.array([[0, 5, 5]])), w, b))
+            return {"table": table, "w": w, "b": b}, weighted(ad.add(deep, ad.gather_rows(table, np.array([[5, 1, 0]]))))
+
+        assert set(self.check(build)) == {"table", "w", "b"}
+
+    def test_an_unreached_leaf_gets_no_call(self):
+        def build():
+            rng = np.random.default_rng(3)
+            w, stray = (ad.parameter(rng.standard_normal((3,)), n) for n in ("w", "stray"))
+            ad.mul(stray, w)  # a node outside the loss's graph
+            return {"w": w, "stray": stray, "constant": ad.constant(np.ones(3))}, weighted(ad.mul(w, w))
+
+        assert set(self.check(build)) == {"w"}
+
+    def test_a_leaf_whose_consumer_received_no_gradient(self):
+        """The consumer's backward never runs; the leaf's call still comes once, with no gradient."""
+        def build():
+            rng = np.random.default_rng(4)
+            w, v = (ad.parameter(rng.standard_normal((3,)), n) for n in ("w", "v"))
+            product = ad.mul(w, w)
+            blocked = ad._make(product.data.copy(), (product,), lambda g: None)  # passes no gradient on
+            return {"w": w, "v": v}, ad.add(weighted(blocked), weighted(ad.mul(v, v)))
+
+        grads = self.check(build)
+        assert set(grads) == {"w", "v"} and grads["w"] is None and grads["v"] is not None
+
+    def test_a_root_leaf(self):
+        loss = ad.parameter(np.array(2.5), "loss")
+        calls = hooked_backward(loss)
+        assert [node for node, _ in calls] == [loss._node] and calls[0][1] == 1.0
+
+    def test_fires_before_the_layers_below_are_swept(self):
+        """A chain of three linears: the top weight's call comes before the bottom weight has a gradient."""
+        rng = np.random.default_rng(5)
+        x = ad.constant(rng.standard_normal((2, 4)))
+        ws = [ad.parameter(rng.standard_normal((4, 4)), f"w{i}") for i in range(3)]
+        h = x
+        for w in ws:
+            h = ad.gelu(ad.matmul(h, w))
+        seen = []
+        ad.backward(weighted(h), on_leaf=lambda node: seen.append([w.grad is not None for w in ws]))
+        assert seen == [[False, False, True], [False, True, True], [True, True, True]]
+
+    def test_released_graph_raises_before_any_call(self):
+        leaves, _, _, loss = small_net()
+        ad.backward(loss)
+        calls = []
+        with pytest.raises(GraphReleased):
+            ad.backward(loss, on_leaf=calls.append)
+        assert calls == []
+
+
 def closure_of(t):
     """The variables ``t``'s backward closure holds, by name."""
     return dict(zip(t._node._backward.__code__.co_freevars, (c.cell_contents for c in t._node._backward.__closure__)))

@@ -22,6 +22,7 @@ import pytest
 from icuseq import autodiff as ad
 
 from test_autodiff import interior_nodes, small_net
+from test_training import small_setup
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -49,6 +50,54 @@ def test_tape_walk_counts_every_node_before_backward(layers):
     ``backward`` it counts the loss, every interior node and every leaf that requires grad."""
     leaves, _, _, loss = small_net()
     assert layers._tape_size(loss) == len(interior_nodes(loss)) + len(leaves)
+
+
+def test_training_steps_run_through_the_wrapped_names(monkeypatch):
+    """``training.optimizer_step`` and ``training.steps`` count ``AdamW.step`` calls, and the
+    ``autodiff.backward`` span wraps ``ad.backward`` on the module: ``pretrain`` and a fine-tune fold
+    must call the one once per train step and reach the other through the module attribute, inside it."""
+    from icuseq import training
+    from icuseq.ingest import Split
+    from icuseq.synth import oracle_label
+
+    counts = {"forward": 0, "step": 0, "backward": 0, "backward_in_step": 0}
+    depth = []
+    step, backward = training.AdamW.step, ad.backward
+    pretrain_outputs, task_scores = training.Model.pretrain_outputs, training.Model.task_scores
+
+    def counting_step(optimizer, loss, lr):
+        counts["step"] += 1
+        depth.append(1)
+        try:
+            step(optimizer, loss, lr)
+        finally:
+            depth.pop()
+
+    def counting_backward(loss, on_leaf=None):
+        counts["backward"] += 1
+        counts["backward_in_step"] += bool(depth)
+        backward(loss, on_leaf=on_leaf)
+
+    def train_forwards(fn):
+        def counted(model, *args, **kwargs):
+            counts["forward"] += kwargs.get("mode", args[1] if len(args) > 1 else "eval") == "train"
+            return fn(model, *args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(training.AdamW, "step", counting_step)
+    monkeypatch.setattr(ad, "backward", counting_backward)
+    monkeypatch.setattr(training.Model, "pretrain_outputs", train_forwards(pretrain_outputs))
+    monkeypatch.setattr(training.Model, "task_scores", train_forwards(task_scores))
+
+    spec, corpus, vocab, provider, config = small_setup()
+    cfg = training.TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=1)
+    model = training.pretrain(corpus, vocab, provider, config, cfg).model
+    task = training.Task("binary", lambda stay: oracle_label(stay, spec))
+    samples = training.build_samples(corpus, Split.TRAIN, task, vocab, config.window_minutes,
+                                     config.encoder.max_seq_len)
+    training._finetune_fold(model, task, samples, [], provider, cfg, 0)
+    assert counts["forward"] > 2 * -(-len(samples) // cfg.batch_size)  # pre-training steps came first
+    assert counts["step"] == counts["backward"] == counts["backward_in_step"] == counts["forward"]
 
 
 @pytest.fixture(scope="module")

@@ -188,6 +188,21 @@ class TestConfigFile:
         assert "Traceback" not in err
         assert not (tmp_path / "pre.ckpt").exists()
 
+    @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
+                                            ("--weight-decay", "-1")])
+    def test_non_finite_step_size_is_one_error_line(self, synth_args, capsys, flag, value):
+        """With one step and no val split, a NaN lr once saved a checkpoint of NaN parameters."""
+        events, _task, tmp_path = synth_args
+        capsys.readouterr()
+        code = main(["pretrain", "--events", events, "--out", str(tmp_path / "pre.ckpt"), "--embed-dim", "8",
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8", "--max-seq-len", "16",
+                     "--epochs", "1", "--batch-size", "64", "--ratios", "1,0,0", flag, value])
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "InvalidSpec" in errors[0]
+        assert flag[2:].replace("-", "_") in errors[0] and "Traceback" not in err
+        assert not (tmp_path / "pre.ckpt").exists()
+
     def test_non_utf8_config_file_is_one_error_line(self, synth_args, capsys):
         events, _task, tmp_path = synth_args
         config = tmp_path / "bad.cfg"

@@ -21,7 +21,7 @@ from icuseq.encoder import (
     save_checkpoint,
     task_output,
 )
-from icuseq.errors import ConfigMismatch, FormatError, GradMismatch, ModeMismatch, ShapeMismatch
+from icuseq.errors import ConfigMismatch, FormatError, GradMismatch, InvalidSpec, ModeMismatch, ShapeMismatch
 from icuseq import training
 from icuseq.training import Model, gradcheck_problem
 
@@ -46,6 +46,12 @@ class TestForward:
         with pytest.raises(ShapeMismatch):
             EncoderConfig(layers=0)
 
+
+    @pytest.mark.parametrize("dropout", [1.0, 2.0, -0.1, float("nan")])
+    def test_dropout_outside_zero_one_is_rejected(self, dropout):
+        """A rate of 1 divided by zero in the inverted-dropout scale; NaN made every activation NaN."""
+        with pytest.raises(InvalidSpec, match="dropout"):
+            EncoderConfig(dropout=dropout)
     def test_identical_sequences_identical_outputs(self):
         x, mask, params = setup()
         x.data[1] = x.data[0]

@@ -7,7 +7,11 @@ then the byte mutations to the encoded file. A result that comes back must
 be usable: a corpus goes through splitting, vocabularies and windowing, a
 task file yields a well-typed spec and seed, a cache a table of equal-width
 float32 vectors. ``icuseq ingest`` reading a mutated ``--config`` exits 0,
-or 1 with exactly one ``error:`` line and no traceback.
+or 1 with exactly one ``error:`` line and no traceback. ``icuseq pretrain``
+runs end to end on a tiny corpus from a ``--config`` with up to three values
+replaced, each from a bounded set per key: sizes from -1 to 3, rates and
+weights from NaN, ±inf, 0, -1 and 1e30. It exits 0 with a checkpoint, or 1
+with one ``error:`` line and none; a saved model's parameters are finite.
 
 Checkpoints are mutated by structure: a config-block field replaced by null,
 a boolean, ±10^30, NaN, a list or a string, or a blob header's rank, one
@@ -253,6 +257,61 @@ class TestConfigFile:
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert (code, len(errors)) in ((0, 0), (1, 1)), err
         assert "Traceback" not in err
+
+
+PRETRAIN_SPEC = GeneratorSpec(patients=6, features=5, rate=0.01, stay_hours=6.0)
+PRETRAIN_CONFIG = {
+    "embed_dim": "4", "hidden": "8", "heads": "2", "layers": "1", "ffn_dim": "4", "max_seq_len": "16",
+    "window_minutes": "1440", "dropout": "0.1", "epochs": "2", "batch_size": "4", "lr": "0.001",
+    "weight_decay": "0.01", "warmup_epochs": "none", "patience": "none", "alpha": "3", "beta": "1",
+    "mask_rate": "0.15", "mask_both": "0.5", "mask_value_only": "0.25", "mask_feature_only": "0.25",
+    "corrupt": "0.8,0.1,0.1", "ratios": "0.5,0.25,0.25", "seed": "0", "split_seed": "0",
+}
+# every size drawn from a bounded set, so no mutant asks for more than a few KiB of parameters
+PRETRAIN_VALUES = {
+    **dict.fromkeys(("hidden", "heads", "layers", "ffn_dim", "max_seq_len", "embed_dim"),
+                    ("0", "1", "2", "3", "-1")),
+    "window_minutes": ("0", "1", "30", "-1"),
+    **dict.fromkeys(("epochs", "batch_size", "warmup_epochs", "patience"), ("0", "1", "3", "-1")),
+    **dict.fromkeys(("lr", "weight_decay", "alpha", "beta"), ("nan", "inf", "-inf", "0", "-1", "1e30")),
+    **dict.fromkeys(("dropout", "mask_rate", "mask_both", "mask_value_only", "mask_feature_only"),
+                    ("nan", "-0.5", "0", "0.99", "1", "2")),
+    "corrupt": ("1,0,0", "0,0,1", "nan,0,0", "0.5,0.5", "-1,1,1", "2,0,0"),
+    "ratios": ("1,0,0", "0,1,0", "0,0,1", "nan,0.5,0.5", "0.5,0.5", "-1,1,1"),
+    **dict.fromkeys(("seed", "split_seed"), ("1", "-1")),
+}
+PRETRAIN_MUTATIONS = [(key, raw) for key, raws in PRETRAIN_VALUES.items() for raw in raws]
+
+
+@pytest.fixture(scope="module")
+def pretrain_events(fuzz_dir):
+    path = fuzz_dir / "pretrain-events.jsonl"
+    path.write_text("\n".join(generate_lines(PRETRAIN_SPEC, seed=5)) + "\n", encoding="utf-8")
+    return str(path)
+
+
+class TestPretrainConfig:
+    def test_base_config_trains(self, fuzz_dir, pretrain_events):
+        path = fuzz_dir / "pretrain-base.cfg"
+        path.write_text("".join(f"{k}={v}\n" for k, v in PRETRAIN_CONFIG.items()), encoding="utf-8")
+        code, err = run_cli(["pretrain", "--config", str(path), "--events", pretrain_events,
+                             "--out", str(fuzz_dir / "pretrain-base.icub")])
+        assert code == 0, err
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(PRETRAIN_MUTATIONS), min_size=1, max_size=3))
+    def test_end_to_end_exits_0_or_1_with_one_error_line(self, fuzz_dir, pretrain_events, muts):
+        """``icuseq pretrain --config`` with up to three values replaced trains, or fails with one line."""
+        path, out = fuzz_dir / "pretrain.cfg", fuzz_dir / "pretrain.icub"
+        path.write_text("".join(f"{k}={v}\n" for k, v in {**PRETRAIN_CONFIG, **dict(muts)}.items()),
+                        encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code, err = run_cli(["pretrain", "--config", str(path), "--events", pretrain_events, "--out", str(out)])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), err
+        assert out.exists() == (code == 0)
+        if code == 0:  # a model that comes back must be usable
+            assert all(np.isfinite(a).all() for a in load_checkpoint(str(out))[1].values())
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ from datetime import timedelta
 import numpy as np
 import pytest
 
-from icuseq.errors import NoEligibleTokens
+from icuseq.errors import InvalidSpec, NoEligibleTokens
 from icuseq.ingest import Stay
 from icuseq.masking import KEEP, MASK, RANDOM, MaskingRates, apply_masking, plan_masking
 from icuseq.types import MASK_TEXT, FeatureStats, Registry, Vocabularies
@@ -30,6 +30,15 @@ def window(n_cont=4, n_cat=4, pad_to=None):
 
 def tokens(cols):
     return sequence_of(cols).tokens
+
+
+class TestRates:
+    @pytest.mark.parametrize("rates", [dict(both=float("nan")), dict(both=-1.0, value_only=1.0, feature_only=1.0),
+                                       dict(corrupt_mask=2.0, corrupt_random=-0.5, corrupt_keep=-0.5)])
+    def test_a_rate_outside_zero_one_is_rejected(self, rates):
+        """Each split sums to 1 with these rates, or NaN compares false: only the range check refuses them."""
+        with pytest.raises(InvalidSpec, match="rates must lie in"):
+            MaskingRates(**rates)
 
 
 class TestPlanMasking:

@@ -1,4 +1,6 @@
+import math
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -12,7 +14,8 @@ from icuseq import autodiff as ad
 from icuseq import training
 from icuseq.embedder import encode_batch
 from icuseq.encoder import EncoderConfig, save_checkpoint
-from icuseq.errors import ConfigMismatch, DivergedLoss, FormatError, IcuseqError, InvalidSpec, NoMaskedSlots
+from icuseq.errors import (ConfigMismatch, DivergedLoss, FormatError, GraphReleased, IcuseqError, InvalidSpec,
+                           NoMaskedSlots)
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.masking import MaskingRates
 from icuseq.synth import GeneratorSpec, generate_lines, oracle_label
@@ -34,7 +37,7 @@ from icuseq.training import (
 )
 
 from conftest import dyn_token, window_of
-from reference import sequence_of
+from reference import UnfusedAdamW, sequence_of
 
 
 def small_setup(patients=24, seed=2, ratios=(0.7, 0.15, 0.15)):
@@ -55,19 +58,15 @@ class TestOptimizer:
         w = ad.parameter(np.array([5.0, -3.0]), "w")
         opt = AdamW({"w": w})
         for _ in range(300):
-            opt.zero_grad()
-            loss = ad.sum_all(ad.mul(w, w))
-            ad.backward(loss)
-            opt.step(0.05)
+            opt.step(ad.sum_all(ad.mul(w, w)), 0.05)
         assert np.abs(w.data).max() < 0.05
+        assert opt.t == 300 and w.grad is None
 
     def test_decoupled_weight_decay_pulls_to_zero(self):
         w = ad.parameter(np.array([1.0]), "w")
         opt = AdamW({"w": w}, weight_decay=0.1)
         for _ in range(10):
-            opt.zero_grad()
-            w._node.grad = np.zeros(1)  # no loss gradient; decay alone acts
-            opt.step(0.1)
+            opt.step(gradient_loss({"w": w}, {"w": np.zeros(1)}), 0.1)  # no loss gradient; decay alone acts
         assert w.data[0] < 1.0
 
     @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
@@ -83,9 +82,7 @@ class TestOptimizer:
         v = {k: np.zeros_like(x) for k, x in expected.items()}
         beta1, beta2, eps = 0.9, 0.999, 1e-8
         for t, (step_grads, lr) in enumerate(zip(grads, (1e-3, 5e-4, 2e-3, 1e-3, 3e-4)), start=1):
-            for k, p in params.items():
-                p._node.grad = step_grads[k].copy()
-            opt.step(lr)
+            opt.step(gradient_loss(params, step_grads), lr)
             bc1, bc2 = 1.0 - beta1 ** t, 1.0 - beta2 ** t
             for k, g in step_grads.items():
                 m[k] *= beta1
@@ -99,7 +96,112 @@ class TestOptimizer:
         for k, p in params.items():
             assert p.data.dtype == np.float32
             assert p.data.tobytes() == expected[k].tobytes()
-            assert p.grad.tobytes() == grads[-1][k].tobytes()  # the step reads the gradient, never writes it
+            assert p.grad is None  # the step consumes the gradient
+
+
+def gradient_loss(params, grads):
+    """A loss whose gradient with respect to ``params[k]`` is exactly ``grads[k]``: the sum of ``p · g``."""
+    loss = None
+    for k, p in params.items():
+        term = ad.sum_all(ad.mul(p, ad.constant(grads[k])))
+        loss = term if loss is None else ad.add(loss, term)
+    return loss
+
+
+class TestFusedStep:
+    """``AdamW.step`` updates inside ``ad.backward``: the same bytes as a full backward and then the update."""
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_equals_backward_then_update(self, weight_decay):
+        """Three float32 pre-training steps of one model, fused and unfused: every parameter byte for byte."""
+        _, corpus, vocab, provider, config = small_setup()
+        windows = prepare_windows(corpus, Split.TRAIN, vocab, config.window_minutes, config.encoder.max_seq_len)
+        rngs = [(np.random.default_rng([5, i]),) * 2 for i in range(8)]
+        batch, slots = training._masked_batch(windows[:8], rngs, vocab, provider, MaskingRates())
+        fused, unfused = Model.build(config, seed=3), Model.build(config, seed=3)
+        optimizers = AdamW(fused.parameters(), weight_decay), UnfusedAdamW(unfused.parameters(), weight_decay)
+
+        def loss(model, step):
+            rng = np.random.default_rng([9, step])
+            return training.mlvm_loss(model.pretrain_outputs(batch, "train", rng, slots.rows), slots, 3.0, 1.0).node
+
+        for step, lr in enumerate((1e-2, 5e-3, 2e-2)):
+            optimizers[0].step(loss(fused, step), lr)
+            optimizers[1].zero_grad()
+            ad.backward(loss(unfused, step))
+            optimizers[1].step(lr)
+            want = unfused.parameters()
+            for name, t in fused.parameters().items():
+                assert t.data.tobytes() == want[name].data.tobytes(), (step, name)
+                assert t.grad is None
+        assert optimizers[0].t == 3
+
+    def test_moments_are_allocated_at_first_update(self):
+        w, unused = ad.parameter(np.ones(3, np.float32), "w"), ad.parameter(np.ones(2, np.float32), "unused")
+        opt = AdamW({"w": w, "unused": unused})
+        assert opt._m == {} and opt._v == {}
+        opt.step(ad.sum_all(ad.mul(w, w)), 0.1)
+        assert set(opt._m) == set(opt._v) == {"w"} and opt._m["w"].dtype == np.float32
+        assert unused.data.tobytes() == np.ones(2, np.float32).tobytes()
+
+    def test_a_released_graph_raises_and_changes_nothing(self):
+        rng = np.random.default_rng(6)
+        params = {k: ad.parameter(rng.standard_normal(s).astype(np.float32), k) for k, s in (("a", (4, 3)), ("b", (3,)))}
+        opt = AdamW(params, weight_decay=0.01)
+        loss = ad.sum_all(ad.mul(ad.linear(ad.constant(np.ones((2, 4), np.float32)), params["a"], params["b"]),
+                                 ad.constant(np.ones((2, 3), np.float32))))
+        opt.step(loss, 0.1)
+        before = ({k: (p.data, p.data.tobytes()) for k, p in params.items()},
+                  {k: m.tobytes() for k, m in opt._m.items()}, {k: v.tobytes() for k, v in opt._v.items()})
+        with pytest.raises(GraphReleased):
+            opt.step(loss, 0.1)
+        assert opt.t == 1
+        assert {k: m.tobytes() for k, m in opt._m.items()} == before[1]
+        assert {k: v.tobytes() for k, v in opt._v.items()} == before[2]
+        for k, p in params.items():
+            assert p.data is before[0][k][0] and p.data.tobytes() == before[0][k][1] and p.grad is None
+
+
+class TestStepMemory:
+    """Where the parameters dominate, a step adds one parameter's gradient and scratch at a time.
+
+    Sixteen 128×128 float32 weights under a (2, 128) input: 1 MiB of
+    parameters, ~1 KiB per activation. Each rise is the traced peak over the
+    step above what was traced before it, parameters and tape included, so
+    an array a step replaces counts as freed.
+    """
+
+    LAYERS, WIDTH = 16, 128
+
+    def chain_loss(self, params, rng):
+        h = ad.constant(rng.standard_normal((2, self.WIDTH)).astype(np.float32))
+        for w in params.values():
+            h = ad.gelu(ad.matmul(h, w))
+        return ad.sum_all(h)
+
+    def test_peak_rise_of_the_first_and_a_later_step(self):
+        """The first step allocates the moments, 2 parameter sets, and must not hold a third: a step after
+        a full backward holds every gradient beside them. A later step holds one gradient at a time."""
+        tracemalloc.start()
+        try:
+            rng = np.random.default_rng(8)
+            params = {f"w{i}": ad.parameter((rng.standard_normal((self.WIDTH, self.WIDTH)) * 0.1).astype(np.float32),
+                                            f"w{i}") for i in range(self.LAYERS)}
+            param_bytes = sum(p.data.nbytes for p in params.values())
+            rises = []
+            for build_optimizer in (True, False):
+                loss = self.chain_loss(params, rng)
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                if build_optimizer:
+                    optimizer = AdamW(params, weight_decay=0.01)
+                optimizer.step(loss, 1e-3)
+                rises.append(tracemalloc.get_traced_memory()[1] - before)
+                del loss
+        finally:
+            tracemalloc.stop()
+        assert rises[0] < 2.5 * param_bytes
+        assert rises[1] < 0.5 * param_bytes
 
 
 class StepRecorder:
@@ -109,8 +211,8 @@ class StepRecorder:
         self.latest: dict[str, np.ndarray] = {}
         step = AdamW.step
 
-        def recording(optimizer, lr):
-            step(optimizer, lr)
+        def recording(optimizer, loss, lr):
+            step(optimizer, loss, lr)
             self.latest = {k: p.data.copy() for k, p in optimizer.params.items()}
 
         monkeypatch.setattr(AdamW, "step", recording)
@@ -160,9 +262,8 @@ class TestBestEpochSnapshot:
         snapshot = {k: p.data for k, p in params.items()}
         before = {k: a.copy() for k, a in snapshot.items()}
         for _ in range(3):
-            for p in params.values():
-                p._node.grad = rng.standard_normal(p.shape).astype(np.float32)
-            optimizer.step(0.1)
+            grads = {k: rng.standard_normal(p.shape).astype(np.float32) for k, p in params.items()}
+            optimizer.step(gradient_loss(params, grads), 0.1)
         for k, p in params.items():
             assert p.data is not snapshot[k] and snapshot[k].tobytes() == before[k].tobytes()
 
@@ -186,6 +287,17 @@ class TestTrainConfig:
     def test_negative_setting_rejected(self, field):
         with pytest.raises(InvalidSpec, match=field):
             TrainConfig(**{field: -1})
+
+    @pytest.mark.parametrize("field,value", [("lr", math.nan), ("lr", math.inf), ("lr", -math.inf), ("lr", 0.0),
+                                             ("lr", -1e-3), ("weight_decay", math.nan),
+                                             ("weight_decay", math.inf), ("weight_decay", -0.01),
+                                             ("alpha", math.nan), ("alpha", -3.0), ("beta", math.inf),
+                                             ("beta", -1.0)])
+    def test_non_finite_or_out_of_range_step_setting_rejected(self, field, value):
+        """A NaN lr passed ``lr <= 0``: one step turned every parameter into NaN, and pretrain returned it.
+        A negative loss weight trained the model to maximize that term."""
+        with pytest.raises(InvalidSpec, match=field):
+            TrainConfig(**{field: value})
 
 
 class TestPretrain:
@@ -740,20 +852,21 @@ class TestFrozenTape:
         ref_tape = tape_size(ref_loss)  # backward releases the graph
         ad.backward(ref_loss)
 
-        seen = {}
-        backward, step = ad.backward, AdamW.step
+        seen, grads = {}, {}
+        backward = ad.backward
 
-        def spy_backward(loss):
+        def spy_backward(loss, on_leaf):
             seen["tape"] = tape_size(loss)
-            backward(loss)
 
-        def spy_step(optimizer, lr):
-            seen["grads"] = {name: p.grad.copy() for name, p in optimizer.params.items()}
-            step(optimizer, lr)
+            def recording(node):  # the gradient each update reads
+                grads[node] = node.grad.copy()
+                on_leaf(node)
+
+            backward(loss, on_leaf=recording)
 
         monkeypatch.setattr(ad, "backward", spy_backward)
-        monkeypatch.setattr(AdamW, "step", spy_step)
         model, rows, _ = training._finetune_fold(pre, task, samples, [], provider, cfg, 0)
+        seen["grads"] = {name: grads[t._node] for name, t in model.parameters().items() if t._node in grads}
 
         trainable = full.trainable_parameters(unfrozen_layers, unfreeze_embedder)
         assert rows[0].l_total == ref_loss.item()
@@ -854,7 +967,7 @@ def reference_finetune(pretrained, task, corpus, vocab, provider, cfg, folds):
         trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
         for name, tensor in model.parameters().items():
             tensor._node.requires_grad = name in trainable
-        optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
+        optimizer = UnfusedAdamW(trainable, weight_decay=cfg.weight_decay)
         n_windows = max(len(s.windows) for s in train)
         weight = training._class_weight(task, np.asarray([s.label for s in train], dtype=np.float32))
         fold_best, state = np.inf, {}
