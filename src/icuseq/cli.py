@@ -50,6 +50,11 @@ def _bool(text: str) -> bool:
     raise argparse.ArgumentTypeError(f"expected a boolean, got {text!r}")
 
 
+def _class_weight(text: str) -> str | float:
+    """``auto``, or the positive-class weight as a number."""
+    return "auto" if text.strip() == "auto" else float(text)
+
+
 def _seed(text: str) -> int:
     """A generator seed: numpy seeds with non-negative integers only."""
     value = int(text)
@@ -133,7 +138,7 @@ _SPECS: dict[str, dict[str, tuple]] = {
         "weight_decay": (float, 0.0, False, "decoupled weight decay"),
         "warmup_epochs": (_opt_int, 0, False, "linear warmup epochs"),
         "patience": (_opt_int, 10, False, "early-stop patience in epochs"),
-        "class_weight": (str, "auto", False, "positive-class weight (auto or a number)"),
+        "class_weight": (_class_weight, "auto", False, "positive-class weight (auto or a number)"),
         "seed": (_seed, 0, False, "training seed"),
         "results_out": (str, None, False, "write the metric report here"),
     },
@@ -350,15 +355,10 @@ def _task_from_file(cfg: dict, window_minutes: int) -> Task:
                              f"the checkpoint has {window_minutes}-minute windows")
     if kind == "binary":
         return Task("binary", lambda stay: oracle_label(stay, gen_spec),
-                    class_weight=_weight_option(cfg))
+                    class_weight=cfg.get("class_weight", "auto"))
     if kind == "regression":
         return Task("regression", lambda stay: oracle_cont_target(stay, gen_spec))
     raise ConfigMismatch(f"task file kind {kind!r} is not runnable from the CLI")
-
-
-def _weight_option(cfg: dict):
-    raw = cfg.get("class_weight", "auto")
-    return raw if raw == "auto" else float(raw)
 
 
 def _cmd_finetune(cfg: dict) -> None:

@@ -17,10 +17,19 @@ A registry's ``duration_minutes`` may not exceed ``MAX_STAY_SPAN`` either
 (525,600 minutes): durations are stored as 64-bit integers, and a longer one
 is rejected with a ``ParseError`` naming its line.
 
+Each line is decoded with ``json.loads`` and checked field by field, in a
+fixed order, so each malformed line raises the same ``ParseError`` with its
+line number. The checks test decoded types with ``type(x) is ...``, which
+for ``json.loads`` output decides as ``isinstance`` does, and a timestamp is
+floored to the minute only when it has seconds.
+
 Each ``Stay`` carries ``columns`` (``StayColumns``): numpy arrays of its
 registries that do not depend on the vocabulary, built once when the stay is
-constructed, so their cost is part of ingest. Windowing, masking and the
-label oracles read them; no per-event object is built after ingest.
+constructed, so their cost is part of ingest. Minute offsets and durations
+are built as arrays from each registry's days and seconds since the stay's
+start, with no ``timedelta`` division per registry. Windowing, masking and
+the label oracles read the columns; no per-event object is built after
+ingest.
 """
 
 from __future__ import annotations
@@ -30,6 +39,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from datetime import datetime, timedelta
+from operator import attrgetter
 from typing import Iterable, Optional, Sequence
 
 import numpy as np
@@ -46,6 +56,7 @@ from .types import (
 
 MAX_STAY_SPAN = timedelta(days=365)
 MAX_DURATION_MINUTES = MAX_STAY_SPAN // timedelta(minutes=1)
+_DAYS, _SECONDS = attrgetter("days"), attrgetter("seconds")
 
 
 class Split(enum.Enum):
@@ -79,11 +90,14 @@ def _columns(statics: tuple[Registry, ...], dynamics: tuple[Registry, ...], star
         else:
             value_code.append(codes.setdefault(str(r.value).strip(), len(codes)))
             value.append(math.nan)
-    n = len(feature)
+    n, s = len(feature), len(statics)
     offset = np.zeros(n, dtype=np.int64)
     duration = np.zeros(n, dtype=np.int64)
-    s, minute = len(statics), timedelta(minutes=1)
-    offset[s:] = [(r.timestamp - start) // minute for r in dynamics]
+    # a timedelta's seconds lie in [0, 86400) and its microseconds under one second, so
+    # days * 1440 + seconds // 60 is delta // 1 minute, without a division per registry
+    delta = [r.timestamp - start for r in dynamics]
+    offset[s:] = np.fromiter(map(_DAYS, delta), np.int64, len(delta)) * 1440 \
+        + np.fromiter(map(_SECONDS, delta), np.int64, len(delta)) // 60
     duration[s:] = [r.duration_minutes for r in dynamics]
     order = np.concatenate([np.arange(s), s + np.argsort(offset[s:], kind="stable")])
     return StayColumns(tuple(codes), np.array(feature, dtype=np.int64)[order],
@@ -171,11 +185,11 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
             record = json.loads(line)
         except ValueError as exc:  # JSONDecodeError, or an integer past the interpreter's digit limit
             raise ParseError(line_no, f"invalid JSON: {getattr(exc, 'msg', exc)}") from exc
-        if not isinstance(record, dict):
+        if type(record) is not dict:
             raise ParseError(line_no, "record is not an object")
         registry = _registry_from_record(record, line_no)
-        stay = registry.stay_id
-        aware = registry.timestamp.utcoffset() is not None
+        stay, ts = registry.stay_id, registry.timestamp
+        aware = ts.tzinfo is not None  # fromisoformat's offsets are fixed, never None
         if stay not in stay_patient:
             stay_patient[stay] = registry.patient_id
             stay_aware[stay] = aware
@@ -190,7 +204,6 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
             statics[stay].append(registry)
             continue
         dynamics[stay].append(registry)
-        ts = registry.timestamp
         span = stay_span.get(stay)
         if span is None:
             stay_span[stay] = [ts, ts]
@@ -213,53 +226,48 @@ def parse_event_lines(lines: Iterable[str]) -> Corpus:
 
 
 def _registry_from_record(record: dict, line_no: int) -> Registry:
+    # ``json.loads`` makes only exact str, int, float, bool, list, dict and None, so exact type tests
+    # decide as isinstance would, with bool apart from int
     for key in ("patient_id", "stay_id", "source", "variable"):
         if key not in record:
             raise ParseError(line_no, f"missing {key}")
-        if not isinstance(record[key], str):
+        if type(record[key]) is not str:
             raise ParseError(line_no, f"{key} must be text")
     if "value" not in record:
         raise ParseError(line_no, "missing value")
     if "timestamp" not in record:
         raise ParseError(line_no, "missing timestamp")
 
-    raw_value = record["value"]
-    if isinstance(raw_value, bool) or not isinstance(raw_value, (int, float, str)):
+    value = record["value"]
+    kind = type(value)
+    if kind is int:
+        try:
+            value = float(value)
+        except OverflowError:
+            raise ParseError(line_no, "numeric value too large for a float")
+    elif kind is not float and kind is not str:
         raise ParseError(line_no, "value must be a number or quoted text")
-    try:
-        value = float(raw_value) if isinstance(raw_value, (int, float)) else raw_value
-    except OverflowError:
-        raise ParseError(line_no, "numeric value too large for a float")
 
     try:
         ts = datetime.fromisoformat(record["timestamp"])
     except (TypeError, ValueError):
         raise ParseError(line_no, f"bad timestamp {record['timestamp']!r}")
-    # all times are minute precision; floor anything finer
-    ts = ts.replace(second=0, microsecond=0)
+    if ts.second or ts.microsecond:  # all times are minute precision; floor anything finer
+        ts = ts.replace(second=0, microsecond=0)
 
     duration = record.get("duration_minutes", 0)
-    if isinstance(duration, bool) or not isinstance(duration, int):
+    if type(duration) is not int:
         raise ParseError(line_no, "duration_minutes must be an integer")
     if duration > MAX_DURATION_MINUTES:
         raise ParseError(line_no, f"duration_minutes {duration} exceeds the {MAX_DURATION_MINUTES}-minute maximum")
     static = record.get("static", False)
-    if not isinstance(static, bool):
+    if type(static) is not bool:
         raise ParseError(line_no, "static must be a boolean")
 
     try:
-        return validate_registry(
-            Registry(
-                patient_id=record["patient_id"],
-                stay_id=record["stay_id"],
-                source=record["source"],
-                variable=record["variable"],
-                value=value,
-                timestamp=ts,
-                duration_minutes=duration,
-                is_static=static,
-            )
-        )
+        # positional, in field order: a frozen dataclass takes keywords ~25% slower
+        return validate_registry(Registry(record["patient_id"], record["stay_id"], record["source"],
+                                          record["variable"], value, ts, duration, static))
     except InvalidRegistry as exc:
         raise ParseError(line_no, str(exc)) from exc
 

@@ -13,7 +13,7 @@ import math
 import numbers
 from dataclasses import asdict, dataclass
 from datetime import datetime, timedelta
-from typing import Optional
+from typing import Iterator, Optional
 
 import numpy as np
 
@@ -167,22 +167,19 @@ def feature_definitions(spec: GeneratorSpec, seed: int) -> list[FeatureDef]:
 
 
 def generate_lines(spec: GeneratorSpec, seed: int) -> list[str]:
-    """Event-line corpus, byte-for-byte deterministic for a given seed."""
-    defs = feature_definitions(spec, seed)
-    lines: list[str] = []
-    stay_idx = 0
-    for p in range(spec.patients):
-        patient_id = f"p{p:05d}"
-        for k in range(spec.stays_per_patient):
-            stay_id = f"s{p:05d}x{k}"
-            start = _BASE_TIME + timedelta(hours=(p * 37 + k * 211) % 8760)
-            lines.extend(_stay_lines(spec, defs, seed, stay_idx, patient_id, stay_id, start))
-            stay_idx += 1
-    return lines
+    """Event-line corpus, byte-for-byte deterministic for a given seed.
+
+    Each stay's lines are written as ``json.dumps`` would write its records, a
+    feature's events as one block: the JSON prefix of a (stay, feature) pair is
+    built once, values are written as ``json.dumps`` writes them, and one
+    ``np.datetime_as_string`` call formats the stay's timestamps.
+    """
+    return [line for lines in _stays_lines(spec, seed) for line in lines]
 
 
 def write_corpus(path: str, spec: GeneratorSpec, seed: int) -> None:
-    atomic_write(path, ("\n".join(generate_lines(spec, seed)) + "\n").encode("utf-8"))
+    """Write the ``generate_lines`` corpus to ``path``, one stay at a time, each line ending in ``\\n``."""
+    atomic_write(path, (("\n".join(lines) + "\n").encode("utf-8") for lines in _stays_lines(spec, seed)))
 
 
 def write_task_file(path: str, spec: GeneratorSpec, kind: str, seed: int) -> None:
@@ -209,8 +206,21 @@ def read_task_file(path: str) -> tuple[str, GeneratorSpec, int]:
     return kind, spec, seed
 
 
-def _stay_lines(spec: GeneratorSpec, defs: list[FeatureDef], seed: int, stay_idx: int,
-                patient_id: str, stay_id: str, start: datetime) -> list[str]:
+def _stays_lines(spec: GeneratorSpec, seed: int) -> Iterator[list[str]]:
+    """Each stay's event lines, stay by stay in corpus order."""
+    # each feature with its _feature_json and its category texts as JSON, encoded once per corpus
+    features = [(d, _feature_json(d.source, d.variable), [json.dumps(a) for a in d.alphabet])
+                for d in feature_definitions(spec, seed)]
+    for p in range(spec.patients):
+        for k in range(spec.stays_per_patient):
+            start = _BASE_TIME + timedelta(hours=(p * 37 + k * 211) % 8760)
+            yield _stay_lines(spec, features, seed, p * spec.stays_per_patient + k,
+                              f"p{p:05d}", f"s{p:05d}x{k}", start)
+
+
+def _stay_lines(spec: GeneratorSpec, features: list[tuple[FeatureDef, str, list[str]]], seed: int,
+                stay_idx: int, patient_id: str, stay_id: str, start: datetime) -> list[str]:
+    """One stay's lines, each the ``json.dumps`` of its record, stably sorted by timestamp."""
     rng = np.random.default_rng([seed, 1000 + stay_idx])
     minutes = int(round((spec.stay_hours + spec.stay_jitter_hours * (2 * rng.random() - 1)) * 60))
     minutes = max(minutes, 1)
@@ -218,27 +228,26 @@ def _stay_lines(spec: GeneratorSpec, defs: list[FeatureDef], seed: int, stay_idx
     severity = float(rng.standard_normal())
     positive = bool(rng.random() < spec.signal_incidence) if spec.rate > 0 else False
 
-    records: list[dict] = []
+    head = f'{{"patient_id": {json.dumps(patient_id)}, "stay_id": {json.dumps(stay_id)}, "source": '
+    prefixes: list[str] = []  # per event: the JSON up to its value
+    values: list[str] = []    # per event: its value as JSON
+    ends: list[str] = []      # per event: what follows its timestamp's digits
+    times: list[np.ndarray] = []
 
-    def emit(source, variable, value, minute, duration=0, static=False):
-        record = {
-            "patient_id": patient_id,
-            "stay_id": stay_id,
-            "source": source,
-            "variable": variable,
-            "value": value,
-            "timestamp": (start + timedelta(minutes=int(minute))).strftime("%Y-%m-%dT%H:%M"),
-        }
-        if duration:
-            record["duration_minutes"] = int(duration)
-        if static:
-            record["static"] = True
-        records.append(record)
+    def emit(feature: str, block_values: list[str], block_times, block_ends: list[str]) -> None:
+        """A block of one feature's events: ``feature`` is its ``_feature_json``, the rest one entry per event."""
+        prefixes.extend([head + feature] * len(block_values))
+        values.extend(block_values)
+        ends.extend(block_ends)
+        times.append(block_times)
 
-    emit("demographics", "age", round(float(rng.uniform(18, 90)), 1), 0, static=True)
-    emit("demographics", "sex", str(rng.choice(("female", "male"))), 0, static=True)
-    emit("admissions", "admission ward", str(rng.choice(_STATIC_WARDS)), 0, static=True)
-    emit("history", "prior diagnosis", str(rng.choice(_STATIC_DIAGNOSES)), 0, static=True)
+    def emit_static(source: str, variable: str, value) -> None:
+        emit(_feature_json(source, variable), [json.dumps(value)], [0], ['", "static": true}'])
+
+    emit_static("demographics", "age", round(float(rng.uniform(18, 90)), 1))
+    emit_static("demographics", "sex", str(rng.choice(("female", "male"))))
+    emit_static("admissions", "admission ward", str(rng.choice(_STATIC_WARDS)))
+    emit_static("history", "prior diagnosis", str(rng.choice(_STATIC_DIAGNOSES)))
 
     rho = spec.severity_rho
     resid = np.sqrt(max(1.0 - rho * rho, 0.0))
@@ -248,32 +257,47 @@ def _stay_lines(spec: GeneratorSpec, defs: list[FeatureDef], seed: int, stay_idx
     if other_boost < 0:
         raise InvalidSpec("archetype boost incompatible with archetype count")
 
-    for f_idx, fdef in enumerate(defs):
+    for f_idx, (fdef, feature, categories) in enumerate(features):
         boost = align_boost if spec.n_archetypes > 1 and f_idx % spec.n_archetypes == archetype \
             else (other_boost if spec.n_archetypes > 1 else 1.0)
         lam = spec.rate * fdef.rate_multiplier * boost * minutes
         count = int(rng.poisson(lam)) if lam > 0 else 0
         if count == 0:
             continue
-        times = rng.integers(0, minutes, size=count)
-        durations = (fdef.duration_base + rng.integers(0, 30, size=count)) if fdef.duration_base else np.zeros(count, dtype=int)
+        block_times = rng.integers(0, minutes, size=count)
+        # a duration source's durations are at least its base, so every one of its events has one
+        block_ends = [f'", "duration_minutes": {d}}}' for d in
+                      (fdef.duration_base + rng.integers(0, 30, size=count)).tolist()] \
+            if fdef.duration_base else ['"}'] * count
         if fdef.kind == "cont":
             noise = rng.standard_normal(count)
-            values = fdef.mean + fdef.stddev * (rho * severity + resid * noise)
-            for t, v, d in zip(times, values, durations):
-                emit(fdef.source, fdef.variable, round(float(v), 4), t, duration=int(d))
+            block = fdef.mean + fdef.stddev * (rho * severity + resid * noise)
+            emit(feature, _json_numbers(block, 4), block_times, block_ends)
         else:
             choices = rng.choice(len(fdef.alphabet), size=count, p=fdef.probs)
-            for t, c, d in zip(times, choices, durations):
-                emit(fdef.source, fdef.variable, fdef.alphabet[int(c)], t, duration=int(d))
+            emit(feature, [categories[c] for c in choices.tolist()], block_times, block_ends)
 
     if positive:
         horizon = min(minutes, spec.window_minutes)
-        for minute in rng.integers(0, horizon, size=EVENTS_PER_POSITIVE):
-            emit(SIGNAL_SOURCE, SIGNAL_VARIABLE, SIGNAL_VALUE, minute)
+        emit(_feature_json(SIGNAL_SOURCE, SIGNAL_VARIABLE), [json.dumps(SIGNAL_VALUE)] * EVENTS_PER_POSITIVE,
+             rng.integers(0, horizon, size=EVENTS_PER_POSITIVE), ['"}'] * EVENTS_PER_POSITIVE)
 
-    records.sort(key=lambda r: r["timestamp"])  # statics sort first at the stay start
-    return [json.dumps(r) for r in records]
+    minute = np.concatenate(times)
+    stamps = np.datetime_as_string(np.datetime64(start, "m") + minute.astype("timedelta64[m]"), unit="m")
+    lines = [f'{p}{v}, "timestamp": "{t}{e}' for p, v, t, e in zip(prefixes, values, stamps.tolist(), ends)]
+    # statics come first at minute 0, and keep their place in a stable sort
+    return [lines[i] for i in np.argsort(minute, kind="stable").tolist()]
+
+
+def _feature_json(source: str, variable: str) -> str:
+    """A record's JSON from its source to the opening of its value, as ``json.dumps`` writes it."""
+    return f'{json.dumps(source)}, "variable": {json.dumps(variable)}, "value": '
+
+
+def _json_numbers(values: np.ndarray, digits: int) -> list[str]:
+    """``json.dumps(round(v, digits))`` of each value: ``float.__repr__``, as JSON writes a finite float."""
+    rounded = [round(v, digits) for v in values.tolist()]
+    return list(map(float.__repr__, rounded)) if np.isfinite(values).all() else list(map(json.dumps, rounded))
 
 
 # ---------------------------------------------------------------------------

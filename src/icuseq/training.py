@@ -270,6 +270,11 @@ class Model:
 # optimizer and schedule
 
 
+# A train loss at or above this is divergence: its gradients are about as large, and their squares
+# overflow float32 (largest ~2^128) in AdamW's second moment, which then stops the step silently.
+MAX_TRAIN_LOSS = 2.0 ** 64
+
+
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments, each parameter updated inside ``backward``.
 
@@ -532,8 +537,8 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
             rng = np.random.default_rng([cfg.seed, 70, epoch, start])
             outputs = model.pretrain_outputs(batch, mode="train", rng=rng, rows=slots.rows)
             breakdown = mlvm_loss(outputs, slots, cfg.alpha, cfg.beta)
-            if not np.isfinite(breakdown.l_total):
-                raise DivergedLoss(f"non-finite loss at epoch {epoch}")
+            if not breakdown.l_total < MAX_TRAIN_LOSS:  # NaN too
+                raise DivergedLoss(f"loss {breakdown.l_total:.3e} at epoch {epoch} is not below 2^64")
             # layernorm keeps float32 activations finite under almost any step
             # size, so runaway growth needs its own tripwire
             if diverged_above is None:
@@ -853,8 +858,8 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
             rng = np.random.default_rng([cfg.seed, 91, fold, epoch, start])
             logits = model.task_scores(slots, mode="train", rng=rng)
             loss = finetune_loss(task.kind, logits, labels, weight)
-            if not np.isfinite(loss.item()):
-                raise DivergedLoss(f"non-finite fine-tune loss at fold {fold} epoch {epoch}")
+            if not loss.item() < MAX_TRAIN_LOSS:  # NaN too
+                raise DivergedLoss(f"fine-tune loss {loss.item():.3e} at fold {fold} epoch {epoch} is not below 2^64")
             optimizer.step(loss, lr)
             epoch_loss += loss.item()
             n_batches += 1

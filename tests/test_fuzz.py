@@ -12,6 +12,9 @@ runs end to end on a tiny corpus from a ``--config`` with up to three values
 replaced, each from a bounded set per key: sizes from -1 to 3, rates and
 weights from NaN, ±inf, 0, -1 and 1e30. It exits 0 with a checkpoint, or 1
 with one ``error:`` line and none; a saved model's parameters are finite.
+``icuseq finetune`` is run the same way, from a checkpoint pre-trained on a
+12-patient binary-task corpus, with fold counts, epochs, step sizes, class
+weights, frozen layers, the embedding width, ratios and seeds replaced.
 
 Checkpoints are mutated by structure: a config-block field replaced by null,
 a boolean, ±10^30, NaN, a list or a string, or a blob header's rank, one
@@ -307,6 +310,74 @@ class TestPretrainConfig:
                         encoding="utf-8")
         out.unlink(missing_ok=True)
         code, err = run_cli(["pretrain", "--config", str(path), "--events", pretrain_events, "--out", str(out)])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert (code, len(errors)) in ((0, 0), (1, 1)), err
+        assert out.exists() == (code == 0)
+        if code == 0:  # a model that comes back must be usable
+            assert all(np.isfinite(a).all() for a in load_checkpoint(str(out))[1].values())
+
+    def test_loss_at_or_above_2_to_the_64_is_divergence(self, fuzz_dir, pretrain_events):
+        """A value-loss weight of 1e30 makes a finite loss whose squared gradients overflow float32."""
+        path, out = fuzz_dir / "pretrain-huge-beta.cfg", fuzz_dir / "pretrain-huge-beta.icub"
+        path.write_text("".join(f"{k}={v}\n" for k, v in PRETRAIN_CONFIG.items()), encoding="utf-8")
+        code, err = run_cli(["pretrain", "--config", str(path), "--beta", "1e30", "--events", pretrain_events,
+                             "--out", str(out)])
+        errors = [line for line in err.splitlines() if line.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "DivergedLoss" in errors[0], err
+        assert not out.exists()
+
+
+FINETUNE_SPEC = GeneratorSpec(patients=12, features=5, rate=0.01, stay_hours=6.0, signal_incidence=0.5)
+FINETUNE_RUN_CONFIG = {
+    "embed_dim": "4", "folds": "2", "unfrozen_layers": "1", "unfreeze_embedder": "false", "epochs": "2",
+    "batch_size": "4", "lr": "0.001", "weight_decay": "0.01", "warmup_epochs": "0", "patience": "none",
+    "class_weight": "auto", "ratios": "0.5,0.25,0.25", "seed": "0", "split_seed": "0",
+}
+FINETUNE_VALUES = {
+    **dict.fromkeys(("folds", "epochs", "batch_size", "warmup_epochs", "patience"), ("0", "1", "3", "-1")),
+    "unfrozen_layers": ("none", "0", "1", "2", "-1"),
+    "unfreeze_embedder": ("true", "false"),
+    "embed_dim": ("0", "3", "-1"),
+    **dict.fromkeys(("lr", "weight_decay"), ("nan", "inf", "-inf", "0", "-1", "1e30")),
+    "class_weight": ("0", "-1", "nan", "inf", "1e30", "heavy"),
+    "ratios": PRETRAIN_VALUES["ratios"],
+    **dict.fromkeys(("seed", "split_seed"), ("1", "-1")),
+}
+FINETUNE_MUTATIONS = [(key, raw) for key, raws in FINETUNE_VALUES.items() for raw in raws]
+
+
+@pytest.fixture(scope="module")
+def finetune_inputs(fuzz_dir):
+    """A binary-task corpus whose base split has both classes everywhere, its task file, and a checkpoint."""
+    events, task, checkpoint = (str(fuzz_dir / name) for name in ("finetune-events.jsonl", "finetune-task.json",
+                                                                   "finetune-pretrained.icub"))
+    with open(events, "w", encoding="utf-8") as f:
+        f.write("\n".join(generate_lines(FINETUNE_SPEC, seed=1)) + "\n")
+    write_task_file(task, FINETUNE_SPEC, "binary", seed=1)
+    config = fuzz_dir / "finetune-pretrain.cfg"
+    config.write_text("".join(f"{k}={v}\n" for k, v in {**PRETRAIN_CONFIG, "epochs": "1"}.items()), encoding="utf-8")
+    code, err = run_cli(["pretrain", "--config", str(config), "--events", events, "--out", checkpoint])
+    assert code == 0, err
+    return ["--events", events, "--task", task, "--checkpoint", checkpoint]
+
+
+class TestFinetuneConfig:
+    def test_base_config_trains(self, fuzz_dir, finetune_inputs):
+        path, out = fuzz_dir / "finetune-base.cfg", fuzz_dir / "finetune-base.icub"
+        path.write_text("".join(f"{k}={v}\n" for k, v in FINETUNE_RUN_CONFIG.items()), encoding="utf-8")
+        code, err = run_cli(["finetune", "--config", str(path), *finetune_inputs, "--out", str(out)])
+        assert code == 0 and out.exists(), err
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.lists(st.sampled_from(FINETUNE_MUTATIONS), min_size=1, max_size=3))
+    @example([("class_weight", "heavy")]).via("a class weight that is not a number")
+    def test_end_to_end_exits_0_or_1_with_one_error_line(self, fuzz_dir, finetune_inputs, muts):
+        """``icuseq finetune --config`` with up to three values replaced trains, or fails with one line."""
+        path, out = fuzz_dir / "finetune-run.cfg", fuzz_dir / "finetune-run.icub"
+        path.write_text("".join(f"{k}={v}\n" for k, v in {**FINETUNE_RUN_CONFIG, **dict(muts)}.items()),
+                        encoding="utf-8")
+        out.unlink(missing_ok=True)
+        code, err = run_cli(["finetune", "--config", str(path), *finetune_inputs, "--out", str(out)])
         errors = [line for line in err.splitlines() if line.startswith("error:")]
         assert (code, len(errors)) in ((0, 0), (1, 1)), err
         assert out.exists() == (code == 0)

@@ -1,20 +1,23 @@
 import json
-from datetime import datetime
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from icuseq.errors import EmptyTrainSplit, InvalidRatios, ParseError
 from icuseq.ingest import (
     MAX_DURATION_MINUTES,
     MAX_STAY_SPAN,
     Split,
+    Stay,
     assign_splits,
     build_vocabularies,
     parse_event_lines,
     parse_events,
 )
-from icuseq.types import UNK_TEXT
+from icuseq.types import UNK_TEXT, Registry
 
 
 def line(patient="p1", stay="s1", source="chartevents", variable="Heart Rate",
@@ -113,6 +116,24 @@ class TestParseEvents:
         path = tmp_path / "events.jsonl"
         path.write_text(line() + "\n" + line(value=90, timestamp="2023-01-01T01:00") + "\n")
         assert parse_events(str(path)).n_registries == 2
+
+
+OFFSETS = (timedelta(0), timedelta(hours=-11), timedelta(hours=5, minutes=30, seconds=15, microseconds=500_000))
+
+
+class TestColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.datetimes(datetime(2023, 1, 1), datetime(2024, 1, 1)), st.sampled_from(OFFSETS)),
+                    min_size=1, max_size=12), st.booleans())
+    def test_offsets_are_floored_minutes_since_start(self, times, aware):
+        """Each row's offset is ``(timestamp - start) // 1 minute``, seconds and odd UTC offsets included."""
+        dynamics = tuple(Registry("p", "s", "lab", "x", 1.0, t.replace(tzinfo=timezone(z)) if aware else t)
+                         for t, z in times)
+        stay = Stay("s", "p", dynamics, ())
+        cols = stay.columns
+        assert cols.offset.tolist() == [(dynamics[i].timestamp - stay.start) // timedelta(minutes=1)
+                                        for i in cols.registry.tolist()]
+        assert np.all(np.diff(cols.offset) >= 0)
 
 
 def multi_patient_corpus(n_patients, stays_per_patient=1):

@@ -1,3 +1,5 @@
+import hashlib
+import tracemalloc
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -19,6 +21,7 @@ from icuseq.synth import (
     oracle_label,
     oracle_presence,
     read_task_file,
+    write_corpus,
     write_task_file,
 )
 from icuseq.types import Registry
@@ -44,6 +47,17 @@ class TestSpecValidation:
             GeneratorSpec(**{"patients": 1, "features": 5, "rate": 0.1, **field})
 
 
+# (spec, seed, sha256 of the "\n"-joined lines)
+PINNED = [
+    (GeneratorSpec(patients=12, features=20, rate=0.01, signal_incidence=0.5, stay_hours=24.0, stay_jitter_hours=6.0,
+                   stays_per_patient=2), 3, "c47909dec89a98523463c2269f85cb5759f213042e63fc4763e35361ee655226"),
+    (GeneratorSpec(patients=8, features=30, rate=0.005, cat_fraction=0.9, stay_hours=48.0), 4,
+     "e8f0ff7d57cb55a9dafd47df39b4a242613c88bff8fe6817b2badc9348299e55"),
+    (GeneratorSpec(patients=10, features=5, rate=0.0), 5,
+     "160f0bab4ef60df3bcead983dbd5b9a3f8101ad751bbe29cf7d51dfc556ca101"),
+]
+
+
 class TestGeneration:
     def test_deterministic_bytes(self):
         spec = GeneratorSpec(patients=30, features=10, rate=0.01)
@@ -52,6 +66,25 @@ class TestGeneration:
         assert a == b
         c = "\n".join(generate_lines(spec, seed=6))
         assert a != c
+
+    @pytest.mark.parametrize("spec, seed, sha256", PINNED, ids=["jittered-durations-signal", "categorical", "statics"])
+    def test_pinned_bytes(self, spec, seed, sha256):
+        """The corpus bytes of three specs, recorded from the record-by-record ``json.dumps`` writer."""
+        assert hashlib.sha256("\n".join(generate_lines(spec, seed)).encode("utf-8")).hexdigest() == sha256
+
+    def test_write_corpus_streams_the_lines(self, tmp_path):
+        """The file is ``generate_lines`` plus newlines; writing it never holds the whole file (~2 MB)."""
+        spec = GeneratorSpec(patients=20, features=40, rate=0.01)
+        path = tmp_path / "events.jsonl"
+        tracemalloc.start()
+        try:
+            write_corpus(str(path), spec, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        data = path.read_bytes()
+        assert data == ("\n".join(generate_lines(spec, seed=1)) + "\n").encode("utf-8")
+        assert len(data) > 1.5e6 and peak < len(data)
 
     def test_parses_cleanly(self):
         spec = GeneratorSpec(patients=25, features=15, rate=0.01, stay_jitter_hours=6.0)
