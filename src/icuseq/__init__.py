@@ -9,7 +9,7 @@ from .synth import GeneratorSpec, generate_lines, oracle_cont_target, oracle_lab
 from .textvec import FileCacheProvider, StubProvider, read_cache, write_cache
 from .training import Model, ModelConfig, Task, TrainConfig, evaluate, finetune, pretrain
 from .types import Registry, Vocabularies, feature_text, validate_registry
-from .windows import Tokens, Window, segment_windows
+from .windows import Tokens, segment_windows
 
 __version__ = "0.1.0"
 
@@ -17,7 +17,7 @@ __all__ = [
     "Corpus", "FileCacheProvider", "GeneratorSpec", "IcuseqError", "LossBreakdown",
     "MaskedSlots", "MaskingPlan", "MaskingRates", "MetricReport", "Model", "ModelConfig", "Registry",
     "Split", "Stay", "StubProvider", "Task", "Tokens", "TrainConfig", "Vocabularies",
-    "Window", "apply_masking", "assign_splits", "auprc", "auroc",
+    "apply_masking", "assign_splits", "auprc", "auroc",
     "build_vocabularies", "combine_losses", "evaluate", "feature_text", "finetune",
     "finetune_loss", "generate_lines", "mae", "masked_slots", "mlvm_loss",
     "oracle_cont_target", "oracle_label", "parse_events", "plan_masking", "pretrain",

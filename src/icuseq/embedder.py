@@ -1,7 +1,7 @@
 """Composition of token embeddings from frozen text vectors and learned time tables.
 
-``encode_batch`` reads one ``windows.Tokens`` (or ``Window``) per window: CLS
-first, no PAD, all cut to one ``max_len``. A token's feature and value codes
+``encode_batch`` reads one ``windows.Tokens`` per window: CLS first, no PAD,
+all cut to one ``max_len``; it alone pads. A token's feature and value codes
 name a text of its ``texts`` when non-negative; ``-1 - r`` names row ``r`` of
 the special rows (CLS, PAD, MASK, and for values the fill row).
 
@@ -31,7 +31,7 @@ checkpoint's arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .autodiff import Tensor
 from .errors import IndexOutOfRange, NonFiniteValue, ShapeMismatch
 from .textvec import EmbeddingProvider
 from .types import DEFAULT_WINDOW_MINUTES
-from .windows import FILL_CODE, PAD_CODE, Tokens, Window, as_tokens
+from .windows import FILL_CODE, PAD_CODE, Tokens
 
 # ids 0-2 of both tables are the learned CLS/PAD/MASK rows; the value table's fill row comes next
 N_SPECIALS = 3
@@ -113,15 +113,13 @@ class EncodedBatch:
     attention_mask: np.ndarray  # (B, L) 1 for real tokens, 0 for PAD
 
 
-def encode_batch(windows: Sequence[Union[Window, Tokens]], provider: EmbeddingProvider,
-                 dtype=np.float32) -> EncodedBatch:
+def encode_batch(tokens: Sequence[Tokens], provider: EmbeddingProvider, dtype=np.float32) -> EncodedBatch:
     """Turn windows cut to one ``max_len`` into ids, scales and text tables.
 
     The batch is as long as its longest window, rounded up to a multiple of
     ``PAD_MULTIPLE`` and never longer than ``max_len``; shorter windows are
     padded with PAD ids, so attention cost follows the real tokens.
     """
-    tokens = [as_tokens(w) for w in windows]
     caps = {t.max_len for t in tokens}
     if len(caps) != 1:
         raise ShapeMismatch(f"windows cut to mixed lengths {sorted(caps)}")

@@ -258,12 +258,13 @@ class GradCheckReport:
 def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
                epsilon: float = 1e-4, tolerance: float = 1e-4,
                samples_per_param: int = 6,
-               rng: Optional[np.random.Generator] = None,
-               raise_on_mismatch: bool = True) -> GradCheckReport:
+               rng: Optional[np.random.Generator] = None) -> GradCheckReport:
     """Compare analytic gradients against central differences.
 
     Samples the largest-gradient entries of every parameter plus a few random
     ones, so embedding-table rows that were actually touched get covered.
+    Raises ``GradMismatch``, carrying the report, if any entry is off by
+    more than ``tolerance``.
     """
     rng = rng or np.random.default_rng(0)
     for t in params.values():
@@ -297,7 +298,7 @@ def grad_check(loss_fn: Callable[[], Tensor], params: dict[str, Tensor],
                 analytic=analytic, numeric=numeric, rel_err=rel_err,
             ))
 
-    if raise_on_mismatch and not report.ok:
+    if not report.ok:
         worst = report.worst
         err = GradMismatch(worst.param, worst.rel_err)
         err.report = report

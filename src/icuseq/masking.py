@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import InvalidSpec, NoEligibleTokens, ShapeMismatch
 from .types import Vocabularies
-from .windows import FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window, as_tokens
+from .windows import FILL_CODE, MASK_CODE, Tokens
 
 # corruption codes recorded per masked slot
 NONE, MASK, RANDOM, KEEP = 0, 1, 2, 3
@@ -40,17 +40,17 @@ class MaskingRates:
 
 @dataclass(frozen=True)
 class MaskingPlan:
-    """Per-token masking decisions plus the uncorrupted reconstruction targets."""
+    """Masking decisions for each of a window's n tokens, plus the uncorrupted reconstruction targets."""
 
-    selected: np.ndarray          # (L,) bool
-    mask_feature: np.ndarray      # (L,) bool
-    mask_value: np.ndarray        # (L,) bool
-    feature_corruption: np.ndarray  # (L,) int8, codes above
-    value_corruption: np.ndarray    # (L,) int8
-    feature_target: np.ndarray    # (L,) int64, -1 where not a feature slot
-    value_is_continuous: np.ndarray  # (L,) bool, continuity of the original value
-    cat_target: np.ndarray        # (L,) int64, -1 where not a categorical slot
-    cont_target: np.ndarray       # (L,) float32, 0 where not a continuous slot
+    selected: np.ndarray          # (n,) bool
+    mask_feature: np.ndarray      # (n,) bool
+    mask_value: np.ndarray        # (n,) bool
+    feature_corruption: np.ndarray  # (n,) int8, codes above
+    value_corruption: np.ndarray    # (n,) int8
+    feature_target: np.ndarray    # (n,) int64, -1 where not a feature slot
+    value_is_continuous: np.ndarray  # (n,) bool, continuity of the original value
+    cat_target: np.ndarray        # (n,) int64, -1 where not a categorical slot
+    cont_target: np.ndarray       # (n,) float32, 0 where not a continuous slot
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -68,25 +68,17 @@ class MaskingPlan:
         return int((self.mask_value & self.value_is_continuous).sum())
 
 
-def plan_masking(window: Union[Window, Tokens], rng: np.random.Generator,
-                 rates: MaskingRates = MaskingRates()) -> MaskingPlan:
-    """Draw the masking decisions for one window.
+def plan_masking(tokens: Tokens, rng: np.random.Generator, rates: MaskingRates = MaskingRates()) -> MaskingPlan:
+    """Draw the masking decisions for one window, one slot per token.
 
     Each maskable token (one with a ``feature_id``: not CLS, and a feature
     seen in training) is selected independently; selected tokens mask both
     slots, the value only, or the feature only; each masked slot is then
     corrupted as mask/random/keep. Targets are the uncorrupted token's ids
-    and value, so they survive every corruption mode. A plan covers the
-    ``max_len`` slots the window was cut to; slots past its real length are
-    never selected.
+    and value, so they survive every corruption mode.
     """
-    tokens = as_tokens(window)
-    n = tokens.max_len
-
-    def padded(column: np.ndarray, fill) -> np.ndarray:  # to the plan's n slots
-        return np.concatenate([column, np.full(n - len(column), fill, column.dtype)])
-
-    eligible = padded(tokens.feature_id, -1) >= 0
+    n = len(tokens)
+    eligible = tokens.feature_id >= 0
     n_eligible = int(eligible.sum())
     if n_eligible == 0:
         raise NoEligibleTokens(f"a window of stay {tokens.stay_id!r} has no maskable tokens")
@@ -109,14 +101,14 @@ def plan_masking(window: Union[Window, Tokens], rng: np.random.Generator,
     feature_corruption[mask_feature] = _draw_corruption(rng, int(mask_feature.sum()), rates)
     value_corruption[mask_value] = _draw_corruption(rng, int(mask_value.sum()), rates)
 
-    continuous = padded(tokens.value, PAD_CODE) == FILL_CODE
+    continuous = tokens.value == FILL_CODE
     value_is_continuous = mask_value & continuous
     return MaskingPlan(
         selected, mask_feature, mask_value, feature_corruption, value_corruption,
-        feature_target=np.where(mask_feature, padded(tokens.feature_id, -1), -1),
+        feature_target=np.where(mask_feature, tokens.feature_id, -1),
         value_is_continuous=value_is_continuous,
-        cat_target=np.where(mask_value & ~continuous, padded(tokens.value_id, -1), -1),
-        cont_target=np.where(value_is_continuous, padded(tokens.scale, 0.0), 0.0).astype(np.float32),
+        cat_target=np.where(mask_value & ~continuous, tokens.value_id, -1),
+        cont_target=np.where(value_is_continuous, tokens.scale, 0.0).astype(np.float32),
     )
 
 
@@ -128,8 +120,7 @@ def _draw_corruption(rng: np.random.Generator, count: int, rates: MaskingRates) 
     return out
 
 
-def apply_masking(window: Union[Window, Tokens], plan: MaskingPlan, vocab: Vocabularies,
-                  rng: np.random.Generator) -> Tokens:
+def apply_masking(tokens: Tokens, plan: MaskingPlan, vocab: Vocabularies, rng: np.random.Generator) -> Tokens:
     """The window's tokens corrupted according to a plan drawn for it.
 
     Random feature/categorical replacements draw uniformly from the
@@ -140,16 +131,16 @@ def apply_masking(window: Union[Window, Tokens], plan: MaskingPlan, vocab: Vocab
     are never altered, and neither are ``feature_id``/``value_id``, the
     uncorrupted token's ids.
     """
-    tokens = as_tokens(window)
-    if len(plan) != tokens.max_len:
-        raise ShapeMismatch(f"plan length {len(plan)} vs window length {tokens.max_len}")
+    if len(plan) != len(tokens):
+        raise ShapeMismatch(f"plan length {len(plan)} vs window length {len(tokens)}")
 
-    real = slice(0, len(tokens))
-    feature_corruption, value_corruption = plan.feature_corruption[real], plan.value_corruption[real]
-    feature = np.where(feature_corruption == MASK, MASK_CODE, tokens.feature)
+    feature_corruption, value_corruption = plan.feature_corruption, plan.value_corruption
+    records = tokens.records.copy()
+    feature, value, scale = records["feature"], records["value"], records["scale"]  # views into the copy
+    feature[feature_corruption == MASK] = MASK_CODE
     value_mask = value_corruption == MASK
-    value = np.where(value_mask, MASK_CODE, tokens.value)
-    scale = np.where(value_mask, 1.0, tokens.scale)
+    value[value_mask] = MASK_CODE
+    scale[value_mask] = 1.0
 
     texts = list(tokens.texts)
 
@@ -167,7 +158,7 @@ def apply_masking(window: Union[Window, Tokens], plan: MaskingPlan, vocab: Vocab
                 scale[i] = float(rng.standard_normal())
             else:
                 value[i] = code_of(_random_text(vocab.categorical_values, vocab.n_reserved_values, rng))
-    return replace(tokens, texts=tuple(texts), feature=feature, value=value, scale=scale)
+    return replace(tokens, texts=tuple(texts), records=records)
 
 
 def _random_text(texts: tuple[str, ...], n_reserved: int, rng: np.random.Generator) -> Optional[str]:

@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import secrets
 import struct
-import tempfile
 from typing import Iterable, Mapping, Optional
 
 import numpy as np
@@ -136,11 +136,12 @@ def atomic_write(path: str, data: bytes | Iterable[bytes | memoryview]) -> None:
 
     An iterable is written as it is produced, so a caller can stream a file
     it does not want to hold whole. If writing fails, or the iterable
-    raises, the temp file is removed and ``path`` is left as it was.
+    raises, the temp file is removed and ``path`` is left as it was. The
+    file's mode follows the umask, as with ``open(path, "wb")``.
     """
     chunks = (data,) if isinstance(data, (bytes, bytearray, memoryview)) else data
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+    tmp = os.path.join(os.path.dirname(os.path.abspath(path)), f".tmp-{secrets.token_hex(8)}.part")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)  # mkstemp would make it 0600
     try:
         with os.fdopen(fd, "wb") as f:
             f.writelines(chunks)

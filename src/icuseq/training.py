@@ -30,7 +30,7 @@ from .objective import (
 )
 from .textvec import EmbeddingProvider
 from .types import Registry, Vocabularies
-from .windows import Window, maskable, segment_windows
+from .windows import Tokens, maskable, segment_windows
 
 
 @dataclass(frozen=True)
@@ -405,7 +405,7 @@ class TrainConfig:
 
 
 def prepare_windows(corpus: Corpus, split: Split, vocab: Vocabularies,
-                    window_minutes: int, max_seq_len: int) -> list[Window]:
+                    window_minutes: int, max_seq_len: int) -> list[Tokens]:
     """Every window of a split, cut to ``max_seq_len`` tokens.
 
     Windows without any maskable token are dropped; they carry no training
@@ -585,7 +585,7 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
     return PretrainResult(model, rows, best_epoch, float(best_val))
 
 
-def _masked_batch(windows: Sequence[Window], rngs: Iterable[tuple[np.random.Generator, np.random.Generator]],
+def _masked_batch(windows: Sequence[Tokens], rngs: Iterable[tuple[np.random.Generator, np.random.Generator]],
                   vocab: Vocabularies, provider: EmbeddingProvider, rates: MaskingRates,
                   dtype=np.float32) -> tuple[EncodedBatch, MaskedSlots]:
     """The corrupted windows' batch and their masked slots.
@@ -624,11 +624,14 @@ class Task:
             raise UnknownTask(f"unknown task kind {self.kind!r}")
         if self.n_windows < 1:
             raise InvalidSpec(f"a task needs at least one window per sample, got {self.n_windows}")
+        weight = self.class_weight  # written so that NaN fails
+        if weight != "auto" and not (type(weight) in (int, float) and math.isfinite(weight) and weight > 0):
+            raise InvalidSpec(f"class_weight must be 'auto' or a finite number > 0, got {weight!r}")
 
 
 @dataclass
 class Sample:
-    windows: list[Window]
+    windows: list[Tokens]
     label: object
 
 
@@ -749,8 +752,7 @@ class FinetuneResult:
 
 
 def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
-             provider: EmbeddingProvider, train_config: TrainConfig, folds: int = 5,
-             on_row: Optional[Callable[[LossRow], None]] = None) -> FinetuneResult:
+             provider: EmbeddingProvider, train_config: TrainConfig, folds: int = 5) -> FinetuneResult:
     """Cross-validated fine-tuning: resample train+val per fold, test split fixed.
 
     What no fold changes is computed once per call. Each pool stay is
@@ -765,8 +767,8 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
     Every train, val and test pass goes through ``Model.task_scores``, whose
     top encoder layer computes the CLS row only.
     """
-    if folds < 1:
-        raise InvalidSpec(f"cross-validation needs at least one fold, got {folds}")
+    if folds < 2:  # one fold would put every pool patient in its val chunk and train on none
+        raise InvalidSpec(f"cross-validation needs at least two folds, got {folds}")
     cfg = train_config
     window_minutes = pretrained.config.window_minutes
     max_seq_len = pretrained.config.encoder.max_seq_len
@@ -803,9 +805,6 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
         model, fold_rows, fold_val = _finetune_fold(
             pretrained, task, train_samples, val_samples, provider, cfg, fold)
         rows.extend(fold_rows)
-        if on_row:
-            for row in fold_rows:
-                on_row(row)
         if fold_val < best_val:
             best_val, best_model = fold_val, model
 
@@ -866,6 +865,8 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
 
         val_loss = _task_loss(model, task, val_batches(), weight) \
             if val_samples else epoch_loss / max(n_batches, 1)
+        if not np.isfinite(val_loss):
+            raise DivergedLoss(f"non-finite validation loss at fold {fold} epoch {epoch}")
         rows.append(LossRow(epoch, f"fold{fold}-train", 0.0, 0.0, 0.0, epoch_loss / max(n_batches, 1), lr))
         rows.append(LossRow(epoch, f"fold{fold}-val", 0.0, 0.0, 0.0, val_loss, lr))
 

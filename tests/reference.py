@@ -48,7 +48,7 @@ from icuseq.masking import KEEP, MASK, RANDOM, MaskingPlan, MaskingRates
 from icuseq.objective import masked_slots, mlvm_loss
 from icuseq.synth import SIGNAL_VALUE
 from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Registry, Vocabularies
-from icuseq.windows import CLS_CODE, FILL_CODE, MASK_CODE, PAD_CODE, Tokens, Window
+from icuseq.windows import CLS_CODE, FILL_CODE, MASK_CODE, PAD_CODE, TOKEN_COLUMNS, Tokens
 
 PAD_MULTIPLE = 8
 
@@ -432,16 +432,12 @@ def tokens_of(seq: WindowSequence, vocab: Optional[Vocabularies] = None) -> Toke
             value_id.append(-1 if vocab is None else vocab.value_index(str(tok.value)))
         tau.append(tok.tau_minutes)
         delta.append(tok.delta_minutes)
-    ints = lambda xs: np.array(xs, dtype=np.int64)  # noqa: E731
-    return Tokens(seq.stay_id, tuple(texts), len(seq.tokens), ints(feature), ints(value),
-                  np.array(scale, dtype=np.float64), ints(tau), ints(delta), ints(feature_id), ints(value_id))
+    records = np.array(list(zip(feature, value, scale, tau, delta, feature_id, value_id)), dtype=TOKEN_COLUMNS)
+    return Tokens(seq.stay_id, tuple(texts), len(seq.tokens), records)
 
 
-def sequence_of(window: Union[Window, Tokens]) -> WindowSequence:
-    """A reference window with the same real tokens; statics are marked only for a ``Window``."""
-    n_statics = window.n_statics if isinstance(window, Window) else 0
-    index = window.index if isinstance(window, Window) else 0
-    cols = window.tokens() if isinstance(window, Window) else window
+def sequence_of(cols: Tokens, n_statics: int = 0, index: int = 0) -> WindowSequence:
+    """Reference window ``index`` with the same real tokens, the ``n_statics`` after CLS marked static."""
     out = []
     for i in range(len(cols)):
         code = int(cols.feature[i])

@@ -154,7 +154,7 @@ class TestConfigFile:
         errors = [l for l in capsys.readouterr().err.splitlines() if l.startswith("error:")]
         assert len(errors) == 1 and "InvalidSpec" in errors[0] and "unfrozen_layers" in errors[0]
 
-    @pytest.mark.parametrize("folds", ["0", "-1"])
+    @pytest.mark.parametrize("folds", ["0", "-1", "1"])
     def test_fold_count_below_one_is_one_error_line(self, synth_args, capsys, folds):
         events, task, tmp_path = synth_args
         ckpt = str(tmp_path / "pre.ckpt")
@@ -168,6 +168,21 @@ class TestConfigFile:
         errors = [l for l in err.splitlines() if l.startswith("error:")]
         assert code == 1 and len(errors) == 1 and "InvalidSpec" in errors[0] and "fold" in errors[0]
         assert "Traceback" not in err
+
+    def test_a_bad_class_weight_is_one_error_line_naming_it(self, synth_args, capsys):
+        events, task, tmp_path = synth_args
+        ckpt = str(tmp_path / "pre.ckpt")
+        assert main(["pretrain", "--events", events, "--out", ckpt, "--embed-dim", "8",
+                     "--hidden", "8", "--heads", "2", "--layers", "1", "--ffn-dim", "8",
+                     "--max-seq-len", "16", "--epochs", "1", "--batch-size", "8"]) == 0
+        for weight in ("nan", "inf", "0", "-1"):
+            capsys.readouterr()
+            code = main(["finetune", "--events", events, "--checkpoint", ckpt, "--task", task,
+                         "--embed-dim", "8", "--folds", "2", "--epochs", "1", "--class-weight", weight])
+            err = capsys.readouterr().err
+            errors = [l for l in err.splitlines() if l.startswith("error:")]
+            assert code == 1 and len(errors) == 1 and "InvalidSpec" in errors[0] and "class_weight" in errors[0]
+            assert "Traceback" not in err
 
     @pytest.mark.parametrize("source", ["--embed-dim 0", "--embed-dim -2", "zero-width cache"])
     def test_pre_embedding_width_below_one_is_one_error_line(self, synth_args, capsys, source):

@@ -8,7 +8,7 @@ def test_every_public_name_resolves():
 
 
 def test_object_pipeline_names_are_gone():
-    """Windows are index ranges over token columns; the per-token objects live only in tests/reference.py."""
+    """A window is its own ``Tokens`` table; the per-token objects live only in tests/reference.py."""
     import icuseq.types
     import icuseq.windows
 
@@ -16,9 +16,9 @@ def test_object_pipeline_names_are_gone():
         assert name not in icuseq.__all__ and not hasattr(icuseq, name)
     for module, names in ((icuseq.types, ("Token", "WindowSequence", "Special", "cls_token", "pad_token",
                                           "token_from_registry")),
-                          (icuseq.windows, ("truncate_and_pad", "normalize_values"))):
+                          (icuseq.windows, ("truncate_and_pad", "normalize_values", "Window", "as_tokens"))):
         assert [n for n in names if hasattr(module, n)] == []
-    assert {"Tokens", "Window"} <= set(icuseq.__all__)
+    assert "Tokens" in icuseq.__all__ and "Window" not in icuseq.__all__ and not hasattr(icuseq, "Window")
 
 
 def test_masked_slots_are_the_only_slot_record():

@@ -371,6 +371,8 @@ class TestFinetuneConfig:
     @settings(max_examples=50, deadline=None)
     @given(st.lists(st.sampled_from(FINETUNE_MUTATIONS), min_size=1, max_size=3))
     @example([("class_weight", "heavy")]).via("a class weight that is not a number")
+    @example([("folds", "1")]).via("one fold, which trains on no patient")
+    @example([("folds", "1"), ("class_weight", "nan")]).via("one fold whose validation loss is NaN")
     def test_end_to_end_exits_0_or_1_with_one_error_line(self, fuzz_dir, finetune_inputs, muts):
         """``icuseq finetune --config`` with up to three values replaced trains, or fails with one line."""
         path, out = fuzz_dir / "finetune-run.cfg", fuzz_dir / "finetune-run.icub"

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -114,6 +117,18 @@ class TestAtomicWrite:
             atomic_write(str(path), chunks())
         assert path.read_bytes() == b"old"
         assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002])
+    def test_mode_follows_the_umask_as_with_open(self, tmp_path, umask):
+        old = os.umask(umask)
+        try:
+            atomic_write(str(tmp_path / "atomic.bin"), b"x")
+            with open(tmp_path / "plain.bin", "wb") as f:
+                f.write(b"x")
+        finally:
+            os.umask(old)
+        mode = stat.S_IMODE((tmp_path / "atomic.bin").stat().st_mode)
+        assert mode == stat.S_IMODE((tmp_path / "plain.bin").stat().st_mode) == 0o666 & ~umask
 
 
 class _ExplodingProvider:

@@ -444,6 +444,23 @@ class TestFinetune:
         assert set(result.report.metric_names) == {"auroc", "auprc"}
         assert 0.0 <= result.report.mean("auroc") <= 1.0
 
+    @pytest.mark.parametrize("folds", [1, 0])
+    def test_fewer_than_two_folds_is_refused(self, folds):
+        """One fold would validate on every pool patient and train on none."""
+        spec, corpus, vocab, provider, config = small_setup(patients=12)
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0)
+        with pytest.raises(InvalidSpec, match="two folds"):
+            finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=folds)
+
+    def test_non_finite_fold_validation_loss_diverges(self, monkeypatch):
+        spec, corpus, vocab, provider, config = small_setup(patients=12)
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        cfg = TrainConfig(epochs=2, batch_size=8, lr=1e-3, seed=0)
+        monkeypatch.setattr(training, "_task_loss", lambda *args: float("nan"))
+        with pytest.raises(DivergedLoss, match="validation loss at fold 0 epoch 1"):
+            finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2)
+
     def test_early_stopping_bound(self):
         spec, corpus, vocab, provider, config = small_setup(patients=30)
         pre = Model.build(config, seed=0)
@@ -476,7 +493,7 @@ class TestFinetune:
 
 
 def sample_view(samples):
-    return [(s.label, [(w.table.stay_id, w.index, sequence_of(w).tokens) for w in s.windows]) for s in samples]
+    return [(s.label, [(w.stay_id, sequence_of(w).tokens) for w in s.windows]) for s in samples]
 
 
 def per_fold_corpus_samples(corpus, task, vocab, config, seed, folds):
@@ -533,13 +550,22 @@ class TestTask:
         with pytest.raises(InvalidSpec):
             Task("binary", lambda stay: 0, n_windows=n_windows)
 
+    @pytest.mark.parametrize("weight", [math.nan, math.inf, -math.inf, 0, 0.0, -1.0, True, "heavy", None])
+    def test_class_weight_is_auto_or_a_finite_positive_number(self, weight):
+        with pytest.raises(InvalidSpec, match="class_weight"):
+            Task("binary", lambda stay: 0, class_weight=weight)
+
+    @pytest.mark.parametrize("weight", ["auto", 1, 0.25, 1e30])
+    def test_class_weight_accepted(self, weight):
+        assert Task("binary", lambda stay: 0, class_weight=weight).class_weight == weight
+
 
 class TestPrepareWindows:
     def test_windows_are_padded_and_normalized(self):
         _, corpus, vocab, provider, config = small_setup()
         windows = prepare_windows(corpus, Split.TRAIN, vocab, 1440, 48)
         assert windows
-        assert all(w.real_length <= 48 and w.tokens().max_len == 48 for w in windows)
+        assert all(w.real_length <= 48 and w.max_len == 48 for w in windows)
         assert max(w.real_length for w in windows) == 48  # some were truncated
 
 

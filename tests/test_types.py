@@ -140,4 +140,4 @@ class TestVocabularies:
         stay = Stay("s1", "p1", tuple(make_registry(source="lab", variable=k, value=x) for k, x in values.items()), ())
         [window] = segment_windows(stay, self.make(), 1440, 8)
         # lab: a is z-scored; lab: b has zero stddev and is centred only; lab: zz is unknown and passes through
-        assert window.tokens().scale[1:].tolist() == [2.0, 1.0, 7.0]
+        assert window.scale[1:].tolist() == [2.0, 1.0, 7.0]

@@ -1,4 +1,5 @@
 import tracemalloc
+from collections import Counter
 from datetime import timedelta
 from time import perf_counter
 
@@ -7,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from icuseq import training
+from icuseq import training, windows
 from icuseq.errors import EmptyStay, StaticsOverflow
 from icuseq.ingest import Corpus, Split, Stay, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.synth import GeneratorSpec, generate_lines
 from icuseq.types import RESERVED_FEATURE_TEXTS, RESERVED_VALUE_TEXTS, Registry, Vocabularies
-from icuseq.windows import maskable, segment_windows
+from icuseq.windows import maskable, segment_windows, stay_tokens
 
 import reference
 from conftest import BASE
@@ -32,7 +33,8 @@ def stay_of(dynamics, statics=()):
 
 
 def views(stay, window_minutes=1440, max_seq_len=512, vocab=RAW, **kwargs):
-    return [sequence_of(w) for w in segment_windows(stay, vocab, window_minutes, max_seq_len, **kwargs)]
+    windows = segment_windows(stay, vocab, window_minutes, max_seq_len, **kwargs)
+    return [sequence_of(w, len(stay.statics), j) for j, w in enumerate(windows)]
 
 
 STATICS = (registry(0, 65.0, "age", static=True), registry(0, "male", "sex", static=True))
@@ -76,10 +78,11 @@ class TestSegmentWindows:
     def test_empty_middle_window_emitted_and_skippable(self):
         stay = stay_of([registry(0), registry(3000)], STATICS)
         windows = segment_windows(stay, RAW, 1440, 512)
-        assert [(w.index, w.hi - w.lo) for w in windows] == [(0, 1), (1, 0), (2, 1)]
+        assert [len(w) - 1 - len(STATICS) for w in windows] == [1, 0, 1]  # dynamics after CLS and statics
         # with unknown statics the empty window holds nothing maskable, and is dropped
         vocab = Vocabularies(RESERVED_FEATURE_TEXTS + ("chartevents: hr",), RESERVED_VALUE_TEXTS, {})
-        assert [w.index for w in maskable(segment_windows(stay, vocab, 1440, 512))] == [0, 2]
+        windows = segment_windows(stay, vocab, 1440, 512)
+        assert maskable(windows) == [windows[0], windows[2]]
 
     def test_chronological_order_stable_ties(self):
         stay = stay_of([registry(0), registry(7, variable="b"), registry(3), registry(7, variable="a")])
@@ -130,8 +133,8 @@ class TestSegmentationGolden:
     def test_matches_brute_force(self, stay, window_minutes, max_seq_len):
         got = segment_windows(stay, RAW, window_minutes, max_seq_len)
         want = [reference.truncate_and_pad(w, max_seq_len) for w in reference.segment_windows(stay, window_minutes)]
-        assert [w.index for w in got] == [w.window_index for w in want]
-        assert [sequence_of(w).tokens for w in got] == [real_tokens(w) for w in want]
+        assert [w.window_index for w in want] == list(range(len(got)))
+        assert [sequence_of(w, len(stay.statics)).tokens for w in got] == [real_tokens(w) for w in want]
         assert [w.real_length for w in got] == [w.real_length for w in want]
 
     @settings(max_examples=200, deadline=None)
@@ -140,23 +143,26 @@ class TestSegmentationGolden:
         assert (views(stay, window_minutes, max_windows=n)
                 == views(stay, window_minutes)[:n])
 
-    def test_no_token_built_after_the_kept_windows(self):
+    def test_no_token_built_after_the_kept_windows(self, monkeypatch):
+        tables = []
+        monkeypatch.setattr(windows, "stay_tokens", lambda *args: tables.append(stay_tokens(*args)) or tables[-1])
         stay = stay_of([registry(m) for m in (5, 1500, 1510, 3000)], STATICS)
         [window] = segment_windows(stay, RAW, 1440, 512, max_windows=1)
-        assert len(window.table) == 1 + len(STATICS) + 1  # CLS, statics, the one dynamic at minute 5
-        assert (window.lo, window.hi) == (0, 1)
+        assert [len(table) for table in tables] == [1 + len(STATICS) + 1]  # CLS, statics, the dynamic at minute 5
+        assert len(window) == len(tables[0])
 
     def test_prepare_windows_on_multi_day_corpus(self):
         spec = GeneratorSpec(patients=12, features=10, rate=0.01, stay_hours=72.0, stay_jitter_hours=24.0)
         corpus = assign_splits(parse_event_lines(generate_lines(spec, seed=5)), (0.5, 0.25, 0.25), seed=0)
         vocab = build_vocabularies(corpus)
+        n_statics = {stay.stay_id: len(stay.statics) for stay in corpus.stays}
         for split in Split:
             got = training.prepare_windows(corpus, split, vocab, 1440, 64)
             want = reference.prepare_windows(corpus.stays_in(split), vocab, 1440, 64)
-            assert [(w.table.stay_id, w.index) for w in got] == [(w.stay_id, w.window_index) for w in want]
-            assert [sequence_of(w).tokens for w in got] == [real_tokens(w) for w in want]
+            assert ([(w.stay_id, sequence_of(w, n_statics[w.stay_id]).tokens) for w in got]
+                    == [(w.stay_id, real_tokens(w)) for w in want])
             if split is Split.TRAIN:
-                assert max(w.index for w in got) >= 2
+                assert max(Counter(w.stay_id for w in got).values()) >= 3
 
 
 def one_window(statics, dynamics, max_seq_len):
@@ -170,8 +176,7 @@ class TestTruncateAndPad:
     def test_keeps_statics_and_latest_dynamics(self):
         window = one_window(9, range(590), 512)
         assert window.real_length == 512
-        assert (window.lo, window.hi) == (590 - 502, 590)  # truncation moved lo only
-        tokens = sequence_of(window).tokens
+        tokens = sequence_of(window, 9).tokens
         kept_dynamics = [t for t in tokens if not t.is_static and not t.is_special]
         assert len(kept_dynamics) == 512 - 1 - 9
         # the most recent by tau survive, still in chronological order
@@ -182,7 +187,7 @@ class TestTruncateAndPad:
         from icuseq.embedder import PAD_ID, encode_batch
 
         short, long = one_window(0, range(99), 512), one_window(0, range(200), 512)
-        assert short.real_length == 100 and len(short.tokens()) == 100  # no PAD is built
+        assert short.real_length == len(short) == 100  # no PAD is built
         batch = encode_batch([short, long], provider)
         assert batch.feature_ids.shape[1] == 208
         assert batch.attention_mask[0].tolist() == [1.0] * 100 + [0.0] * 108
@@ -194,7 +199,7 @@ class TestTruncateAndPad:
 
     def test_exact_fit_untouched(self):
         window = one_window(0, range(31), 32)
-        assert (window.lo, window.hi, window.real_length) == (0, 31, 32)
+        assert window.real_length == 32 and window.tau.tolist() == [0, *range(31)]
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(min_value=0, max_value=40), st.integers(min_value=0, max_value=8))
@@ -203,8 +208,7 @@ class TestTruncateAndPad:
         once = one_window(n_statics, range(n_dynamics), 16)
         # cutting the same stay to the length the window already has changes nothing
         again = one_window(n_statics, range(n_dynamics), once.real_length)
-        assert (again.lo, again.hi) == (once.lo, once.hi)
-        assert sequence_of(again).tokens == sequence_of(once).tokens
+        assert again.records.tobytes() == once.records.tobytes()
 
 
 def test_normalize_values(small_vocab):
@@ -249,7 +253,7 @@ class TestColumns:
 
 
 class TestBoundedWindows:
-    """A year-long stay at a short window length makes ~10^5 windows; each is a range, not L tokens."""
+    """A year-long stay at a short window length makes ~10^5 windows; each holds its real tokens, not L."""
 
     def test_year_long_stay_at_five_minutes(self):
         statics = [registry(0, float(i), f"s{i}", static=True) for i in range(3)]
@@ -264,6 +268,6 @@ class TestBoundedWindows:
         tracemalloc.stop()
         assert len(windows) == 364 * 1440 // 5 + 1 == 104833
         assert sum(w.real_length for w in windows) == 4 * 104833 + 2
-        assert windows[1].tokens().feature.tolist() == windows[0].tokens().feature[:4].tolist()
+        assert windows[1].feature.tolist() == windows[0].feature[:4].tolist()
         assert peak < 64 * 2**20, f"prepare_windows peaked at {peak / 2**20:.1f} MiB"
         assert seconds < 10, f"prepare_windows took {seconds:.1f} s"
