@@ -37,6 +37,7 @@ from .errors import GraphReleased, ShapeMismatch
 
 _INV_SQRT2 = 1.0 / np.sqrt(2.0)
 _INV_SQRT2PI = 1.0 / np.sqrt(2.0 * np.pi)
+LAYER_NORM_EPS = 1e-12  # added to the variance before its square root
 
 
 class _Node:
@@ -131,10 +132,6 @@ class Tensor:
 
     def zero_grad(self) -> None:
         self._node.grad = None
-
-    def __repr__(self) -> str:
-        tag = f" {self.name!r}" if self.name else ""
-        return f"Tensor{tag}(shape={self._data.shape}, dtype={self._data.dtype})"
 
 
 def parameter(data: np.ndarray, name: str) -> Tensor:
@@ -317,24 +314,33 @@ def scale(a: Tensor, c: float) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
-    """``x @ w``, plus ``b`` added in place, for a 2-D ``w``: the body of :func:`linear` and :func:`matmul`.
+def linear(x: Tensor, w: Tensor, b: Optional[Tensor] = None) -> Tensor:
+    """``x @ w``, plus ``b`` added in place, for a 2-D ``w`` as one node: one product over all rows.
 
-    BLAS runs one product over the ``(N, d_in)`` rows of ``x`` rather than
-    one per batch entry, and the weight gradient is one ``x2ᵀ @ g2`` rather
-    than a ``(..., d_in, n)`` stack summed over its leading axes. The
-    closure keeps ``x.data`` only if ``w`` needs a gradient and ``w.data``
-    only if ``x`` does, and no flattened copy of ``x``: the backward
-    reshapes ``x.data`` again, which is a view unless ``x`` is
+    ``x`` is flattened to ``(N, d_in)``, N the product of its leading
+    dimensions, so BLAS runs one product rather than one per batch entry,
+    and the weight gradient is one ``x2ᵀ @ g2`` rather than a
+    ``(..., d_in, n)`` stack summed over its leading axes. The node computes
+    what ``add(x @ w, b)`` does, bit for bit, without a second ``(..., n)``
+    array on the tape. Against per-entry products ``x[i] @ w``, the output
+    and ``x``'s gradient are bit-identical where each entry has at least two
+    rows and differ at float32 rounding where it has one (BLAS runs another
+    kernel for it), and ``w``'s gradient differs at rounding. ``b``'s
+    gradient is summed as :func:`add` sums it.
+
+    The closure keeps ``x.data`` only if ``w`` needs a gradient and
+    ``w.data`` only if ``x`` does, and no flattened copy of ``x``: the
+    backward reshapes ``x.data`` again, which is a view unless ``x`` is
     non-contiguous. Where ``x``'s node has a ``rebuild`` (a layer-norm
     output), the closure keeps that instead of ``x.data``, and the weight
     gradient reads the rebuilt value, which is ``x.data`` bit for bit. The
     gradients of ``x`` and ``w`` are fresh products, adopted rather than
     copied (see ``_Node.adopt``).
     """
-    d_in, n = w.data.shape
-    if x.data.shape[-1:] != (d_in,):  # reshape alone would accept any size that d_in divides
+    # reshape alone would accept any size that d_in divides
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]:
         raise ShapeMismatch(f"cannot multiply shape {x.data.shape} by {w.data.shape}")
+    d_in, n = w.data.shape
     out = x.data.reshape(-1, d_in) @ w.data
     if b is not None:
         out += b.data
@@ -358,44 +364,8 @@ def _dense(x: Tensor, w: Tensor, b: Optional[Tensor]) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """``a @ b`` with numpy's broadcasting; a 2-D ``b`` runs as one product over all rows of ``a``.
-
-    For a 2-D ``b``, ``a`` is flattened to ``(N, d_in)`` as in :func:`linear`.
-    Where each batch entry of ``a`` has at least two rows, the output and
-    ``a``'s gradient equal the per-entry ``a[i] @ b`` bit for bit; where an
-    entry has one row, BLAS runs another kernel for it and they differ at
-    float32 rounding. ``b``'s gradient is one ``a2ᵀ @ g2`` instead of a sum of
-    per-entry products, so it differs from that sum at rounding.
-    """
-    if b.data.ndim == 2:
-        return _dense(a, b, None)
-    out = a.data @ b.data
-    an, bn = _grad_node(a), _grad_node(b)
-    a_data = a.data if bn is not None else None
-    b_data = b.data if an is not None else None
-
-    def bwd(g):
-        if an is not None:
-            an.accumulate(_unbroadcast(g @ b_data.swapaxes(-1, -2), an.shape))
-        if bn is not None:
-            bn.accumulate(_unbroadcast(a_data.swapaxes(-1, -2) @ g, bn.shape))
-
-    return _make(out, (a, b), bwd)
-
-
-def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """``x @ w + b`` for a 2-D ``w`` as one node: one product over all rows, the bias added in place.
-
-    ``x`` is flattened to ``(N, d_in)``, N the product of its leading
-    dimensions. The node computes what ``add(matmul(x, w), b)`` does, bit
-    for bit, without a second ``(..., n)`` array on the tape. Against
-    per-entry products ``x[i] @ w``, the output and ``x``'s gradient are
-    bit-identical where each entry has at least two rows and differ at
-    float32 rounding where it has one, and ``w``'s gradient differs at
-    rounding (see :func:`matmul`). ``b``'s gradient is summed as
-    :func:`add` sums it.
-    """
-    return _dense(x, w, b)
+    """``a @ b`` for a 2-D ``b``: :func:`linear` without a bias. Any other ``b`` is a ``ShapeMismatch``."""
+    return linear(a, b)
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
@@ -457,29 +427,6 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return _make(out, (a, b), bwd)
 
 
-def _rows_of(x: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Entries ``rows[b, j]`` of axis -2 of ``x`` for each batch entry ``b`` (axis 0), as a fresh array."""
-    idx = rows.reshape(rows.shape[:1] + (1,) * (x.ndim - 3) + rows.shape[1:] + (1,))
-    return np.take_along_axis(x, idx, axis=-2)
-
-
-def take_rows(a: Tensor, rows: np.ndarray) -> Tensor:
-    """Positions ``rows[b]`` along axis 1 of a (B, L, d) tensor: (B, m, d) for (B, m) ``rows``.
-
-    The backward scatter-adds, so a position taken twice gets both rows' gradients.
-    """
-    rows = np.asarray(rows)
-    out = _rows_of(a.data, rows)
-    an = a._node
-
-    def bwd(g):
-        grad = np.zeros(an.shape, an.dtype)
-        np.add.at(grad, (np.arange(rows.shape[0])[:, None], rows), g)
-        an.accumulate(grad)
-
-    return _make(out, (a,), bwd)
-
-
 # ---------------------------------------------------------------------------
 # nonlinearities and normalization
 
@@ -513,8 +460,7 @@ def gelu(a: Tensor) -> Tensor:
     return _make(out, (a,), bwd)
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12,
-               residual: Optional[Tensor] = None) -> Tensor:
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, residual: Optional[Tensor] = None) -> Tensor:
     """Normalize ``a`` over the last axis, then apply gain and bias; with ``residual``, normalize ``residual + a``.
 
     With ``residual`` (of ``a``'s shape) the one node computes what
@@ -540,7 +486,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12,
     xhat = np.subtract(x, mu, out=None if residual is None else x)  # the sum is this op's own: centre it in place
     out = np.multiply(xhat, xhat)
     var = out.mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     xhat *= inv
     gain_data, bias_data = gain.data, bias.data
     np.multiply(gain_data, xhat, out=out)
@@ -630,8 +576,8 @@ def _dropout_keep(rng: np.random.Generator, shape: tuple[int, ...], rate: float,
     The draws take the stream in order, so the mask and the generator's
     state afterwards equal one full draw's, while the float64 scratch holds
     one entry. With ``rows`` (B, m), the mask holds entries ``rows[b]`` of
-    axis -2 for each entry ``b``, as ``_rows_of`` cuts them from the full
-    mask, and only those are drawn: per entry and leading index, the
+    axis -2 of the full mask for each entry ``b``, in ``rows[b]``'s order,
+    and only those are drawn: per entry and leading index, the
     distinct rows in ascending order, adjacent rows as one draw, each gap
     and the rest of ``shape`` skipped by ``bit_generator.advance``. ``rng``
     must then be a PCG64 generator (``np.random.default_rng``), whose
@@ -797,16 +743,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator, training: bool,
 
 # ---------------------------------------------------------------------------
 # reductions and losses
-
-
-def sum_all(a: Tensor) -> Tensor:
-    out = a.data.sum()
-    an = a._node
-
-    def bwd(g):
-        an.accumulate(np.full(an.shape, g, an.dtype))
-
-    return _make(np.asarray(out), (a,), bwd)
 
 
 def cross_entropy_mean(logits: Tensor, targets: np.ndarray) -> Tensor:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import sys
 from typing import Callable, Optional
 
@@ -259,17 +260,13 @@ def main(argv: Optional[list[str]] = None) -> int:
 # handlers
 
 
-def _generator_spec(cfg: dict) -> GeneratorSpec:
-    return GeneratorSpec(
-        patients=cfg["patients"], features=cfg["features"], rate=cfg["rate"],
-        signal_incidence=cfg["signal_incidence"], stay_hours=cfg["stay_hours"],
-        stay_jitter_hours=cfg["stay_jitter_hours"], cat_fraction=cfg["cat_fraction"],
-        stays_per_patient=cfg["stays_per_patient"],
-    )
+def _from_options(cls, cfg: dict):
+    """A ``cls`` dataclass whose fields named as options take their resolved values; the rest keep their defaults."""
+    return cls(**{f.name: cfg[f.name] for f in dataclasses.fields(cls) if f.name in cfg})
 
 
 def _cmd_synth(cfg: dict) -> None:
-    spec = _generator_spec(cfg)
+    spec = _from_options(GeneratorSpec, cfg)
     write_corpus(cfg["out"], spec, cfg["seed"])
     print(f"wrote {cfg['out']}")
     if cfg["task_out"]:
@@ -319,17 +316,11 @@ def _cmd_pretrain(cfg: dict) -> None:
     corpus, vocab = _load_corpus(cfg)
     provider = _provider(cfg)
     model_config = ModelConfig(
-        encoder=enc.EncoderConfig(layers=cfg["layers"], hidden=cfg["hidden"], heads=cfg["heads"],
-                                  ffn_dim=cfg["ffn_dim"], max_seq_len=cfg["max_seq_len"],
-                                  dropout=cfg["dropout"]),
+        encoder=_from_options(enc.EncoderConfig, cfg),
         d_pre=provider.dim, window_minutes=cfg["window_minutes"],
         feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
     )
-    train_config = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"], warmup_epochs=cfg["warmup_epochs"],
-        patience=cfg["patience"], seed=cfg["seed"], alpha=cfg["alpha"], beta=cfg["beta"],
-    )
+    train_config = _from_options(TrainConfig, cfg)
     rows: list[str] = []
     print("epoch,split,l_f,l_cat,l_cont,l_total,lr")
 
@@ -362,12 +353,7 @@ def _task_from_file(cfg: dict, window_minutes: int) -> Task:
 
 
 def _cmd_finetune(cfg: dict) -> None:
-    train_config = TrainConfig(
-        epochs=cfg["epochs"], batch_size=cfg["batch_size"], lr=cfg["lr"],
-        weight_decay=cfg["weight_decay"], warmup_epochs=cfg["warmup_epochs"],
-        patience=cfg["patience"], seed=cfg["seed"],
-        unfrozen_layers=cfg["unfrozen_layers"], unfreeze_embedder=cfg["unfreeze_embedder"],
-    )
+    train_config = _from_options(TrainConfig, cfg)
     corpus, vocab = _load_corpus(cfg)
     provider = _provider(cfg)
     model = Model.load(cfg["checkpoint"], expect={

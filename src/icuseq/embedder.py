@@ -68,14 +68,6 @@ class EmbedderParams:
     dropout_rate: float = DEFAULT_DROPOUT
 
     @property
-    def d_pre(self) -> int:
-        return self.w_f.shape[0]
-
-    @property
-    def hidden(self) -> int:
-        return self.w_f.shape[1]
-
-    @property
     def window_minutes(self) -> int:
         return self.time_table.shape[0]
 

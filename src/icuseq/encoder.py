@@ -118,8 +118,13 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
         rows = np.asarray(rows)
         if rows.ndim != 2 or rows.shape[0] != b or (rows.size and not 0 <= rows.min() <= rows.max() < length):
             raise ShapeMismatch(f"rows of shape {rows.shape} must be (B, m) positions below {length} for B {b}")
+        flat = rows + length * np.arange(b)[:, None]  # the rows of the (B·L, d) stack of x
+
+        def at_rows(t: Tensor) -> Tensor:
+            return ad.gather_rows(ad.reshape(t, (b * length, d)), flat)
+
         if not params.layers:
-            return ad.take_rows(x, rows)
+            return at_rows(x)
 
     heads, dh = config.heads, config.head_dim
     keep = (mask > 0)[:, None, None, :]  # admissible key positions
@@ -135,7 +140,7 @@ def forward(x: Tensor, attention_mask: np.ndarray, config: EncoderConfig,
 
     for i, layer in enumerate(params.layers):
         cut = rows if i == top else None  # the positions this layer outputs; None: every row
-        h = x if cut is None else ad.take_rows(x, cut)
+        h = x if cut is None else at_rows(x)
         q = split_heads(ad.linear(h, layer.wq, layer.bq))
         k = split_heads(ad.linear(x, layer.wk, layer.bk))
         v = split_heads(ad.linear(x, layer.wv, layer.bv))

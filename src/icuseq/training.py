@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 from typing import Callable, Iterable, Iterator, Optional, Sequence
 
 import numpy as np
@@ -49,44 +49,27 @@ class ModelConfig:
             raise ShapeMismatch(f"the pre-embedding dimension d_pre must be >= 1, got {self.d_pre}")
 
     def to_dict(self) -> dict:
-        return {
-            "layers": self.encoder.layers,
-            "hidden": self.encoder.hidden,
-            "heads": self.encoder.heads,
-            "ffn_dim": self.encoder.ffn_dim,
-            "max_seq_len": self.encoder.max_seq_len,
-            "dropout": self.encoder.dropout,
-            "d_pre": self.d_pre,
-            "window_minutes": self.window_minutes,
-            "feature_vocab": self.feature_vocab,
-            "value_vocab": self.value_vocab,
-            "head_mode": self.head_mode,
-            "task_dim": self.task_dim,
-            "task_dropout": self.task_dropout,
-        }
+        """The flat config a checkpoint records: every field of the encoder's config, then the others."""
+        own = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "encoder"}
+        return {**asdict(self.encoder), **own}
 
     @classmethod
     def from_dict(cls, d: dict) -> "ModelConfig":
-        """The config a checkpoint records; a missing or ill-typed field is a ``ConfigMismatch``."""
-        d = {"head_mode": "pretrain", "task_dim": 1, "task_dropout": 0.5, **d}
+        """The config a checkpoint records; a missing or ill-typed field is a ``ConfigMismatch``.
+
+        A field with a default may be missing: older checkpoints lack the task head's.
+        """
+        d = {**{f.name: f.default for f in fields(cls) if f.default is not MISSING}, **d}
         for key, check in _CONFIG_FIELDS.items():
             if key not in d:
                 raise ConfigMismatch(f"checkpoint config missing {key!r}")
             if not check(d[key]):
                 raise ConfigMismatch(f"checkpoint config has {key}={d[key]!r}")
         try:
-            encoder = enc.EncoderConfig(
-                layers=d["layers"], hidden=d["hidden"], heads=d["heads"],
-                ffn_dim=d["ffn_dim"], max_seq_len=d["max_seq_len"], dropout=d["dropout"],
-            )
+            encoder = enc.EncoderConfig(**{f.name: d[f.name] for f in fields(enc.EncoderConfig)})
         except ShapeMismatch as exc:  # heads that do not divide hidden
             raise ConfigMismatch(f"checkpoint config: {exc}") from exc
-        return cls(
-            encoder=encoder,
-            d_pre=d["d_pre"], window_minutes=d["window_minutes"],
-            feature_vocab=d["feature_vocab"], value_vocab=d["value_vocab"],
-            head_mode=d["head_mode"], task_dim=d["task_dim"], task_dropout=d["task_dropout"],
-        )
+        return cls(encoder, **{f.name: d[f.name] for f in fields(cls) if f.name != "encoder"})
 
 
 _CONFIG_FIELDS: dict[str, Callable[[object], bool]] = {
@@ -274,6 +257,9 @@ class Model:
 # overflow float32 (largest ~2^128) in AdamW's second moment, which then stops the step silently.
 MAX_TRAIN_LOSS = 2.0 ** 64
 
+ADAMW_BETA1, ADAMW_BETA2 = 0.9, 0.999  # decay rates of the first and second moments
+ADAMW_EPS = 1e-8  # added to the second moment's square root
+
 
 class AdamW:
     """Decoupled-weight-decay Adam with bias-corrected moments, each parameter updated inside ``backward``.
@@ -285,12 +271,9 @@ class AdamW:
     allocated at its first update, not here.
     """
 
-    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: dict[str, Tensor], weight_decay: float = 0.0):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
         self.t = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -318,8 +301,8 @@ class AdamW:
         were.
         """
         t = self.t + 1
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
+        bc1 = 1.0 - ADAMW_BETA1 ** t
+        bc2 = 1.0 - ADAMW_BETA2 ** t
 
         def update(node) -> None:
             name = self._names.get(node)
@@ -337,16 +320,16 @@ class AdamW:
         if m is None:
             m = self._m[name] = np.zeros_like(p.data)
             v = self._v[name] = np.zeros_like(p.data)
-        update = np.multiply(g, 1.0 - self.beta1, out=np.empty_like(m))  # in the parameter's dtype
-        m *= self.beta1
+        update = np.multiply(g, 1.0 - ADAMW_BETA1, out=np.empty_like(m))  # in the parameter's dtype
+        m *= ADAMW_BETA1
         m += update
         np.multiply(g, g, out=update)
-        update *= 1.0 - self.beta2
-        v *= self.beta2
+        update *= 1.0 - ADAMW_BETA2
+        v *= ADAMW_BETA2
         v += update
         denom = np.divide(v, bc2)
         np.sqrt(denom, out=denom)
-        denom += self.eps
+        denom += ADAMW_EPS
         np.divide(m, bc1, out=update)
         update /= denom
         if self.weight_decay:
@@ -819,6 +802,8 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
                    cfg: TrainConfig, fold: int) -> tuple[Model, list[LossRow], float]:
     """Train one fold on ``pretrained`` with a fresh task head; return it with the best val epoch restored.
 
+    ``val_samples`` must not be empty: the val loss picks the best epoch.
+
     Only the parameters in ``trainable_parameters`` are copied and require
     grad. The others are tape constants sharing ``pretrained``'s arrays, so
     the fold's steps record and walk back only the ops above the freeze
@@ -863,8 +848,7 @@ def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
             epoch_loss += loss.item()
             n_batches += 1
 
-        val_loss = _task_loss(model, task, val_batches(), weight) \
-            if val_samples else epoch_loss / max(n_batches, 1)
+        val_loss = _task_loss(model, task, val_batches(), weight)
         if not np.isfinite(val_loss):
             raise DivergedLoss(f"non-finite validation loss at fold {fold} epoch {epoch}")
         rows.append(LossRow(epoch, f"fold{fold}-train", 0.0, 0.0, 0.0, epoch_loss / max(n_batches, 1), lr))

@@ -21,7 +21,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import EmptyStay, StaticsOverflow
+from .errors import EmptyStay, NonFiniteValue, StaticsOverflow
 from .ingest import Stay
 from .types import Vocabularies
 
@@ -90,6 +90,12 @@ def stay_tokens(stay: Stay, vocab: Vocabularies, window_minutes: int, max_len: i
     body["feature"] = feature
     body["value"] = np.where(continuous, FILL_CODE, value_code)
     body["scale"] = np.where(continuous, (cols.value[:n] - shift[feature]) / divisor[feature], 1.0)
+    # the model reads values in float32; NaN (from infinite statistics) fails the test too
+    outside = np.flatnonzero(~(np.abs(body["scale"]) <= np.finfo(np.float32).max))
+    if outside.size:
+        i = outside[0]
+        raise NonFiniteValue(f"stay {stay.stay_id!r}: a value of {texts[feature[i]]!r} z-scores to "
+                             f"{float(body['scale'][i]):g}, outside the float32 range")
     body["tau"] = cols.offset[:n] % window_minutes
     body["delta"] = np.minimum(cols.duration[:n], window_minutes - 1)
     body["feature_id"] = feature_of[feature]

@@ -8,6 +8,11 @@ results bit for bit. ``tokens_of`` and ``sequence_of`` translate between the
 two forms for unit tests that write tokens by hand or read a window token by
 token.
 
+``sum_all``, ``take_rows`` and the batched ``matmul`` are tape ops that
+``icuseq.autodiff`` no longer has: the encoder's cut rows became a
+``gather_rows``, and only the unfused attention chain multiplies stacks of
+matrices.
+
 ``encoder_forward`` is the encoder as it was before each residual add was
 fused into its layer norm, with or without the top layer cut to some rows.
 ``task_scores`` is the task path as it was before the top encoder layer was
@@ -188,14 +193,19 @@ def normalize_value(vocab: Vocabularies, feature: str, x: float) -> float:
     """Z-score ``x`` with the feature's train-split statistics.
 
     Zero-stddev features pass through centred only; features never seen in
-    training keep the raw value.
+    training keep the raw value. A z-score outside the float32 range is a
+    ``NonFiniteValue``.
     """
     stats = vocab.per_feature_stats.get(feature)
     if stats is None:
-        return float(x)
-    if stats.stddev > 0:
-        return (float(x) - stats.mean) / stats.stddev
-    return float(x) - stats.mean
+        z = float(x)
+    elif stats.stddev > 0:
+        z = (float(x) - stats.mean) / stats.stddev
+    else:
+        z = float(x) - stats.mean
+    if not abs(z) <= float(np.finfo(np.float32).max):
+        raise NonFiniteValue(f"{feature!r} z-scores to {z!r}")
+    return z
 
 
 def normalize_values(seq: WindowSequence, vocab: Vocabularies) -> WindowSequence:
@@ -214,11 +224,23 @@ def eligible_mask(seq: WindowSequence, vocab: Vocabularies) -> np.ndarray:
                     dtype=bool)
 
 
+def cut_and_normalize(seq: WindowSequence, vocab: Vocabularies, max_seq_len: int) -> WindowSequence:
+    """The window truncated and padded, then z-scored.
+
+    Every value of the whole window must z-score into float32, the dynamics
+    that truncation drops too: ``windows.stay_tokens`` checks each one of
+    the stay's table.
+    """
+    cut = truncate_and_pad(seq, max_seq_len)
+    normalize_values(seq, vocab)
+    return normalize_values(cut, vocab)
+
+
 def prepare_windows(stays, vocab: Vocabularies, window_minutes: int, max_seq_len: int) -> list[WindowSequence]:
     out = []
     for stay in stays:
         for seq in segment_windows(stay, window_minutes):
-            seq = normalize_values(truncate_and_pad(seq, max_seq_len), vocab)
+            seq = cut_and_normalize(seq, vocab, max_seq_len)
             if eligible_mask(seq, vocab).any():
                 out.append(seq)
     return out
@@ -227,7 +249,7 @@ def prepare_windows(stays, vocab: Vocabularies, window_minutes: int, max_seq_len
 def sample_windows(stay, vocab: Vocabularies, window_minutes: int, max_seq_len: int,
                    n_windows: int) -> list[WindowSequence]:
     windows = segment_windows(stay, window_minutes, max_windows=n_windows)
-    return [normalize_values(truncate_and_pad(w, max_seq_len), vocab) for w in windows]
+    return [cut_and_normalize(w, vocab, max_seq_len) for w in windows]
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +477,53 @@ def sequence_of(cols: Tokens, n_statics: int = 0, index: int = 0) -> WindowSeque
 
 
 # ---------------------------------------------------------------------------
+# tape ops that icuseq.autodiff no longer has
+
+
+def sum_all(a):
+    """The scalar sum of every entry of ``a``; its gradient is ``g`` at every entry."""
+    an = a._node
+
+    def bwd(g):
+        an.accumulate(np.full(an.shape, g, an.dtype))
+
+    return ad._make(np.asarray(a.data.sum()), (a,), bwd)
+
+
+def take_rows(a, rows):
+    """Positions ``rows[b]`` along axis 1 of a (B, L, d) tensor: (B, m, d) for (B, m) ``rows``.
+
+    The backward scatter-adds with ``np.add.at``, so a position taken twice
+    gets both rows' gradients.
+    """
+    rows = np.asarray(rows)
+    out = np.take_along_axis(a.data, rows[:, :, None], axis=1)
+    an = a._node
+
+    def bwd(g):
+        grad = np.zeros(an.shape, an.dtype)
+        np.add.at(grad, (np.arange(rows.shape[0])[:, None], rows), g)
+        an.accumulate(grad)
+
+    return ad._make(out, (a,), bwd)
+
+
+def matmul(a, b):
+    """``a @ b`` with numpy's broadcasting, one product per matrix of a stack: the unfused attention chain's."""
+    an, bn = ad._grad_node(a), ad._grad_node(b)
+    a_data = a.data if bn is not None else None
+    b_data = b.data if an is not None else None
+
+    def bwd(g):
+        if an is not None:
+            an.accumulate(ad._unbroadcast(g @ b_data.swapaxes(-1, -2), an.shape))
+        if bn is not None:
+            bn.accumulate(ad._unbroadcast(a_data.swapaxes(-1, -2) @ g, bn.shape))
+
+    return ad._make(a.data @ b.data, (a, b), bwd)
+
+
+# ---------------------------------------------------------------------------
 # the full-row task path
 
 
@@ -480,7 +549,7 @@ def encoder_forward(x, attention_mask, config, params, mode="eval", rng=None, ro
 
     for i, layer in enumerate(params.layers):
         cut = rows if i == top else None
-        h = x if cut is None else ad.take_rows(x, cut)
+        h = x if cut is None else take_rows(x, cut)
         q = split_heads(ad.add(ad.matmul(h, layer.wq), layer.bq))
         k = split_heads(ad.add(ad.matmul(x, layer.wk), layer.bk))
         v = split_heads(ad.add(ad.matmul(x, layer.wv), layer.bv))
@@ -504,7 +573,7 @@ def task_scores(model, window_batches, mode="eval", rng=None, below=None):
             depth, x = below[i].depth, below[i].hidden
         hidden = encoder_forward(x, batch.attention_mask, model.config.encoder,
                                  enc.EncoderParams(model.encoder.layers[depth:]), mode, rng)
-        cls_vec = enc.cls_output(ad.take_rows(hidden, np.zeros((hidden.shape[0], 1), dtype=np.intp)))
+        cls_vec = enc.cls_output(take_rows(hidden, np.zeros((hidden.shape[0], 1), dtype=np.intp)))
         cls_sum = cls_vec if cls_sum is None else ad.add(cls_sum, cls_vec)
     return enc.task_output(ad.scale(cls_sum, 1.0 / len(window_batches)), model.heads, mode, rng)
 
@@ -521,11 +590,11 @@ class UnfusedAdamW:
     applies inside the backward pass.
     """
 
-    def __init__(self, params, weight_decay=0.0, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, weight_decay=0.0):
         self.params = params
         self.weight_decay = weight_decay
-        self.beta1, self.beta2 = betas
-        self.eps = eps
+        self.beta1, self.beta2 = training.ADAMW_BETA1, training.ADAMW_BETA2
+        self.eps = training.ADAMW_EPS
         self.t = 0
         self._m = {k: np.zeros_like(p.data) for k, p in params.items()}
         self._v = {k: np.zeros_like(p.data) for k, p in params.items()}
@@ -572,7 +641,7 @@ def pretrain_outputs(model, batch, rows, mode="eval", rng=None):
     """
     x = compose_batch(batch, model.embedder, mode, rng)
     hidden = encoder_forward(x, batch.attention_mask, model.config.encoder, model.encoder, mode, rng)
-    return enc.mlvm_outputs(ad.take_rows(hidden, rows), model.heads)
+    return enc.mlvm_outputs(take_rows(hidden, rows), model.heads)
 
 
 def pretrain(corpus, vocab, provider, model_config, cfg, rates=MaskingRates(), dtype=np.float32, drawn=None):

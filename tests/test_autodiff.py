@@ -12,6 +12,9 @@ from scipy.special import erf
 from icuseq import autodiff as ad
 from icuseq.errors import GraphReleased, ShapeMismatch
 
+import reference
+from reference import sum_all, take_rows
+
 RNG = np.random.default_rng(7)
 
 
@@ -44,7 +47,7 @@ def check_op(build_loss, *shapes, atol=1e-8, rtol=1e-5):
 def weighted(x: ad.Tensor) -> ad.Tensor:
     """Project to a scalar with fixed random weights so every entry matters."""
     w = ad.constant(np.random.default_rng(x.data.size).standard_normal(x.data.shape))
-    return ad.sum_all(ad.mul(x, w))
+    return sum_all(ad.mul(x, w))
 
 
 class TestElementwise:
@@ -70,14 +73,14 @@ class TestElementwise:
         grad = g * (cdf + x * (np.exp(-0.5 * x * x) * (1.0 / np.sqrt(2.0 * np.pi))))
         t = ad.parameter(x, "x")
         out = ad.gelu(t)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         assert out.data.dtype == t.grad.dtype == dtype
         assert out.data.tobytes() == (x * cdf).astype(dtype).tobytes()
         assert t.grad.tobytes() == grad.astype(dtype).tobytes()
 
     def test_diamond_graph_accumulates(self):
         x = ad.parameter(np.array([1.5, -2.0]), "x")
-        loss = ad.sum_all(ad.add(ad.mul(x, x), x))
+        loss = sum_all(ad.add(ad.mul(x, x), x))
         ad.backward(loss)
         np.testing.assert_allclose(x.grad, 2 * x.data + 1)
 
@@ -87,14 +90,21 @@ class TestMatmul:
         check_op(lambda a, b: weighted(ad.matmul(a, b)), (3, 4), (4, 5))
 
     def test_batched(self):
-        check_op(lambda a, b: weighted(ad.matmul(a, b)), (2, 3, 4), (2, 4, 5))
+        """The reference's per-matrix product, which the unfused attention chain uses."""
+        check_op(lambda a, b: weighted(reference.matmul(a, b)), (2, 3, 4), (2, 4, 5))
 
     def test_broadcast_rhs(self):
         # (B, L, K) @ (K, D): the shared right factor must sum over the batch
         check_op(lambda a, b: weighted(ad.matmul(a, b)), (2, 3, 4), (4, 5))
 
     def test_four_dim(self):
-        check_op(lambda a, b: weighted(ad.matmul(a, b)), (2, 2, 3, 4), (2, 2, 4, 3))
+        check_op(lambda a, b: weighted(reference.matmul(a, b)), (2, 2, 3, 4), (2, 2, 4, 3))
+
+    @pytest.mark.parametrize("b_shape", [(2, 4, 5), (4,)])
+    def test_a_right_operand_that_is_not_2d_is_refused(self, b_shape):
+        a, b = ad.parameter(np.ones((2, 3, 4)), "a"), ad.parameter(np.ones(b_shape), "b")
+        with pytest.raises(ShapeMismatch):
+            ad.matmul(a, b)
 
 
 def unfused_linear(x, w, b):
@@ -180,7 +190,7 @@ class TestFlattenedProduct:
         b = ad.parameter(np.zeros(n, dtype=np.float32), "b")
         g = rng.standard_normal(x_shape[:-1] + (n,)).astype(np.float32)
         out = DENSE_OPS[op](x, w, b)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         assert out.data.tobytes() == per_entry_product(x.data, w.data).tobytes()
         assert x.grad.tobytes() == per_entry_product(g, w.data.T).tobytes()
 
@@ -192,7 +202,7 @@ class TestFlattenedProduct:
         x = ad.constant(rng.standard_normal(x_shape).astype(np.float32))
         w = ad.parameter(rng.standard_normal((d, n)).astype(np.float32), "w")
         g = rng.standard_normal(x_shape[:-1] + (n,)).astype(np.float32)
-        ad.backward(ad.sum_all(ad.mul(ad.matmul(x, w), ad.constant(g))))
+        ad.backward(sum_all(ad.mul(ad.matmul(x, w), ad.constant(g))))
         x2, g2 = x.data.reshape(-1, d).astype(np.float64), g.reshape(-1, n).astype(np.float64)
         rows = x2.shape[0]
         bound = (rows + 1) * np.finfo(np.float32).eps * (np.abs(x2).T @ np.abs(g2))
@@ -228,7 +238,7 @@ class TestAccumulate:
         """``add``'s backward passes one array to both parents: ``add(x, x)`` gives 2g and leaves ``y``'s g alone."""
         x, y = ad.parameter(np.array([1.0, -2.0, 3.0]), "x"), ad.parameter(np.array([0.0, 1.0, 2.0]), "y")
         g = np.array([0.5, 2.0, -1.0])
-        ad.backward(ad.sum_all(ad.mul(ad.add(ad.add(x, x), y), ad.constant(g))))
+        ad.backward(sum_all(ad.mul(ad.add(ad.add(x, x), y), ad.constant(g))))
         np.testing.assert_array_equal(x.grad, 2 * g)
         np.testing.assert_array_equal(y.grad, g)
 
@@ -291,7 +301,7 @@ class TestBackwardReleasesGraph:
         leaves, _, heads, loss = small_net()
         ad.backward(loss)
         grads = [leaf.grad.copy() for leaf in leaves]
-        again = ad.add(ad.sum_all(ad.mul(leaves[2], leaves[2])), ad.sum_all(heads))
+        again = ad.add(sum_all(ad.mul(leaves[2], leaves[2])), sum_all(heads))
         with pytest.raises(GraphReleased):
             ad.backward(again)
         for leaf, grad in zip(leaves, grads):
@@ -484,21 +494,25 @@ class TestShapes:
     @pytest.mark.parametrize("rows", [[[0], [0]], [[0, 1], [2, 0]], [[2, 2, 0], [1, 1, 1]]],
                              ids=["cls", "two", "repeated"])
     def test_take_rows(self, rows):
-        check_op(lambda a: weighted(ad.take_rows(a, np.array(rows))), (2, 3, 4))
+        check_op(lambda a: weighted(take_rows(a, np.array(rows))), (2, 3, 4))
 
     def test_take_rows_gradient_sums_repeated_positions(self):
+        """The reference op, and the encoder's gather of the same rows from the (B·L, d) stack, bit for bit."""
         rng = np.random.default_rng(6)
         rows = rng.integers(0, 5, size=(3, 12))  # positions repeat within a batch entry
-        a = ad.parameter(rng.standard_normal((3, 5, 4)), "a")
-        g = rng.standard_normal((3, 12, 4))
-        out = ad.take_rows(a, rows)
-        np.testing.assert_array_equal(out.data, a.data[np.arange(3)[:, None], rows])
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
-        expected = np.zeros_like(a.data)
+        g = rng.standard_normal((3, 12, 4)).astype(np.float32)
+        x = rng.standard_normal((3, 5, 4)).astype(np.float32)
+        expected = np.zeros_like(x)
         for b in range(3):
             for j, pos in enumerate(rows[b]):
                 expected[b, pos] += g[b, j]
-        np.testing.assert_array_equal(a.grad, expected)
+        flat = rows + 5 * np.arange(3)[:, None]
+        for take in (lambda a: take_rows(a, rows), lambda a: ad.gather_rows(ad.reshape(a, (15, 4)), flat)):
+            a = ad.parameter(x, "a")
+            out = take(a)
+            assert out.data.tobytes() == x[np.arange(3)[:, None], rows].tobytes()
+            ad.backward(sum_all(ad.mul(out, ad.constant(g))))
+            assert a.grad.tobytes() == expected.tobytes()
 
     def test_gather_rows_scatter_adds(self):
         idx = np.array([[0, 2, 2], [1, 0, 2]])
@@ -510,7 +524,7 @@ class TestShapes:
         idx = rng.integers(0, 6, size=(3, 40))  # every row repeated many times
         table = ad.parameter(rng.standard_normal((9, 5)).astype(dtype), "t")
         g = rng.standard_normal((3, 40, 5)).astype(dtype)
-        ad.backward(ad.sum_all(ad.mul(ad.gather_rows(table, idx), ad.constant(g))))
+        ad.backward(sum_all(ad.mul(ad.gather_rows(table, idx), ad.constant(g))))
         expected = np.zeros_like(table.data)
         np.add.at(expected, idx.reshape(-1), g.reshape(-1, 5))
         assert table.grad.dtype == dtype
@@ -564,8 +578,8 @@ def reference_softmax_masked(x, keep):
 
 def unfused_attention(q, k, v, keep, scale, rate, rng, training):
     """The attention chain built from separate tape ops."""
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
-    return ad.matmul(ad.dropout(ad.softmax_masked(scores, keep), rate, rng, training), v)
+    scores = ad.scale(reference.matmul(q, ad.transpose(k, (0, 1, 3, 2))), scale)
+    return reference.matmul(ad.dropout(ad.softmax_masked(scores, keep), rate, rng, training), v)
 
 
 ATTENTION_KEEP = np.array([[True, False, True, True, False],
@@ -645,9 +659,9 @@ class TestAttention:
             tensors = [ad.parameter(q if cut is None else q[pick], "q"), ad.parameter(k, "k"), ad.parameter(v, "v")]
             draw = np.random.default_rng(4)
             out = ad.attention(*tensors, ATTENTION_KEEP, 0.7, 0.4, draw, training, rows=cut)
-            out_rows = out if cut is not None else ad.reshape(ad.take_rows(
+            out_rows = out if cut is not None else ad.reshape(take_rows(
                 ad.reshape(out, (4, 5, 3)), np.repeat(rows, 2, axis=0)), (2, 2, rows.shape[1], 3))
-            ad.backward(ad.sum_all(ad.mul(out_rows, ad.constant(weights))))
+            ad.backward(sum_all(ad.mul(out_rows, ad.constant(weights))))
             q_grad = tensors[0].grad if cut is not None else tensors[0].grad[pick]
             results.append((out_rows.data, q_grad, tensors[1].grad, tensors[2].grad, draw.random()))
         (out, q_grad, k_grad, v_grad, after), full = results[1], results[0]
@@ -752,7 +766,7 @@ class TestAttentionMemory:
 
         def step():
             out = ad.attention(*tensors, keep, 0.25, 0.1, np.random.default_rng(1), True)
-            ad.backward(ad.sum_all(ad.mul(out, g)))
+            ad.backward(sum_all(ad.mul(out, g)))
 
         assert traced_peak(step) < 2 * self.PROBS
 
@@ -771,19 +785,19 @@ class TestAdoptedGradients:
     def test_linear(self):
         """The incoming gradient and x's, two (64, 256, 64) arrays; copying x's held a third."""
         x, w, b = self.leaves((64, 256, 64), (64, 64), (64,))
-        assert self.backward_peak(ad.sum_all(ad.linear(x, w, b))) < 2.5 * x.data.nbytes
+        assert self.backward_peak(sum_all(ad.linear(x, w, b))) < 2.5 * x.data.nbytes
 
     def test_attention(self):
         """The incoming gradient, dq, dk and dv and per-entry scratch, ~4.5 inputs; copying held 7."""
         q, k, v = self.leaves(*[(2, 2, 64, 1024)] * 3)
         keep = np.ones((2, 1, 1, 64), dtype=bool)
-        loss = ad.sum_all(ad.attention(q, k, v, keep, 0.1, 0.0, None, False))
+        loss = sum_all(ad.attention(q, k, v, keep, 0.1, 0.0, None, False))
         assert self.backward_peak(loss) < 5.5 * q.data.nbytes
 
     def test_residual_norm(self):
         """The incoming gradient, dx and the second summand's copy; add then norm peaked at four."""
         a, r, gain, bias = self.leaves((64, 256, 64), (64, 256, 64), (64,), (64,))
-        assert self.backward_peak(ad.sum_all(ad.layer_norm(a, gain, bias, residual=r))) < 3.5 * a.data.nbytes
+        assert self.backward_peak(sum_all(ad.layer_norm(a, gain, bias, residual=r))) < 3.5 * a.data.nbytes
 
 
 @st.composite
@@ -867,7 +881,7 @@ class TestDropout:
         g = RNG.standard_normal(x.shape).astype(dtype)
         float_mask = (np.random.default_rng(5).random(x.shape) >= 0.3).astype(dtype) * dtype(1.0 / 0.7)
         out = ad.dropout(x, 0.3, np.random.default_rng(5), True)
-        ad.backward(ad.sum_all(ad.mul(out, ad.constant(g))))
+        ad.backward(sum_all(ad.mul(out, ad.constant(g))))
         assert out.data.tobytes() == (x.data * float_mask).tobytes()
         assert x.grad.tobytes() == (g * float_mask).tobytes()
         assert np.signbit(out.data[float_mask == 0]).any()  # negative zeros took part
@@ -899,7 +913,7 @@ class TestLosses:
             w = ad.constant(rng.standard_normal((2, 5, 8)).astype(np.float32))
             out = (ad.layer_norm(a, gain, bias, residual=r) if fused
                    else ad.layer_norm(ad.add(r, a), gain, bias))
-            ad.backward(ad.add(ad.add(weighted(out), ad.sum_all(ad.mul(a, w))), ad.sum_all(ad.mul(r, r))))
+            ad.backward(ad.add(ad.add(weighted(out), sum_all(ad.mul(a, w))), sum_all(ad.mul(r, r))))
             return [out.data] + [t.grad for t in (a, r, gain, bias)]
 
         assert [x.tobytes() for x in run(True)] == [x.tobytes() for x in run(False)]

@@ -95,7 +95,8 @@ def test_training_steps_run_through_the_wrapped_names(monkeypatch):
     task = training.Task("binary", lambda stay: oracle_label(stay, spec))
     samples = training.build_samples(corpus, Split.TRAIN, task, vocab, config.window_minutes,
                                      config.encoder.max_seq_len)
-    training._finetune_fold(model, task, samples, [], provider, cfg, 0)
+    val = training.build_samples(corpus, Split.VAL, task, vocab, config.window_minutes, config.encoder.max_seq_len)
+    training._finetune_fold(model, task, samples, val, provider, cfg, 0)
     assert counts["forward"] > 2 * -(-len(samples) // cfg.batch_size)  # pre-training steps came first
     assert counts["step"] == counts["backward"] == counts["backward_in_step"] == counts["forward"]
 

@@ -1,9 +1,14 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
 from icuseq.cli import main
-from icuseq.encoder import load_checkpoint, save_checkpoint
+from icuseq.encoder import EncoderConfig, load_checkpoint, save_checkpoint
+from icuseq.ingest import Split, assign_splits, build_vocabularies, parse_events
 from icuseq.textvec import write_cache
+from icuseq.training import Model, ModelConfig
 
 
 @pytest.fixture()
@@ -320,6 +325,37 @@ class TestTrainingPipeline:
                      "--epochs", "1", "--batch-size", "8"])
         assert code == 1
         assert "ConfigMismatch" in capsys.readouterr().err
+
+    def test_a_value_whose_z_score_leaves_float32_is_one_error_line(self, synth_args, capsys):
+        """A finite age of 1e300 in a test-split stay is refused by name, not cast to inf on its way to the model."""
+        events, task, tmp_path = synth_args
+        corpus = assign_splits(parse_events(events), (0.7, 0.15, 0.15), 0)  # evaluate's default split
+        stay = corpus.stays_in(Split.TEST)[0].stay_id
+        lines = []
+        for line in open(events, encoding="utf-8"):
+            record = json.loads(line)
+            if record["stay_id"] == stay and record["variable"] == "age":
+                record["value"] = 1e300
+            lines.append(json.dumps(record) + "\n")
+        assert sum('1e+300' in line for line in lines) == 1
+        changed = tmp_path / "changed.jsonl"
+        changed.write_text("".join(lines), encoding="utf-8")
+        vocab = build_vocabularies(corpus)
+        config = ModelConfig(EncoderConfig(layers=1, hidden=8, heads=2, ffn_dim=8, max_seq_len=16), d_pre=8,
+                             window_minutes=1440, feature_vocab=vocab.feature_size,
+                             value_vocab=vocab.value_size, head_mode="task")
+        ckpt = str(tmp_path / "task.ckpt")
+        Model.build(config, seed=0).save(ckpt)
+        capsys.readouterr()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", "--events", str(changed), "--checkpoint", ckpt, "--task", task,
+                         "--embed-dim", "8"])
+        err = capsys.readouterr().err
+        errors = [l for l in err.splitlines() if l.startswith("error:")]
+        assert code == 1 and len(errors) == 1 and "Traceback" not in err
+        assert "NonFiniteValue" in errors[0] and repr(stay) in errors[0] and "'demographics: age'" in errors[0]
+        assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
 
     def test_checkpoint_config_block_not_an_object(self, synth_args, capsys):
         events, task, tmp_path = synth_args

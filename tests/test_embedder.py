@@ -17,7 +17,7 @@ from icuseq.training import Model, ModelConfig
 from icuseq.types import CLS_TEXT, MASK_TEXT, PAD_TEXT, Vocabularies
 
 from conftest import dyn_token, make_window
-from reference import Special, Token, tokens_of, truncate_and_pad
+from reference import Special, Token, take_rows, tokens_of, truncate_and_pad
 
 D_PRE, D, W = 6, 8, 24
 
@@ -138,7 +138,7 @@ def golden_window(draw):
 def loss_and_grads(model, hidden, slots):
     for t in model.parameters().values():
         t.zero_grad()
-    loss = mlvm_loss(enc.mlvm_outputs(ad.take_rows(hidden, slots.rows), model.heads), slots)
+    loss = mlvm_loss(enc.mlvm_outputs(take_rows(hidden, slots.rows), model.heads), slots)
     ad.backward(loss.node)
     return loss.l_total, {name: t.grad for name, t in model.parameters().items()}
 

@@ -26,6 +26,7 @@ from icuseq import training
 from icuseq.training import Model, gradcheck_problem
 
 import reference
+from reference import sum_all, take_rows
 from test_autodiff import traced_peak
 
 CFG = EncoderConfig(layers=2, hidden=8, heads=2, ffn_dim=6, max_seq_len=6, dropout=0.0)
@@ -102,7 +103,7 @@ class TestFusedResidualNorm:
         drawn = np.random.default_rng(7)
         out = stack(x, mask, self.CONFIG, params, mode, drawn, rows=rows)
         weights = ad.constant(rng.standard_normal(out.shape).astype(np.float32))
-        ad.backward(ad.sum_all(ad.mul(out, weights)))
+        ad.backward(sum_all(ad.mul(out, weights)))
         grads = {t.name: t.grad for t in [x, *ad.named(*params.layers).values()]}
         return out.data, grads, drawn.bit_generator.state
 
@@ -161,7 +162,7 @@ class TestHeads:
 
     def test_cls_output_is_position_zero(self):
         hidden = ad.constant(np.random.default_rng(0).standard_normal((3, 5, 4)))
-        cls_rows = ad.take_rows(hidden, np.zeros((3, 1), dtype=np.intp))  # what the cut top layer outputs
+        cls_rows = take_rows(hidden, np.zeros((3, 1), dtype=np.intp))  # what the cut top layer outputs
         np.testing.assert_array_equal(cls_output(cls_rows).data, hidden.data[:, 0, :])
 
 
@@ -172,7 +173,7 @@ class TestGradCheck:
 
         def loss_fn():
             out = ad.matmul(ad.constant(x), w)
-            return ad.sum_all(ad.mul(out, out))
+            return sum_all(ad.mul(out, out))
 
         report = grad_check(loss_fn, {"w": w}, epsilon=1e-4, tolerance=1e-7)
         assert report.ok
@@ -219,7 +220,7 @@ class TestGradCheck:
             return ad._make(t.data * t.data, (t,), bwd)
 
         def loss_fn():
-            return ad.sum_all(wrong_square(w))
+            return sum_all(wrong_square(w))
 
         with pytest.raises(GradMismatch) as excinfo:
             grad_check(loss_fn, {"w": w}, epsilon=1e-5, tolerance=1e-4)

@@ -24,6 +24,7 @@ from icuseq.training import Model, ModelConfig
 
 import reference
 from conftest import dyn_token, window_of
+from reference import sum_all
 
 LAYERS = 3
 PROVIDER = StubProvider(dim=8, seed=0)
@@ -78,7 +79,7 @@ def train_pass(scores, model, slots, seed, weights):
         t.zero_grad()
     rng = np.random.default_rng(seed)
     logits = scores(model, slots, rng)
-    ad.backward(ad.sum_all(ad.mul(logits, ad.constant(weights, logits.dtype))))
+    ad.backward(sum_all(ad.mul(logits, ad.constant(weights, logits.dtype))))
     grads = {n: (t.grad if t.grad is not None else np.zeros_like(t.data)).copy() for n, t in trainable.items()}
     return logits.data.copy(), grads, rng.random()
 

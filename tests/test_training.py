@@ -37,7 +37,7 @@ from icuseq.training import (
 )
 
 from conftest import dyn_token, window_of
-from reference import UnfusedAdamW, sequence_of
+from reference import UnfusedAdamW, sequence_of, sum_all
 
 
 def small_setup(patients=24, seed=2, ratios=(0.7, 0.15, 0.15)):
@@ -58,7 +58,7 @@ class TestOptimizer:
         w = ad.parameter(np.array([5.0, -3.0]), "w")
         opt = AdamW({"w": w})
         for _ in range(300):
-            opt.step(ad.sum_all(ad.mul(w, w)), 0.05)
+            opt.step(sum_all(ad.mul(w, w)), 0.05)
         assert np.abs(w.data).max() < 0.05
         assert opt.t == 300 and w.grad is None
 
@@ -103,7 +103,7 @@ def gradient_loss(params, grads):
     """A loss whose gradient with respect to ``params[k]`` is exactly ``grads[k]``: the sum of ``p · g``."""
     loss = None
     for k, p in params.items():
-        term = ad.sum_all(ad.mul(p, ad.constant(grads[k])))
+        term = sum_all(ad.mul(p, ad.constant(grads[k])))
         loss = term if loss is None else ad.add(loss, term)
     return loss
 
@@ -140,7 +140,7 @@ class TestFusedStep:
         w, unused = ad.parameter(np.ones(3, np.float32), "w"), ad.parameter(np.ones(2, np.float32), "unused")
         opt = AdamW({"w": w, "unused": unused})
         assert opt._m == {} and opt._v == {}
-        opt.step(ad.sum_all(ad.mul(w, w)), 0.1)
+        opt.step(sum_all(ad.mul(w, w)), 0.1)
         assert set(opt._m) == set(opt._v) == {"w"} and opt._m["w"].dtype == np.float32
         assert unused.data.tobytes() == np.ones(2, np.float32).tobytes()
 
@@ -148,7 +148,7 @@ class TestFusedStep:
         rng = np.random.default_rng(6)
         params = {k: ad.parameter(rng.standard_normal(s).astype(np.float32), k) for k, s in (("a", (4, 3)), ("b", (3,)))}
         opt = AdamW(params, weight_decay=0.01)
-        loss = ad.sum_all(ad.mul(ad.linear(ad.constant(np.ones((2, 4), np.float32)), params["a"], params["b"]),
+        loss = sum_all(ad.mul(ad.linear(ad.constant(np.ones((2, 4), np.float32)), params["a"], params["b"]),
                                  ad.constant(np.ones((2, 3), np.float32))))
         opt.step(loss, 0.1)
         before = ({k: (p.data, p.data.tobytes()) for k, p in params.items()},
@@ -177,7 +177,7 @@ class TestStepMemory:
         h = ad.constant(rng.standard_normal((2, self.WIDTH)).astype(np.float32))
         for w in params.values():
             h = ad.gelu(ad.matmul(h, w))
-        return ad.sum_all(h)
+        return sum_all(h)
 
     def test_peak_rise_of_the_first_and_a_later_step(self):
         """The first step allocates the moments, 2 parameter sets, and must not hold a third: a step after
@@ -891,7 +891,8 @@ class TestFrozenTape:
             backward(loss, on_leaf=recording)
 
         monkeypatch.setattr(ad, "backward", spy_backward)
-        model, rows, _ = training._finetune_fold(pre, task, samples, [], provider, cfg, 0)
+        val = build_samples(corpus, Split.VAL, task, vocab, config.window_minutes, config.encoder.max_seq_len)
+        model, rows, _ = training._finetune_fold(pre, task, samples, val, provider, cfg, 0)
         seen["grads"] = {name: grads[t._node] for name, t in model.parameters().items() if t._node in grads}
 
         trainable = full.trainable_parameters(unfrozen_layers, unfreeze_embedder)
