@@ -312,6 +312,9 @@ def _masking_rates(cfg: dict) -> MaskingRates:
     )
 
 
+_LOSS_CSV_HEADER = "epoch,split,l_f,l_cat,l_cont,l_total,lr"  # of the rows pretrain prints and --metrics-out holds
+
+
 def _cmd_pretrain(cfg: dict) -> None:
     corpus, vocab = _load_corpus(cfg)
     provider = _provider(cfg)
@@ -321,19 +324,13 @@ def _cmd_pretrain(cfg: dict) -> None:
         feature_vocab=vocab.feature_size, value_vocab=vocab.value_size,
     )
     train_config = _from_options(TrainConfig, cfg)
-    rows: list[str] = []
-    print("epoch,split,l_f,l_cat,l_cont,l_total,lr")
-
-    def on_row(row):
-        rows.append(row.csv())
-        print(row.csv())
-
+    print(_LOSS_CSV_HEADER)
     result = pretrain(corpus, vocab, provider, model_config, train_config,
-                      rates=_masking_rates(cfg), on_row=on_row)
+                      rates=_masking_rates(cfg), on_row=lambda row: print(row.csv()))
     result.model.save(cfg["out"])
     if cfg["metrics_out"]:
-        header = "epoch,split,l_f,l_cat,l_cont,l_total,lr\n"
-        atomic_write(cfg["metrics_out"], (header + "\n".join(rows) + "\n").encode("utf-8"))
+        lines = [_LOSS_CSV_HEADER] + [row.csv() for row in result.rows]
+        atomic_write(cfg["metrics_out"], ("\n".join(lines) + "\n").encode("utf-8"))
     print(f"best epoch {result.best_epoch} val_l_total {result.best_val_total:.6f}")
     print(f"wrote {cfg['out']}")
 

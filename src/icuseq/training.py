@@ -371,6 +371,8 @@ class TrainConfig:
             value = getattr(self, name)
             if not (math.isfinite(value) and value >= 0):
                 raise InvalidSpec(f"{name} must be finite and non-negative, got {value}")
+        if not self.lr * self.weight_decay < 1:  # the decay factor 1 - lr·wd would zero or flip every parameter
+            raise InvalidSpec(f"weight_decay times lr must be below 1, got {self.weight_decay} * {self.lr}")
         for name in ("warmup_epochs", "patience", "unfrozen_layers"):
             value = getattr(self, name)
             if value is not None and value < 0:
@@ -451,12 +453,9 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
              model_config: ModelConfig, train_config: TrainConfig,
              rates: MaskingRates = MaskingRates(),
              on_row: Optional[Callable[[LossRow], None]] = None) -> PretrainResult:
-    """Masked pre-training with AdamW, a linear schedule, and best-val retention.
+    """Masked pre-training of a fresh model: each batch's masked loss and each epoch's rows, run by ``_fit``.
 
-    Early stopping counts epochs since the best validation loss. Without
-    validation windows there is nothing to compare, so every one of
-    ``epochs`` runs whatever ``patience`` is, and the last epoch's model is
-    returned with ``best_epoch`` 0.
+    ``_fit`` owns the run policy: schedule, order, steps, guards, best epoch.
 
     The loss reads the masked slots only, so in every train step and val
     pass the top encoder layer and the heads compute each batch's masked
@@ -468,14 +467,9 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
 
     A batch without a masked slot carries no loss: a train batch takes no
     step, and a val batch is dropped when the val batches are built. A val
-    split left with no batches behaves like one with no windows. An epoch
+    split left with no batches behaves like one with no windows: it has no
+    val loss, so ``_fit`` runs every epoch and ``best_epoch`` is 0. An epoch
     in which no train batch has a masked slot raises ``NoMaskedSlots``.
-
-    Each train step is one ``AdamW.step(loss, lr)``: the backward pass
-    updates every parameter as soon as its gradient is complete, so the
-    step never holds all gradients at once. The best epoch's parameters are
-    kept by reference, which the step allows because it rebinds each
-    parameter's array and never writes it.
     """
     cfg = train_config
     train_windows = prepare_windows(corpus, Split.TRAIN, vocab,
@@ -486,7 +480,6 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
         raise MissingLabels("no trainable windows in the train split")
 
     model = Model.build(model_config, cfg.seed)
-    optimizer = AdamW(model.parameters(), weight_decay=cfg.weight_decay)
 
     # validation masking is frozen once so epochs stay comparable: every epoch scores the same batches
     val_batches = []
@@ -499,73 +492,103 @@ def pretrain(corpus: Corpus, vocab: Vocabularies, provider: EmbeddingProvider,
             val_batches.append((batch, slots))
 
     rows: list[LossRow] = []
-    best_val = np.inf
-    best_epoch = 0
-    best_state: dict[str, np.ndarray] = {}
-    epochs_since_best = 0
-    diverged_above: Optional[float] = None
+    train_agg = _LossAggregator(cfg.alpha, cfg.beta)
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
-        order = np.random.default_rng([cfg.seed, 50, epoch]).permutation(len(train_windows))
-        train_agg = _LossAggregator(cfg.alpha, cfg.beta)
-        steps = 0
+    def train_loss(idx: np.ndarray, epoch: int, start: int) -> Optional[Tensor]:
+        rngs = [np.random.default_rng([cfg.seed, 60, epoch, int(i)]) for i in idx]
+        batch, slots = _masked_batch([train_windows[i] for i in idx], zip(rngs, rngs), vocab, provider, rates)
+        if not slots.rows.shape[1]:  # nothing to predict
+            return None
+        rng = np.random.default_rng([cfg.seed, 70, epoch, start])
+        breakdown = mlvm_loss(model.pretrain_outputs(batch, mode="train", rng=rng, rows=slots.rows),
+                              slots, cfg.alpha, cfg.beta)
+        train_agg.add(breakdown)
+        return breakdown.node
 
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            rngs = [np.random.default_rng([cfg.seed, 60, epoch, int(i)]) for i in idx]
-            batch, slots = _masked_batch([train_windows[i] for i in idx], zip(rngs, rngs), vocab, provider, rates)
-            if not slots.rows.shape[1]:  # nothing to predict: no loss, no step
-                continue
-            rng = np.random.default_rng([cfg.seed, 70, epoch, start])
-            outputs = model.pretrain_outputs(batch, mode="train", rng=rng, rows=slots.rows)
-            breakdown = mlvm_loss(outputs, slots, cfg.alpha, cfg.beta)
-            if not breakdown.l_total < MAX_TRAIN_LOSS:  # NaN too
-                raise DivergedLoss(f"loss {breakdown.l_total:.3e} at epoch {epoch} is not below 2^64")
-            # layernorm keeps float32 activations finite under almost any step
-            # size, so runaway growth needs its own tripwire
-            if diverged_above is None:
-                diverged_above = 1e6 * (breakdown.l_total + 1.0)
-            elif breakdown.l_total > diverged_above:
-                raise DivergedLoss(
-                    f"loss {breakdown.l_total:.3e} at epoch {epoch} exceeds "
-                    f"{diverged_above:.3e}")
-            optimizer.step(breakdown.node, lr)
-            train_agg.add(breakdown)
-            steps += 1
-        if not steps:
-            raise NoMaskedSlots(f"no train batch of epoch {epoch} has a masked slot")
-
-        row = LossRow(epoch, "train", *train_agg.totals(), lr)
+    def emit(row: LossRow) -> None:
         rows.append(row)
         if on_row:
             on_row(row)
 
-        if val_batches:
-            val_agg = _LossAggregator(cfg.alpha, cfg.beta)
-            eval_model = model.detached()
-            for batch, slots in val_batches:
-                outputs = eval_model.pretrain_outputs(batch, mode="eval", rows=slots.rows)
-                val_agg.add(mlvm_loss(outputs, slots, cfg.alpha, cfg.beta))
-            val_row = LossRow(epoch, "val", *val_agg.totals(), lr)
-            rows.append(val_row)
-            if on_row:
-                on_row(val_row)
-            val_total = val_row.l_total
-            if not np.isfinite(val_total):
-                raise DivergedLoss(f"non-finite validation loss at epoch {epoch}")
-            if val_total < best_val:
-                best_val, best_epoch, epochs_since_best = val_total, epoch, 0
-                best_state = {k: t.data for k, t in model.parameters().items()}  # AdamW.step rebinds, never writes
-            else:
-                epochs_since_best += 1
-                if cfg.patience is not None and epochs_since_best > cfg.patience:
-                    break
+    def end_epoch(epoch: int, lr: float) -> Optional[float]:
+        nonlocal train_agg
+        agg, train_agg = train_agg, _LossAggregator(cfg.alpha, cfg.beta)
+        if not (agg.n_f or agg.n_cat or agg.n_cont):
+            raise NoMaskedSlots(f"no train batch of epoch {epoch} has a masked slot")
+        emit(LossRow(epoch, "train", *agg.totals(), lr))
+        if not val_batches:
+            return None
+        val_agg = _LossAggregator(cfg.alpha, cfg.beta)
+        eval_model = model.detached()
+        for batch, slots in val_batches:
+            outputs = eval_model.pretrain_outputs(batch, mode="eval", rows=slots.rows)
+            val_agg.add(mlvm_loss(outputs, slots, cfg.alpha, cfg.beta))
+        emit(LossRow(epoch, "val", *val_agg.totals(), lr))
+        return rows[-1].l_total
 
-    if best_state:
-        for name, tensor in model.parameters().items():
-            tensor.data = best_state[name]
-    return PretrainResult(model, rows, best_epoch, float(best_val))
+    best_epoch, best_val = _fit(model.parameters(), cfg, len(train_windows), (50,), "", train_loss, end_epoch)
+    return PretrainResult(model, rows, best_epoch, best_val)
+
+
+def _fit(trainable: dict[str, Tensor], cfg: TrainConfig, n: int, key: tuple[int, ...], where: str,
+         train_loss: Callable[[np.ndarray, int, int], Optional[Tensor]],
+         end_epoch: Callable[[int, float], Optional[float]]) -> tuple[int, float]:
+    """Train ``trainable`` with AdamW for ``cfg.epochs``; return the best epoch and its val loss.
+
+    Epoch ``e`` (1-based) takes its lr from ``linear_lr`` and visits the
+    ``n`` samples in the order ``default_rng([cfg.seed, *key, e])`` gives,
+    ``cfg.batch_size`` at a time: ``train_loss(idx, e, start)`` is the loss
+    of the batch ``idx`` at ``start`` in that order, or None for no step.
+    Each step is one ``AdamW.step(loss, lr)``, which updates each parameter
+    inside the backward pass. Then ``end_epoch(e, lr)`` returns the val
+    loss, or None without validation.
+
+    A train loss that is NaN, not below ``MAX_TRAIN_LOSS`` or above 1e6
+    times (the first loss + 1), and a non-finite val loss, raise
+    ``DivergedLoss`` naming ``where`` and the epoch. The best epoch's arrays
+    are kept by reference (the step rebinds each array, never writes it)
+    and restored at the end; ``cfg.patience`` epochs that do not improve on
+    it end the run. Without validation every epoch runs and the last arrays
+    stay: the result is (0, inf).
+    """
+    optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
+    best_val, best_epoch, since_best = np.inf, 0, 0
+    best_state: dict[str, np.ndarray] = {}
+    diverged_above: Optional[float] = None
+    for epoch in range(1, cfg.epochs + 1):
+        lr = linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
+        order = np.random.default_rng([cfg.seed, *key, epoch]).permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            loss = train_loss(order[start : start + cfg.batch_size], epoch, start)
+            if loss is None:
+                continue
+            value = loss.item()
+            if not value < MAX_TRAIN_LOSS:  # NaN too
+                raise DivergedLoss(f"loss {value:.3e} at {where}epoch {epoch} is not below 2^64")
+            # layernorm keeps float32 activations finite under almost any step
+            # size, so runaway growth needs its own tripwire
+            if diverged_above is None:
+                diverged_above = 1e6 * (value + 1.0)
+            elif value > diverged_above:
+                raise DivergedLoss(f"loss {value:.3e} at {where}epoch {epoch} exceeds {diverged_above:.3e}")
+            optimizer.step(loss, lr)
+
+        val = end_epoch(epoch, lr)
+        if val is None:
+            continue
+        if not np.isfinite(val):
+            raise DivergedLoss(f"non-finite validation loss at {where}epoch {epoch}")
+        if val < best_val:
+            best_val, best_epoch, since_best = val, epoch, 0
+            best_state = {k: t.data for k, t in trainable.items()}
+        else:
+            since_best += 1
+            if cfg.patience is not None and since_best > cfg.patience:
+                break
+
+    for name, array in best_state.items():
+        trainable[name].data = array
+    return best_epoch, float(best_val)
 
 
 def _masked_batch(windows: Sequence[Tokens], rngs: Iterable[tuple[np.random.Generator, np.random.Generator]],
@@ -800,71 +823,48 @@ def finetune(pretrained: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
 def _finetune_fold(pretrained: Model, task: Task, train_samples: list[Sample],
                    val_samples: list[Sample], provider: EmbeddingProvider,
                    cfg: TrainConfig, fold: int) -> tuple[Model, list[LossRow], float]:
-    """Train one fold on ``pretrained`` with a fresh task head; return it with the best val epoch restored.
+    """Train one fold on ``pretrained`` with a fresh task head through ``_fit``; return it at its best val epoch.
 
-    ``val_samples`` must not be empty: the val loss picks the best epoch.
+    ``_fit`` owns the run policy. ``val_samples`` must not be empty: the
+    val loss picks the best epoch.
 
-    Only the parameters in ``trainable_parameters`` are copied and require
-    grad. The others are tape constants sharing ``pretrained``'s arrays, so
-    the fold's steps record and walk back only the ops above the freeze
-    boundary, and only the trainable arrays are snapshotted, by reference
-    (``AdamW.step`` rebinds, never writes). Each step is one
-    ``AdamW.step(loss, lr)``, which updates each trainable parameter inside
-    the backward pass as soon as its gradient is complete. The val batches
-    are encoded once per fold, not per epoch, and when the embedder is
-    frozen so are their prefixes below the freeze boundary: every epoch's
-    val pass then runs only the layers above.
+    Only the parameters in ``trainable_parameters`` are copied, require
+    grad and are stepped. The others are tape constants sharing
+    ``pretrained``'s arrays, so the fold's steps record and walk back only
+    the ops above the freeze boundary. The val batches are encoded once per
+    fold, not per epoch, and when the embedder is frozen so are their
+    prefixes below the freeze boundary: every epoch's val pass then runs
+    only the layers above.
     """
     model = pretrained.with_task_head(task.out_dim, pretrained.config.task_dropout, seed=cfg.seed + fold,
                                       unfrozen_layers=cfg.unfrozen_layers,
                                       unfreeze_embedder=cfg.unfreeze_embedder)
-    trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
-    optimizer = AdamW(trainable, weight_decay=cfg.weight_decay)
     n_windows = max((len(s.windows) for s in train_samples), default=1)
     val_batches = _reused_batches(pretrained, val_samples, cfg.batch_size, provider, cfg)
-
-    train_labels = np.asarray([s.label for s in train_samples], dtype=np.float32)
-    weight = _class_weight(task, train_labels)
+    weight = _class_weight(task, np.asarray([s.label for s in train_samples], dtype=np.float32))
 
     rows: list[LossRow] = []
-    best_val = np.inf
-    best_state: dict[str, np.ndarray] = {}
-    since_best = 0
+    epoch_loss, n_batches = 0.0, 0
 
-    for epoch in range(1, cfg.epochs + 1):
-        lr = linear_lr(cfg.lr, epoch, cfg.epochs, cfg.resolved_warmup)
-        order = np.random.default_rng([cfg.seed, 90, fold, epoch]).permutation(len(train_samples))
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, len(order), cfg.batch_size):
-            idx = order[start : start + cfg.batch_size]
-            slots, labels = _sample_batches(train_samples, idx, n_windows, provider)
-            rng = np.random.default_rng([cfg.seed, 91, fold, epoch, start])
-            logits = model.task_scores(slots, mode="train", rng=rng)
-            loss = finetune_loss(task.kind, logits, labels, weight)
-            if not loss.item() < MAX_TRAIN_LOSS:  # NaN too
-                raise DivergedLoss(f"fine-tune loss {loss.item():.3e} at fold {fold} epoch {epoch} is not below 2^64")
-            optimizer.step(loss, lr)
-            epoch_loss += loss.item()
-            n_batches += 1
+    def train_loss(idx: np.ndarray, epoch: int, start: int) -> Tensor:
+        nonlocal epoch_loss, n_batches
+        slots, labels = _sample_batches(train_samples, idx, n_windows, provider)
+        rng = np.random.default_rng([cfg.seed, 91, fold, epoch, start])
+        loss = finetune_loss(task.kind, model.task_scores(slots, mode="train", rng=rng), labels, weight)
+        epoch_loss += loss.item()
+        n_batches += 1
+        return loss
 
+    def end_epoch(epoch: int, lr: float) -> float:
+        nonlocal epoch_loss, n_batches
         val_loss = _task_loss(model, task, val_batches(), weight)
-        if not np.isfinite(val_loss):
-            raise DivergedLoss(f"non-finite validation loss at fold {fold} epoch {epoch}")
         rows.append(LossRow(epoch, f"fold{fold}-train", 0.0, 0.0, 0.0, epoch_loss / max(n_batches, 1), lr))
         rows.append(LossRow(epoch, f"fold{fold}-val", 0.0, 0.0, 0.0, val_loss, lr))
+        epoch_loss, n_batches = 0.0, 0
+        return val_loss
 
-        if val_loss < best_val:
-            best_val, since_best = val_loss, 0
-            best_state = {k: t.data for k, t in trainable.items()}  # AdamW.step rebinds, never writes
-        else:
-            since_best += 1
-            if cfg.patience is not None and since_best > cfg.patience:
-                break
-
-    if best_state:
-        for name, tensor in trainable.items():
-            tensor.data = best_state[name]
+    trainable = model.trainable_parameters(cfg.unfrozen_layers, cfg.unfreeze_embedder)
+    _, best_val = _fit(trainable, cfg, len(train_samples), (90, fold), f"fold {fold} ", train_loss, end_epoch)
     return model, rows, best_val
 
 
@@ -950,7 +950,8 @@ def evaluate(model: Model, task: Task, corpus: Corpus, vocab: Vocabularies,
 
 
 def _test_metrics(kind: str, scores: np.ndarray, labels: np.ndarray) -> dict[str, float]:
-    """The test split's metrics: MAE for regression, AUROC and AUPRC otherwise."""
+    """The test split's metrics: MAE for regression, else AUROC and AUPRC (multilabel: the mean over labels)."""
     if kind == "regression":
         return {"mae": mae(scores, labels)}
-    return {"auroc": auroc(scores, labels), "auprc": auprc(scores, labels)}
+    columns = scores.reshape(len(scores), -1).T, labels.reshape(len(labels), -1).T
+    return {"auroc": float(np.mean(list(map(auroc, *columns)))), "auprc": float(np.mean(list(map(auprc, *columns))))}

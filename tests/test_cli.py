@@ -209,7 +209,7 @@ class TestConfigFile:
         assert not (tmp_path / "pre.ckpt").exists()
 
     @pytest.mark.parametrize("flag,value", [("--lr", "nan"), ("--lr", "inf"), ("--weight-decay", "nan"),
-                                            ("--weight-decay", "-1")])
+                                            ("--weight-decay", "-1"), ("--weight-decay", "1e30")])
     def test_non_finite_step_size_is_one_error_line(self, synth_args, capsys, flag, value):
         """With one step and no val split, a NaN lr once saved a checkpoint of NaN parameters."""
         events, _task, tmp_path = synth_args

@@ -18,6 +18,7 @@ from icuseq.errors import (ConfigMismatch, DivergedLoss, FormatError, GraphRelea
                            NoMaskedSlots)
 from icuseq.ingest import Corpus, Split, assign_splits, build_vocabularies, parse_event_lines
 from icuseq.masking import MaskingRates
+from icuseq.metrics import auprc, auroc
 from icuseq.synth import GeneratorSpec, generate_lines, oracle_label
 from icuseq.textvec import StubProvider
 from icuseq.training import (
@@ -292,12 +293,80 @@ class TestTrainConfig:
                                              ("lr", -1e-3), ("weight_decay", math.nan),
                                              ("weight_decay", math.inf), ("weight_decay", -0.01),
                                              ("alpha", math.nan), ("alpha", -3.0), ("beta", math.inf),
-                                             ("beta", -1.0)])
+                                             ("beta", -1.0), ("weight_decay", 1e30)])
     def test_non_finite_or_out_of_range_step_setting_rejected(self, field, value):
         """A NaN lr passed ``lr <= 0``: one step turned every parameter into NaN, and pretrain returned it.
-        A negative loss weight trained the model to maximize that term."""
+        A negative loss weight trained the model to maximize that term. At ``lr * weight_decay >= 1`` the
+        decay factor ``1 - lr * weight_decay`` zeroes or sign-flips every parameter in one step."""
         with pytest.raises(InvalidSpec, match=field):
             TrainConfig(**{field: value})
+
+
+class TestFit:
+    """``_fit`` alone: one parameter, scripted train and val losses, no model."""
+
+    @staticmethod
+    def fit(losses, vals=None, epochs=3, patience=None, n=2):
+        """``_fit`` with batch losses taken from ``losses`` in turn (None: no step) and val losses from ``vals``.
+
+        Returns its result, the parameter, its array at each epoch's end, and each batch's (idx, epoch, start).
+        """
+        w = ad.parameter(np.zeros(1), "w")
+        losses, arrays, batches = iter(losses), [], []
+
+        def train_loss(idx, epoch, start):
+            batches.append((idx.tolist(), epoch, start))
+            value = next(losses)
+            return None if value is None else ad.mae_mean(w, w.data - value)  # reads ``value``; a gradient reaches w
+
+        def end_epoch(epoch, lr):
+            arrays.append(w.data)
+            return None if vals is None else vals[epoch - 1]
+
+        cfg = TrainConfig(epochs=epochs, batch_size=1, lr=0.1, warmup_epochs=0, patience=patience, seed=3)
+        return training._fit({"w": w}, cfg, n, (5,), "fold 3 ", train_loss, end_epoch), w, arrays, batches
+
+    @pytest.mark.parametrize("losses,message", [
+        ([1.0, math.nan], "loss nan at fold 3 epoch 1 is not below 2\\^64"),
+        ([1.0, 1.0, 2.0 ** 64], "at fold 3 epoch 2 is not below 2\\^64"),
+        ([1.0, 1.0, 1.0, 3e6], "at fold 3 epoch 2 exceeds 2.000e\\+06"),
+    ])
+    def test_diverging_train_loss_raises(self, losses, message):
+        with pytest.raises(DivergedLoss, match=message):
+            self.fit(losses, [1.0] * 3)
+
+    def test_growth_below_the_tripwire_trains(self):
+        assert self.fit([1.0, 1.9e6] + [1.0] * 4, [1.0] * 3)[0] == (1, 1.0)
+
+    @pytest.mark.parametrize("val", [math.nan, math.inf])
+    def test_non_finite_val_loss_raises(self, val):
+        with pytest.raises(DivergedLoss, match="non-finite validation loss at fold 3 epoch 2"):
+            self.fit([1.0] * 6, [1.0, val, 1.0])
+
+    @pytest.mark.parametrize("patience", [0, 2])
+    def test_patience_stops_after_the_best(self, patience):
+        (best_epoch, best_val), _, arrays, _ = self.fit([1.0] * 20, [3.0, 1.0] + [2.0] * 8, epochs=10,
+                                                        patience=patience)
+        assert (best_epoch, best_val) == (2, 1.0)
+        assert len(arrays) == best_epoch + patience + 1
+
+    def test_best_epoch_arrays_come_back_by_identity(self):
+        result, w, arrays, _ = self.fit([1.0] * 8, [3.0, 1.0, 2.0, 2.0], epochs=4)
+        assert result == (2, 1.0)
+        assert w.data is arrays[1] and len({id(a) for a in arrays}) == 4  # each epoch stepped to a new array
+
+    def test_without_validation_every_epoch_runs_and_the_last_arrays_stay(self):
+        result, w, arrays, batches = self.fit([1.0] * 6, epochs=3, patience=0)
+        assert result == (0, math.inf)
+        assert len(arrays) == 3 and w.data is arrays[-1]
+        orders = [np.random.default_rng([3, 5, epoch]).permutation(2).tolist() for epoch in (1, 2, 3)]
+        assert batches == [([orders[e - 1][start]], e, start) for e in (1, 2, 3) for start in (0, 1)]
+
+    def test_a_none_batch_takes_no_step(self):
+        _, w, arrays, _ = self.fit([None, 1.0, None, None], [2.0, 1.0], epochs=2)
+        assert w.data is arrays[0] is arrays[1] and w.data.tolist() == pytest.approx([-0.1])  # one step of lr 0.1
+        _, w, arrays, _ = self.fit([None] * 4, [2.0, 1.0], epochs=2)
+        assert w.data is arrays[0] is arrays[1] and not w.data.any()
 
 
 class TestPretrain:
@@ -461,6 +530,21 @@ class TestFinetune:
         with pytest.raises(DivergedLoss, match="validation loss at fold 0 epoch 1"):
             finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2)
 
+    def test_runaway_fold_loss_diverges(self, monkeypatch):
+        """Fine-tuning has the growth tripwire too: a train loss past 1e6 times the first one raises."""
+        spec, corpus, vocab, provider, config = small_setup(patients=12)
+        task = Task("binary", lambda stay: oracle_label(stay, spec))
+        calls, loss = [], training.finetune_loss
+
+        def growing(*args):
+            calls.append(len(calls))
+            return loss(*args) if len(calls) == 1 else ad.scale(loss(*args), 1e8)
+
+        monkeypatch.setattr(training, "finetune_loss", growing)
+        cfg = TrainConfig(epochs=2, batch_size=2, lr=1e-3, seed=0)
+        with pytest.raises(DivergedLoss, match="at fold 0 epoch 1 exceeds"):
+            finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2)
+
     def test_early_stopping_bound(self):
         spec, corpus, vocab, provider, config = small_setup(patients=30)
         pre = Model.build(config, seed=0)
@@ -490,6 +574,21 @@ class TestFinetune:
         result = finetune(pre, task, corpus, vocab, provider, cfg, folds=2)
         metrics = evaluate(result.best_model, task, corpus, vocab, provider)
         assert set(metrics) == {"auroc", "auprc"}
+
+    def test_multilabel_task_reports_the_mean_over_labels(self):
+        """(N, 2) scores once reached ``auroc`` whole and raised ``ShapeMismatch`` after fold 0 had trained."""
+        spec, corpus, vocab, provider, config = small_setup(patients=24)
+        task = Task("multilabel", lambda stay: [oracle_label(stay, spec), len(stay.dynamics) % 2], out_dim=2)
+        cfg = TrainConfig(epochs=1, batch_size=8, lr=1e-3, seed=0, warmup_epochs=0)
+        result = finetune(Model.build(config, seed=0), task, corpus, vocab, provider, cfg, folds=2)
+        assert len(result.report.per_fold) == 2 and result.report.metric_names == ("auroc", "auprc")
+        metrics = evaluate(result.best_model, task, corpus, vocab, provider)
+        samples = build_samples(corpus, Split.TEST, task, vocab, 1440, 48)
+        scores = predict_scores(result.best_model, samples, provider, "multilabel")
+        labels = np.asarray([s.label for s in samples])
+        assert scores.shape == labels.shape == (len(samples), 2)
+        for name, metric in (("auroc", auroc), ("auprc", auprc)):
+            assert metrics[name] == pytest.approx(np.mean([metric(scores[:, k], labels[:, k]) for k in range(2)]))
 
 
 def sample_view(samples):
